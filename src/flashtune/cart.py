@@ -1,8 +1,18 @@
-"""Regression trees grown by recursive variance-reduction splitting.
+"""Regression trees grown by recursive variance-reduction splitting (CART:
+Breiman, Friedman, Olshen and Stone, 1984).
 
 The tree is the cheap surrogate the optimizer leans on: it only has to rank
 configurations well enough to pick the next one to measure, so there is no
 pruning and no smoothing beyond the leaf-size knobs.
+
+A fit sorts once.  `fit` stably argsorts every option column, giving a
+(d, n) matrix of row indices.  Each node scores all options in one pass over
+that matrix (see `_best_split`), then hands each child the entries of its
+order that fall on its side, selected by the split's boolean mask.  A stable
+filter of a stable sort is the stable sort of the subset, so every node sees
+exactly the order a fresh per-node sort would give, and node rows stay in
+ascending original order: sums, gains, thresholds and leaf means do not
+depend on how the order was obtained.
 """
 
 from __future__ import annotations
@@ -45,67 +55,76 @@ class Split:
 TreeNode = Union[Leaf, Split]
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Best (gain, option index, threshold) over all candidate splits, or None.
+def _best_split(
+    XT: np.ndarray, y: np.ndarray, yn: np.ndarray, order: np.ndarray, min_leaf: int
+):
+    """Best (option index, threshold) for one node, or None.
 
-    Thresholds are midpoints between consecutive distinct sorted values of
-    each option within this node.  Ties in gain resolve to the lowest option
-    index, then the lowest threshold.
+    `order[j]` lists the node's rows sorted by option j, `yn` is the node's
+    targets in ascending row order.  Cutting after sorted position k puts the
+    first k + 1 rows left; a cut is legal where the sorted value strictly
+    rises and both sides keep `min_leaf` rows.  One cumsum over all options
+    scores every legal cut, and each option keeps its first maximum, so the
+    lowest threshold wins a tie within an option.  Scanning the options in
+    index order, a later option replaces the running best only when its gain
+    is higher by more than `eps`, so near-ties go to the lowest option index.
+    The threshold is the midpoint of the two sorted values around the cut.
     """
-    n = y.size
-    total_sum = y.sum()
-    total_sq = (y * y).sum()
+    n = yn.size
+    lo, hi = min_leaf - 1, n - min_leaf
+    if lo >= hi:
+        return None
+    total_sum = yn.sum()
+    total_sq = (yn * yn).sum()
     base_sse = total_sq - total_sum * total_sum / n
     eps = 1e-12 * (abs(base_sse) + 1.0)
 
+    xv = XT[np.arange(order.shape[0])[:, None], order]
+    yv = y[order]
+    ls = yv.cumsum(axis=1)[:, lo:hi]
+    lq = (yv * yv).cumsum(axis=1)[:, lo:hi]
+    left_n = np.arange(lo + 1, hi + 1)
+    right_n = n - left_n
+    rs = total_sum - ls
+    rq = total_sq - lq
+    child_sse = (lq - ls * ls / left_n) + (rq - rs * rs / right_n)
+    gain = np.where(xv[:, lo + 1:hi + 1] > xv[:, lo:hi], base_sse - child_sse, -np.inf)
+
     best_gain = 0.0
     best = None
-    for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="stable")
-        xv = X[order, j]
-        yv = y[order]
-        cuts = np.nonzero(xv[1:] > xv[:-1])[0]
-        if cuts.size == 0:
-            continue
-        left_n = cuts + 1
-        right_n = n - left_n
-        ok = (left_n >= min_leaf) & (right_n >= min_leaf)
-        if not ok.any():
-            continue
-        csum = np.cumsum(yv)
-        csq = np.cumsum(yv * yv)
-        ls = csum[cuts]
-        lq = csq[cuts]
-        rs = total_sum - ls
-        rq = total_sq - lq
-        child_sse = (lq - ls * ls / left_n) + (rq - rs * rs / right_n)
-        gain = np.where(ok, base_sse - child_sse, -np.inf)
-        k = int(np.argmax(gain))
-        if gain[k] > best_gain + eps or (best is None and gain[k] > eps):
-            best_gain = float(gain[k])
-            thr = float((xv[cuts[k]] + xv[cuts[k] + 1]) / 2.0)
-            best = (best_gain, j, thr)
-    return best
+    for j, g in enumerate(gain.max(axis=1).tolist()):
+        if g > best_gain + eps:
+            best_gain, best = g, j
+    if best is None:
+        return None
+    k = lo + int(gain[best].argmax())
+    return best, float((xv[best, k] + xv[best, k + 1]) / 2.0)
 
 
-def _grow(X: np.ndarray, y: np.ndarray, depth: int, params: CartParams) -> TreeNode:
-    n = y.size
+def _grow(
+    XT: np.ndarray, y: np.ndarray, rows: np.ndarray, order: np.ndarray, depth: int,
+    params: CartParams,
+) -> TreeNode:
+    yn = y[rows]
+    n = yn.size
     if (
         n < params.min_samples_split
         or (params.max_depth is not None and depth >= params.max_depth)
-        or y.max() == y.min()
+        or yn.max() == yn.min()
     ):
-        return Leaf(float(y.mean()), n)
-    found = _best_split(X, y, params.min_samples_leaf)
+        return Leaf(float(yn.mean()), n)
+    found = _best_split(XT, y, yn, order, params.min_samples_leaf)
     if found is None:
-        return Leaf(float(y.mean()), n)
-    _, j, thr = found
-    mask = X[:, j] <= thr
+        return Leaf(float(yn.mean()), n)
+    j, thr = found
+    rows_left = XT[j, rows] <= thr
+    order_left = XT[j, order] <= thr
+    d = order.shape[0]
     return Split(
         j,
         thr,
-        _grow(X[mask], y[mask], depth + 1, params),
-        _grow(X[~mask], y[~mask], depth + 1, params),
+        _grow(XT, y, rows[rows_left], order[order_left].reshape(d, -1), depth + 1, params),
+        _grow(XT, y, rows[~rows_left], order[~order_left].reshape(d, -1), depth + 1, params),
     )
 
 
@@ -119,9 +138,13 @@ def fit(xs, ys, params: CartParams = CartParams()) -> TreeNode:
         raise ValueError("ys must be a 1-D array aligned with xs")
     if y.size == 0:
         raise ValueError("cannot fit a tree on zero rows")
+    if not np.isfinite(X).all():
+        raise ValueError("configurations must be finite")
     if not np.isfinite(y).all():
         raise ValueError("targets must be finite")
-    return _grow(X, y, 0, params)
+    XT = np.ascontiguousarray(X.T)
+    order = np.argsort(XT, axis=1, kind="stable")
+    return _grow(XT, y, np.arange(y.size), order, 0, params)
 
 
 def _max_option_index(tree: TreeNode) -> int:

@@ -7,6 +7,7 @@ from flashtune.cart import (
     CartParams,
     Leaf,
     Split,
+    TreeNode,
     dump_tree,
     fit,
     predict,
@@ -14,6 +15,75 @@ from flashtune.cart import (
 )
 
 LOOSE = CartParams(min_samples_split=2, min_samples_leaf=1)
+
+
+def reference_best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
+    """Oracle for `fit`: the per-option split search that sorts at every node.
+
+    Thresholds are midpoints between consecutive distinct sorted values of
+    each option within this node.  Ties in gain resolve to the lowest option
+    index, then the lowest threshold.
+    """
+    n = y.size
+    total_sum = y.sum()
+    total_sq = (y * y).sum()
+    base_sse = total_sq - total_sum * total_sum / n
+    eps = 1e-12 * (abs(base_sse) + 1.0)
+
+    best_gain = 0.0
+    best = None
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        xv = X[order, j]
+        yv = y[order]
+        cuts = np.nonzero(xv[1:] > xv[:-1])[0]
+        if cuts.size == 0:
+            continue
+        left_n = cuts + 1
+        right_n = n - left_n
+        ok = (left_n >= min_leaf) & (right_n >= min_leaf)
+        if not ok.any():
+            continue
+        csum = np.cumsum(yv)
+        csq = np.cumsum(yv * yv)
+        ls = csum[cuts]
+        lq = csq[cuts]
+        rs = total_sum - ls
+        rq = total_sq - lq
+        child_sse = (lq - ls * ls / left_n) + (rq - rs * rs / right_n)
+        gain = np.where(ok, base_sse - child_sse, -np.inf)
+        k = int(np.argmax(gain))
+        if gain[k] > best_gain + eps or (best is None and gain[k] > eps):
+            best_gain = float(gain[k])
+            thr = float((xv[cuts[k]] + xv[cuts[k] + 1]) / 2.0)
+            best = (best_gain, j, thr)
+    return best
+
+
+def reference_grow(X: np.ndarray, y: np.ndarray, depth: int, params: CartParams) -> TreeNode:
+    n = y.size
+    if (
+        n < params.min_samples_split
+        or (params.max_depth is not None and depth >= params.max_depth)
+        or y.max() == y.min()
+    ):
+        return Leaf(float(y.mean()), n)
+    found = reference_best_split(X, y, params.min_samples_leaf)
+    if found is None:
+        return Leaf(float(y.mean()), n)
+    _, j, thr = found
+    mask = X[:, j] <= thr
+    return Split(
+        j,
+        thr,
+        reference_grow(X[mask], y[mask], depth + 1, params),
+        reference_grow(X[~mask], y[~mask], depth + 1, params),
+    )
+
+
+def reference_fit(xs, ys, params: CartParams = CartParams()) -> TreeNode:
+    """Grow the tree by sorting each option afresh at every node and copying each child."""
+    return reference_grow(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), 0, params)
 
 
 def exhaustive_best_gain(X, y, min_leaf=1):
@@ -154,6 +224,70 @@ def test_predictions_bounded_by_targets(data):
     assert np.all(preds <= y.max() + 1e-9)
 
 
+@st.composite
+def fit_cases(draw):
+    """Option matrices, targets and params chosen to hit split-search ties."""
+    n = draw(st.integers(1, 120))
+    d = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(["boolean", "levels", "continuous", "constant", "duplicate"]))
+        if kind == "boolean":
+            column = rng.integers(0, 2, n).astype(float)
+        elif kind == "levels":
+            column = rng.integers(0, draw(st.integers(2, 5)), n).astype(float)
+        elif kind == "continuous":
+            column = rng.normal(size=n)
+        elif kind == "constant":
+            column = np.full(n, float(rng.integers(-2, 3)))
+        else:
+            column = columns[draw(st.integers(0, len(columns) - 1))] if columns else np.zeros(n)
+        columns.append(column)
+    X = np.column_stack(columns)
+    if draw(st.booleans()):
+        X = X[rng.integers(0, max(1, n // 3), n)]  # repeated rows
+    target = draw(st.sampled_from(["integer", "continuous", "rounded"]))
+    if target == "integer":
+        y = rng.integers(-3, 4, n).astype(float)
+    elif target == "continuous":
+        y = rng.normal(size=n)
+    else:
+        y = np.round(rng.normal(size=n), 1)
+    leaf = draw(st.integers(1, 4))
+    params = CartParams(
+        min_samples_split=draw(st.integers(2 * leaf, 2 * leaf + 3)),
+        min_samples_leaf=leaf,
+        max_depth=draw(st.one_of(st.none(), st.integers(1, 6))),
+    )
+    return X, y, params
+
+
+@settings(max_examples=200, deadline=None)
+@given(fit_cases())
+def test_fit_matches_per_node_sort_reference(case):
+    X, y, params = case
+    assert fit(X, y, params) == reference_fit(X, y, params)
+
+
+def test_identical_options_split_on_lower_index():
+    rng = np.random.default_rng(4)
+    noise = rng.normal(size=8)
+    signal = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+    y = signal * 10.0 + rng.normal(scale=0.1, size=8)
+    tree = fit(np.column_stack([noise, signal, signal]), y, LOOSE)
+    assert isinstance(tree, Split)
+    assert (tree.option_index, tree.threshold) == (1, 0.5)
+
+
+def test_equal_gain_thresholds_split_at_lower_threshold():
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    y = np.array([1.0, 5.0, 5.0, 1.0])
+    tree = fit(X, y, LOOSE)
+    assert isinstance(tree, Split)
+    assert tree.threshold == 0.5
+
+
 def test_fit_is_deterministic():
     rng = np.random.default_rng(9)
     X = rng.integers(0, 3, size=(30, 3)).astype(float)
@@ -166,6 +300,10 @@ def test_fit_validation():
         fit(np.zeros((0, 2)), [])
     with pytest.raises(ValueError):
         fit(np.zeros((2, 2)), [1.0, np.nan])
+    with pytest.raises(ValueError, match="configurations must be finite"):
+        fit(np.array([[0.0, np.nan], [1.0, 1.0]]), [1.0, 2.0])
+    with pytest.raises(ValueError, match="configurations must be finite"):
+        fit(np.array([[0.0], [np.inf]]), [1.0, 2.0])
     with pytest.raises(ValueError):
         fit(np.zeros(3), [1.0, 2.0, 3.0])
 
