@@ -48,8 +48,8 @@ class EpalParams:
     max_wall_time: float | None = None
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not self.epsilon >= 0:
+            raise ValueError("epsilon must be >= 0 and not NaN")
         if self.init_size < 1:
             raise ValueError("init_size must be >= 1")
 
@@ -237,16 +237,14 @@ def epsilon_discard(
     other point b's pessimistic vector, shifted up by epsilon, is at least
     a's optimistic vector everywhere and strictly above it somewhere.
     Measured points are their own pessimistic bound (sigma 0); a candidate
-    never discards itself.
+    never discards itself.  With M measured and U unknown points this takes
+    O((M + U) log(M + U)) time for two objectives, and O((M + U) U m) time
+    in bounded memory for any other objective count m.
     """
     pess = np.vstack([h_measured, h_unknown - s_unknown]) + epsilon
     optimistic = h_unknown + s_unknown
-    ge = np.all(pess[:, None, :] >= optimistic[None, :, :], axis=2)
-    gt = np.any(pess[:, None, :] > optimistic[None, :, :], axis=2)
-    pair = ge & gt
-    idx = np.arange(h_unknown.shape[0])
-    pair[h_measured.shape[0] + idx, idx] = False
-    return pair.any(axis=0)
+    own = h_measured.shape[0] + np.arange(h_unknown.shape[0])
+    return metrics._dominated(pess, optimistic, own)
 
 
 def epal(

@@ -26,10 +26,10 @@ class GpParams:
     length_scale_grid: tuple[float, ...] = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 4.0)
 
     def __post_init__(self):
-        if self.length_scale <= 0 or self.signal_variance <= 0:
-            raise ValueError("length_scale and signal_variance must be positive")
-        if self.noise_variance < 0:
-            raise ValueError("noise_variance must be non-negative")
+        if not (0 < self.length_scale < np.inf and 0 < self.signal_variance < np.inf):
+            raise ValueError("length_scale and signal_variance must be positive and finite")
+        if not 0 <= self.noise_variance < np.inf:
+            raise ValueError("noise_variance must be non-negative and finite")
 
 
 def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -69,11 +69,11 @@ def _factor(K: np.ndarray, noise: float):
                 raise GpError("kernel matrix is not positive definite") from None
 
 
-def _fit_one(X: np.ndarray, yc: np.ndarray, params: GpParams):
-    K = _kernel(_sq_dists(X, X), params)
+def _fit_one(d2: np.ndarray, yc: np.ndarray, params: GpParams):
+    K = _kernel(d2, params)
     chol = _factor(K, params.noise_variance)
     alpha = cho_solve(chol, yc)
-    n = X.shape[0]
+    n = d2.shape[0]
     lml = float(
         -0.5 * yc @ alpha
         - np.sum(np.log(np.diag(chol[0])))
@@ -94,9 +94,10 @@ def gp_fit(xs, ys, params: GpParams = GpParams()) -> GaussianProcess:
     candidates = [params]
     if params.refine:
         candidates = [replace(params, length_scale=ls) for ls in params.length_scale_grid]
+    d2 = _sq_dists(X, X)
     best = None
     for cand in candidates:
-        chol, alpha, lml = _fit_one(X, yc, cand)
+        chol, alpha, lml = _fit_one(d2, yc, cand)
         if best is None or lml > best[3]:
             best = (cand, chol, alpha, lml)
     chosen, chol, alpha, lml = best

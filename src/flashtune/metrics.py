@@ -106,43 +106,63 @@ def dominates(a: Sequence[float], b: Sequence[float], directions: Sequence[str])
     return bool(np.all(av <= bv) and np.any(av < bv))
 
 
-def _front_mask(V: np.ndarray) -> np.ndarray:
-    """Non-dominated mask for rows of V (already mapped to minimize form)."""
-    n, m = V.shape
-    if m == 2:
-        # sort by (f0, f1); a row is dominated iff an earlier f0-group reaches
-        # an equal-or-smaller f1, or its own group holds a strictly smaller f1
-        keep = np.ones(n, dtype=bool)
-        order = np.lexsort((V[:, 1], V[:, 0]))
-        best_prev = np.inf
-        i = 0
-        while i < n:
-            j = i
-            while j + 1 < n and V[order[j + 1], 0] == V[order[i], 0]:
-                j += 1
-            group = order[i:j + 1]
-            group_min = V[group, 1].min()
-            for k in group:
-                if V[k, 1] >= best_prev or V[k, 1] > group_min:
-                    keep[k] = False
-            best_prev = min(best_prev, group_min)
-            i = j + 1
-        return keep
-    keep = np.ones(n, dtype=bool)
-    for i in range(n):
-        le = np.all(V <= V[i], axis=1)
-        lt = np.any(V < V[i], axis=1)
-        if np.any(le & lt):
-            keep[i] = False
-    return keep
+# Largest (rows of P) x (rows of Q) x objectives cube the m != 2 path builds.
+_BLOCK_ELEMS = 1 << 20
+
+
+def _dominated(P: np.ndarray, Q: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """Mask of rows of Q dominated by a row of P, larger being better.
+
+    P[b] dominates Q[a] when b != own[a] and P[b] is >= Q[a] everywhere and
+    > Q[a] somewhere; a row holding NaN neither dominates nor is dominated.
+    Every test compares the given floats, so the mask is exact.  Two
+    objectives sort P on the first and sweep suffix maxima of the second
+    (Kung, Luccio and Preparata, 1975) in O((N + U) log N) time; any other
+    count compares blocks of Q rows in O(N U m) time and bounded memory.
+    """
+    N, m = P.shape
+    if m != 2:
+        out = np.zeros(Q.shape[0], dtype=bool)
+        step = max(1, _BLOCK_ELEMS // max(1, N * m))
+        for s in range(0, Q.shape[0], step):
+            q = Q[None, s:s + step, :]
+            pair = np.all(P[:, None, :] >= q, axis=2) & np.any(P[:, None, :] > q, axis=2)
+            pair[own[s:s + step], np.arange(pair.shape[1])] = False
+            out[s:s + step] = pair.any(axis=0)
+        return out
+
+    P = np.where(np.isnan(P).any(axis=1)[:, None], -np.inf, P)  # never > anything
+    order = np.argsort(P[:, 0], kind="stable")
+    p0 = P[order, 0]
+    # suffix maximum and second maximum (a tied maximum repeats) of column 1;
+    # the NaN past the end stands for an empty suffix, where a NaN q0 also
+    # lands, and compares False
+    v = P[order[::-1], 1]
+    m1 = np.maximum.accumulate(v)
+    m2 = np.fmax.accumulate(np.minimum(v, np.concatenate(([np.nan], m1[:-1]))))
+    m1, m2 = (np.append(a[::-1], np.nan) for a in (m1, m2))
+    own_pos, own_p1 = np.argsort(order)[own], P[own, 1]
+    hit = np.zeros(Q.shape[0], dtype=bool)
+    # p0 >= q0 with p1 > q1, or p0 > q0 with p1 >= q1; where the query's own
+    # row is in the suffix and holds its maximum, the second maximum stands in
+    for side, beats in (("left", np.greater), ("right", np.greater_equal)):
+        k = np.searchsorted(p0, Q[:, 0], side)
+        skip = (own_pos >= k) & (own_p1 == m1[k])
+        hit |= beats(np.where(skip, m2[k], m1[k]), Q[:, 1])
+    return hit
 
 
 def pareto_front(points, directions: Sequence[str]) -> tuple[int, ...]:
-    """Indices of points not dominated by any other; duplicates all retained."""
+    """Indices of points not dominated by any other; duplicates all retained.
+
+    O(n log n) time for two objectives; O(n^2 m) time in bounded memory for
+    any other count m.
+    """
     P = np.asarray(points, dtype=float)
     if P.ndim != 2 or P.shape[0] == 0:
         raise ValueError("points must be a non-empty 2-D array")
-    keep = _front_mask(_as_min(P, directions))
+    V = -_as_min(P, directions)
+    keep = ~_dominated(V, V, np.arange(V.shape[0]))
     return tuple(int(i) for i in np.nonzero(keep)[0])
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flashtune import cart, metrics
+from flashtune import baselines, cart, metrics
 from flashtune.baselines import (
     EpalParams,
     LivesParams,
@@ -176,6 +178,111 @@ def test_random_search_multi_objective_front():
 
 # --- epal ------------------------------------------------------------------------
 
+def dense_epsilon_discard(
+    h_measured: np.ndarray,
+    h_unknown: np.ndarray,
+    s_unknown: np.ndarray,
+    epsilon: float,
+) -> np.ndarray:
+    """All-pairs oracle: the full (M + U) x U x m comparison cube."""
+    pess = np.vstack([h_measured, h_unknown - s_unknown]) + epsilon
+    optimistic = h_unknown + s_unknown
+    ge = np.all(pess[:, None, :] >= optimistic[None, :, :], axis=2)
+    gt = np.any(pess[:, None, :] > optimistic[None, :, :], axis=2)
+    pair = ge & gt
+    idx = np.arange(h_unknown.shape[0])
+    pair[h_measured.shape[0] + idx, idx] = False
+    return pair.any(axis=0)
+
+
+@st.composite
+def discard_inputs(draw):
+    m = draw(st.sampled_from([2, 3]))
+    M = draw(st.integers(0, 6))
+    U = draw(st.integers(1, 14))
+    # a quarter grid makes ties between pessimistic and optimistic vectors common
+    grid = st.integers(0, 4).map(lambda k: k * 0.25)
+    h_meas = np.array(draw(st.lists(st.lists(grid, min_size=m, max_size=m),
+                                    min_size=M, max_size=M)), dtype=float).reshape(M, m)
+    h_unknown = np.array(draw(st.lists(st.lists(grid, min_size=m, max_size=m),
+                                       min_size=U, max_size=U)), dtype=float)
+    sigma = st.integers(0, 2).map(lambda k: k * 0.125)
+    s_unknown = np.array(draw(st.lists(st.lists(sigma, min_size=m, max_size=m),
+                                       min_size=U, max_size=U)), dtype=float)
+    zero_rows = np.array(draw(st.lists(st.booleans(), min_size=U, max_size=U)))
+    s_unknown[zero_rows] = 0.0
+    epsilon = draw(st.sampled_from([0.0, 0.01, 0.125, 1e6]))
+    return h_meas, h_unknown, s_unknown, epsilon
+
+
+@settings(max_examples=400)
+@given(discard_inputs())
+def test_epsilon_discard_matches_dense_oracle(case):
+    h_meas, h_unknown, s_unknown, epsilon = case
+    got = epsilon_discard(h_meas, h_unknown, s_unknown, epsilon)
+    want = dense_epsilon_discard(h_meas, h_unknown, s_unknown, epsilon)
+    assert got.tolist() == want.tolist()
+
+
+def test_epsilon_discard_self_domination_cases():
+    s = np.full((1, 2), 0.125)
+    # epsilon >= 2 sigma: the candidate's own pessimistic vector beats its
+    # optimistic one, but it is its only witness, so it stays; the second
+    # candidate falls to the first
+    h_unknown = np.array([[0.75, 0.75], [0.0, 0.0]])
+    s_unknown = np.vstack([s, np.zeros((1, 2))])
+    for discard in (epsilon_discard, dense_epsilon_discard):
+        assert discard(np.zeros((0, 2)), h_unknown, s_unknown, 0.5).tolist() == [False, True]
+    # two identical self-dominating candidates discard each other
+    twins = np.array([[0.25, 0.25], [0.25, 0.25]])
+    for discard in (epsilon_discard, dense_epsilon_discard):
+        assert discard(np.zeros((0, 2)), twins, np.vstack([s, s]), 0.5).tolist() == [True, True]
+
+
+@pytest.mark.parametrize("b0", [0.0, 0.25])
+def test_epsilon_discard_suffix_maximum_tied_with_self(b0):
+    # optimistic (0.375, 0.375), own pessimistic (0.625, 0.625); the measured
+    # point's pessimistic second objective ties the candidate's own at 0.625,
+    # sorting before (b0 = 0) or after (b0 = 0.25) it on the first
+    h_meas = np.array([[b0, 0.125]])
+    h_unknown = np.array([[0.25, 0.25]])
+    s_unknown = np.full((1, 2), 0.125)
+    for discard in (epsilon_discard, dense_epsilon_discard):
+        assert discard(h_meas, h_unknown, s_unknown, 0.5).tolist() == [True]
+
+
+def test_epsilon_discard_blocked_matches_dense_oracle(monkeypatch):
+    # objective counts other than two compare in blocks of unknowns; small
+    # blocks make a candidate's own row fall in every block position
+    monkeypatch.setattr(metrics, "_BLOCK_ELEMS", 30)
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        m = int(rng.choice([1, 3]))
+        M, U = int(rng.integers(0, 5)), int(rng.integers(1, 15))
+        h_meas = rng.integers(0, 5, size=(M, m)) * 0.25
+        h_unknown = rng.integers(0, 5, size=(U, m)) * 0.25
+        s_unknown = rng.integers(0, 3, size=(U, m)) * 0.125
+        epsilon = float(rng.choice([0.0, 0.125, 0.5, 1e6]))
+        got = epsilon_discard(h_meas, h_unknown, s_unknown, epsilon)
+        want = dense_epsilon_discard(h_meas, h_unknown, s_unknown, epsilon)
+        assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("epsilon", [0.01, 0.3])
+def test_epal_sequence_unchanged_under_dense_oracle(monkeypatch, epsilon):
+    ds = generate_synthetic("bi-objective-tradeoff", 8, seed=1)
+    fast = [epal(ds.candidates(), TableOracle(ds), EpalParams(epsilon=epsilon),
+                 ds.directions, seed) for seed in range(3)]
+    monkeypatch.setattr(baselines, "epsilon_discard", dense_epsilon_discard)
+    dense = [epal(ds.candidates(), TableOracle(ds), EpalParams(epsilon=epsilon),
+                  ds.directions, seed) for seed in range(3)]
+    for a, b in zip(fast, dense):
+        assert a.evaluated == b.evaluated
+        assert a.front == b.front
+        assert a.stop_reason == b.stop_reason
+    assert min(r.measurements_used for r in fast) < ds.n_rows
+
+
 def test_epsilon_discard_rule_direct():
     # larger-is-better space; b pessimistic (0.9, 0.9) vs a optimistic (0.5, 0.5)
     h_meas = np.array([[0.9, 0.9]])
@@ -254,6 +361,10 @@ def test_epal_validation():
         epal(ds.candidates(), TableOracle(ds), EpalParams(), ("minimize",))
     with pytest.raises(ValueError):
         EpalParams(epsilon=-0.1)
+    # NaN compares False with everything, which would switch discarding off
+    with pytest.raises(ValueError, match="NaN"):
+        EpalParams(epsilon=float("nan"))
+    assert EpalParams(epsilon=float("inf")).epsilon == float("inf")
 
 
 def test_epal_deterministic():

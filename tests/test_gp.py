@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from flashtune import gp as gp_module
 from flashtune.gp import GpParams, gp_fit, gp_predict, gp_predict_batch
 
 
@@ -92,6 +95,27 @@ def test_refinement_deterministic():
     assert np.array_equal(a._alpha, b._alpha)
 
 
+def test_refinement_computes_distances_once(monkeypatch):
+    rng = np.random.default_rng(5)
+    X = rng.random((15, 3))
+    y = rng.normal(size=15)
+    calls = []
+    real = gp_module._sq_dists
+
+    def counting(A, B):
+        calls.append(A.shape[0])
+        return real(A, B)
+
+    monkeypatch.setattr(gp_module, "_sq_dists", counting)
+    refined = gp_fit(X, y, GpParams(refine=True))
+    assert calls == [15]
+    # the shared distances give the fixed-scale fit at the chosen scale bit for bit
+    fixed = gp_fit(X, y, replace(refined.params, refine=False))
+    assert np.array_equal(refined._chol[0], fixed._chol[0])
+    assert np.array_equal(refined._alpha, fixed._alpha)
+    assert refined.log_marginal == fixed.log_marginal
+
+
 def test_validation():
     with pytest.raises(ValueError):
         gp_fit(np.zeros((0, 2)), [])
@@ -99,6 +123,10 @@ def test_validation():
         GpParams(length_scale=0.0)
     with pytest.raises(ValueError):
         GpParams(noise_variance=-1.0)
+    for field in ("length_scale", "signal_variance", "noise_variance"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                GpParams(**{field: bad})
     gp = gp_fit([[0.0], [1.0]], [0.0, 1.0])
     with pytest.raises(ValueError):
         gp_predict(gp, [0.0, 1.0])

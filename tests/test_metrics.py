@@ -240,6 +240,29 @@ def test_gd_never_worsens_when_adding_true_member():
     assert gd(better) == pytest.approx(gd(worse) / 2.0)
 
 
+def test_pareto_front_nan_and_infinite_match_brute_force():
+    # a NaN row neither dominates nor is dominated; infinities compare normally
+    nan, inf = float("nan"), float("inf")
+    for directions in (MIN2, ("minimize", "maximize", "minimize")):
+        m = len(directions)
+        rng = np.random.default_rng(m)
+        for _ in range(50):
+            pts = rng.integers(0, 4, size=(10, m)).astype(float)
+            pts[rng.integers(0, 10, size=3), rng.integers(0, m, size=3)] = rng.choice(
+                [nan, inf, -inf], size=3)
+            pts = [tuple(p) for p in pts]
+            assert pareto_front(pts, directions) == brute_force_front(pts, directions)
+
+
+@pytest.mark.parametrize("m", [1, 3, 4])
+def test_pareto_front_blocked_path_spans_blocks(monkeypatch, m):
+    monkeypatch.setattr("flashtune.metrics._BLOCK_ELEMS", 50)
+    rng = np.random.default_rng(m)
+    directions = ("minimize", "maximize", "minimize", "maximize")[:m]
+    pts = [tuple(v) for v in rng.integers(0, 4, size=(40, m)).astype(float)]
+    assert pareto_front(pts, directions) == brute_force_front(pts, directions)
+
+
 def test_pareto_front_single_objective():
     pts = [(3.0,), (1.0,), (2.0,), (1.0,)]
     assert pareto_front(pts, ("minimize",)) == (1, 3)
