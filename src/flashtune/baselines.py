@@ -25,8 +25,9 @@ from .runs import (
     STOP_LIVES,
     STOP_POOL_EXHAUSTED,
     STOP_WALL_TIME,
+    Trace,
 )
-from .space import MAXIMIZE, MINIMIZE
+from .space import MINIMIZE, direction_signs
 
 
 @dataclass(frozen=True)
@@ -54,20 +55,6 @@ class EpalParams:
             raise ValueError("init_size must be >= 1")
 
 
-def _sorted_pool(candidates: Mapping[int, Sequence[float]]):
-    ids = np.array(sorted(candidates), dtype=int)
-    X = np.array([candidates[int(i)] for i in ids], dtype=float)
-    return ids, X
-
-
-def _sign(direction: str) -> float:
-    if direction == MINIMIZE:
-        return 1.0
-    if direction == MAXIMIZE:
-        return -1.0
-    raise ValueError(f"unknown direction {direction!r}")
-
-
 def _lives_loop(
     train_pool: Mapping[int, Sequence[float]],
     holdout: Mapping[int, Sequence[float]],
@@ -86,34 +73,28 @@ def _lives_loop(
     `scorer(predicted, actual)` maps holdout predictions to a score where
     higher is better; a life is lost whenever the score fails to improve.
     """
-    start = time.perf_counter()
     if not train_pool or not holdout or not validation:
         raise ValueError("train pool, holdout, and validation must be non-empty")
     if set(train_pool) & set(holdout):
         raise ValueError("holdout must be disjoint from the train pool")
-    pool_ids, pool_X = _sorted_pool(train_pool)
-    hold_ids, hold_X = _sorted_pool(holdout)
-    val_ids, val_X = _sorted_pool(validation)
+    trace = Trace({**train_pool, **holdout, **validation}, oracle)
+    train_pos, hold_pos, val_pos = (
+        np.searchsorted(trace.ids, sorted(part)) for part in (train_pool, holdout, validation)
+    )
     rng = np.random.default_rng(seed)
 
-    evaluated: list[tuple[int, tuple[float, ...]]] = []
-
-    def measure(cid: int, config) -> tuple[float, ...]:
-        values = tuple(float(v) for v in oracle.measure(tuple(config)))
-        evaluated.append((cid, values))
-        return values
-
     # the holdout is measured up front and its cost charged to this run
-    hold_actual = np.array(
-        [measure(int(i), x)[objective] for i, x in zip(hold_ids, hold_X)]
-    )
+    for pos in hold_pos:
+        trace.take(int(pos))
+    hold_X, hold_actual = trace.X[hold_pos], trace.Y[hold_pos, objective]
 
     if with_replacement:
-        order = rng.integers(0, pool_ids.size, size=pool_ids.size)
+        order = rng.integers(0, train_pos.size, size=train_pos.size)
     else:
-        order = rng.permutation(pool_ids.size)
+        order = rng.permutation(train_pos.size)
 
-    train_X: list[np.ndarray] = []
+    # training rows in measurement order, a position drawn twice included twice
+    train_rows: list[int] = []
     train_y: list[float] = []
     tree: cart.TreeNode | None = None
     lives = params.lives
@@ -124,11 +105,10 @@ def _lives_loop(
     while cursor < order.size:
         chunk = order[cursor:cursor + params.step]
         cursor += params.step
-        for pos in chunk:
-            values = measure(int(pool_ids[pos]), pool_X[pos])
-            train_X.append(pool_X[pos])
-            train_y.append(values[objective])
-        tree = cart.fit(np.array(train_X), np.array(train_y), cart_params)
+        for pos in train_pos[chunk]:
+            train_y.append(trace.take(int(pos))[objective])
+            train_rows.append(int(pos))
+        tree = cart.fit(trace.X[train_rows], np.array(train_y), cart_params)
         preds = cart.predict_batch(tree, hold_X)
         score = scorer(preds, hold_actual)
         if score <= last_score:
@@ -139,20 +119,11 @@ def _lives_loop(
             break
 
     # the model's answer: best predicted configuration in the validation pool
-    val_preds = cart.predict_batch(tree, val_X) * _sign(direction)
-    best_pos = int(np.argmin(val_preds))
-    best_id = int(val_ids[best_pos])
-    measure(best_id, val_X[best_pos])
-
-    run = OptimizationRun(
-        tuple(evaluated),
-        best_id,
-        None,
-        len(evaluated),
-        time.perf_counter() - start,
-        stop,
-        initial_sample=hold_ids.size,
-    )
+    val_preds = cart.predict_batch(tree, trace.X[val_pos]) * direction_signs((direction,))
+    best_pos = int(val_pos[int(np.argmin(val_preds))])
+    trace.take(best_pos)
+    run = trace.finish(stop, (direction,), objective, initial_sample=hold_pos.size,
+                       best=int(trace.ids[best_pos]))
     return tree, run
 
 
@@ -203,26 +174,19 @@ def random_search(
     n: int,
     directions: Sequence[str],
     seed: int = 0,
+    objective: int = 0,
 ) -> OptimizationRun:
-    """Measure n uniformly chosen distinct candidates; the control baseline."""
-    start = time.perf_counter()
-    ids, X = _sorted_pool(candidates)
-    if n < 1 or n > ids.size:
-        raise ValueError(f"n must lie in [1, {ids.size}]")
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(ids.size, size=n, replace=False)
-    evaluated = []
-    for pos in chosen:
-        values = tuple(float(v) for v in oracle.measure(tuple(X[pos])))
-        evaluated.append((int(ids[pos]), values))
-    wall = time.perf_counter() - start
-    if len(directions) == 1:
-        scores = np.array([_sign(directions[0]) * v[0] for _, v in evaluated])
-        best = evaluated[int(np.argmin(scores))][0]
-        return OptimizationRun(tuple(evaluated), best, None, n, wall, STOP_BUDGET)
-    front_pos = metrics.pareto_front([v for _, v in evaluated], directions)
-    front = tuple(sorted(evaluated[p][0] for p in front_pos))
-    return OptimizationRun(tuple(evaluated), None, front, n, wall, STOP_BUDGET)
+    """Measure n uniformly chosen distinct candidates; the control baseline.
+
+    With one direction the answer is the best measured value of column
+    `objective`; with several it is the non-dominated measured front.
+    """
+    trace = Trace(candidates, oracle)
+    if n < 1 or n > trace.ids.size:
+        raise ValueError(f"n must lie in [1, {trace.ids.size}]")
+    for pos in np.random.default_rng(seed).choice(trace.ids.size, size=n, replace=False):
+        trace.take(int(pos))
+    return trace.finish(STOP_BUDGET, directions, objective)
 
 
 def epsilon_discard(
@@ -265,15 +229,15 @@ def epal(
     values measured so far, so epsilon is scale-free.  A wall-clock limit
     aborts with partial results.
     """
-    start = time.perf_counter()
     if len(directions) < 2:
         raise ValueError("epal needs at least two objectives")
-    ids, X = _sorted_pool(candidates)
-    n = ids.size
+    trace = Trace(candidates, oracle)
+    X = trace.X
+    n = trace.ids.size
     if n < params.init_size:
         raise ValueError(f"candidate pool has {n} rows, need init_size={params.init_size}")
     m = len(directions)
-    signs = np.array([_sign(d) for d in directions])
+    signs = direction_signs(directions)
 
     # normalize inputs per option over the candidate set for the kernel
     x_lo = X.min(axis=0)
@@ -282,33 +246,23 @@ def epal(
     Xn = (X - x_lo) / x_span
 
     rng = np.random.default_rng(seed)
-    measured = np.zeros(n, dtype=bool)
     discarded = np.zeros(n, dtype=bool)
-    Y = np.zeros((n, m))
-    evaluated: list[tuple[int, tuple[float, ...]]] = []
-
-    def take(pos: int) -> None:
-        values = tuple(float(v) for v in oracle.measure(tuple(X[pos])))
-        if len(values) != m:
-            raise ValueError("oracle returned a vector of unexpected width")
-        measured[pos] = True
-        Y[pos] = values
-        evaluated.append((int(ids[pos]), values))
-
     for pos in rng.choice(n, size=params.init_size, replace=False):
-        take(int(pos))
+        trace.take(int(pos))
+    trace.check_width(directions)
 
     stop = STOP_POOL_EXHAUSTED
     while True:
+        measured = trace.measured
         unknown = np.nonzero(~measured & ~discarded)[0]
         if unknown.size == 0:
             break
-        if params.max_wall_time is not None and time.perf_counter() - start > params.max_wall_time:
+        if params.max_wall_time is not None and time.perf_counter() - trace.start > params.max_wall_time:
             stop = STOP_WALL_TIME
             break
 
         # larger-is-better mapped targets, one GP per objective
-        G_meas = -(Y[measured] * signs)
+        G_meas = -(trace.Y[measured] * signs)
         mu = np.empty((unknown.size, m))
         sd = np.empty((unknown.size, m))
         for j in range(m):
@@ -331,10 +285,6 @@ def epal(
         if survivors.size == 0:
             break
         norms = np.linalg.norm(s_unknown[~discard_now], axis=1)
-        take(int(survivors[int(np.argmax(norms))]))
+        trace.take(int(survivors[int(np.argmax(norms))]))
 
-    wall = time.perf_counter() - start
-    front_pos = metrics.pareto_front([v for _, v in evaluated], directions)
-    front = tuple(sorted(evaluated[p][0] for p in front_pos))
-    return OptimizationRun(tuple(evaluated), None, front, len(evaluated), wall, stop,
-                           initial_sample=params.init_size)
+    return trace.finish(stop, directions, initial_sample=params.init_size)

@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from . import metrics
-from .baselines import EpalParams, LivesParams, epal, progressive_sampling, random_search, rank_based
+from .baselines import LivesParams
 from .cart import CartParams, dump_tree, fit as cart_fit
 from .flash import FlashParams, flash_multi, flash_single
 from .harness import (
@@ -29,7 +29,9 @@ from .harness import (
     emit_plot_data,
     load_experiment_dataset,
     render_report,
+    repeat_pools,
     run_experiment,
+    run_method,
     write_raw_results,
 )
 from .runs import write_trace_csv
@@ -37,11 +39,10 @@ from .space import (
     Dataset,
     DatasetError,
     MeasureError,
-    SplitSpec,
     TableOracle,
+    direction_signs,
     load_dataset,
     save_dataset,
-    split,
 )
 from .stats import SkParams
 from .synth import KINDS, generate_synthetic
@@ -210,53 +211,36 @@ def baseline(manifest, data, cart_min_split, cart_min_leaf, size, budget, method
              lives, epsilon, with_replacement, max_wall_time, seed, out):
     """Run one method once, on the same pools the experiment rig uses."""
     dataset = load_dataset(manifest, data)
-    cart_params = CartParams(min_samples_split=cart_min_split, min_samples_leaf=cart_min_leaf)
-    train_ids, hold_ids, val_ids = split(dataset, SplitSpec(seed=seed))
-    merged = np.sort(np.concatenate([train_ids, val_ids]))
-    oracle = TableOracle(dataset)
+    spec = ExperimentSpec(
+        methods=(MethodSpec(method),),
+        manifest=manifest,
+        data=data,
+        repeats=1,
+        seed=seed,
+        flash=FlashParams(size=size, budget=budget, seed=seed),
+        cart=CartParams(min_samples_split=cart_min_split, min_samples_leaf=cart_min_leaf),
+        lives=LivesParams(lives=lives),
+        epsilon=epsilon,
+        max_wall_time=max_wall_time,
+        with_replacement=with_replacement,
+    )
+    pools = repeat_pools(dataset, spec, seed)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    summary = [f"method: {method}", f"seed: {seed}"]
-    if method in ("progressive", "rank"):
-        obj = _resolve_objective(dataset, objective)
-        fn = progressive_sampling if method == "progressive" else rank_based
-        _, run = fn(
-            dataset.candidates(train_ids), dataset.candidates(hold_ids),
-            dataset.candidates(val_ids), oracle,
-            LivesParams(lives=lives), cart_params,
-            direction=dataset.objectives[obj].direction, objective=obj,
-            seed=seed, with_replacement=with_replacement,
-        )
-        summary.append(f"best id: {run.best}")
-        summary.append(f"rank difference: {metrics.rank_difference(run.best, dataset, obj)}")
-    elif method == "epal":
-        if len(dataset.objectives) < 2:
-            raise DatasetError("epal needs a dataset with at least two objectives")
-        run = epal(dataset.candidates(merged), oracle,
-                   EpalParams(epsilon=epsilon, max_wall_time=max_wall_time),
-                   dataset.directions, seed)
-        summary.append(f"front size: {len(run.front)}")
-    elif method == "random":
-        obj = _resolve_objective(dataset, objective)
-        directions = (dataset.objectives[obj].direction,) if len(dataset.objectives) == 1 \
-            else dataset.directions
-        run = random_search(dataset.candidates(merged), oracle, size + budget, directions, seed)
-        if run.best is not None:
-            summary.append(f"best id: {run.best}")
-            summary.append(f"rank difference: {metrics.rank_difference(run.best, dataset, obj)}")
-        else:
-            summary.append(f"front size: {len(run.front)}")
-    else:
-        obj = _resolve_objective(dataset, objective)
-        run = flash_single(
-            dataset.candidates(merged), oracle,
-            FlashParams(size=size, budget=budget, seed=seed),
-            dataset.objectives[obj].direction, cart_params, obj,
-        )
-        summary.append(f"best id: {run.best}")
-        summary.append(f"rank difference: {metrics.rank_difference(run.best, dataset, obj)}")
+    if method == "epal" and len(dataset.objectives) < 2:
+        raise DatasetError("epal needs a dataset with at least two objectives")
+    obj = None if method == "epal" else _resolve_objective(dataset, objective)
+    # epal and random search every objective; the others search the selected one
+    objectives = tuple(range(len(dataset.objectives))) if method in ("epal", "random") else (obj,)
+    run = run_method(spec.methods[0], dataset, objectives, pools, seed, spec)
 
+    summary = [f"method: {method}", f"seed: {seed}"]
+    if run.best is not None:
+        summary.append(f"best id: {run.best}")
+        summary.append(f"rank difference: {metrics.rank_difference(run.best, dataset, obj)}")
+    else:
+        summary.append(f"front size: {len(run.front)}")
     summary.append(f"measurements used: {run.measurements_used}")
     summary.append(f"stop reason: {run.stop_reason}")
     write_trace_csv(run, out_dir / "trace.csv", dataset.candidates(),
@@ -281,11 +265,9 @@ def eval_fronts(manifest, data, true_front, approx_front):
     cmp = metrics.front_comparison(true_vectors, approx_vectors, dataset.directions)
     click.echo(f"gd={metrics.gd(cmp)!r}")
     click.echo(f"igd={metrics.igd(cmp)!r}")
+    approx_min = dataset.values[approx_ids] * direction_signs(dataset.directions)
     for j, name in enumerate(dataset.objective_names):
-        direction = dataset.objectives[j].direction
-        col = [dataset.values[i, j] for i in approx_ids]
-        best_pos = int(np.argmin(col)) if direction == "minimize" else int(np.argmax(col))
-        rd = metrics.rank_difference(approx_ids[best_pos], dataset, j)
+        rd = metrics.rank_difference(approx_ids[int(np.argmin(approx_min[:, j]))], dataset, j)
         click.echo(f"rd[{name}]={rd}")
 
 

@@ -9,15 +9,14 @@ Acquired candidates leave the pool, so nothing is measured twice.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import cart, metrics
-from .runs import OptimizationRun, STOP_BUDGET, STOP_POOL_EXHAUSTED
-from .space import MAXIMIZE, MINIMIZE
+from . import cart
+from .runs import OptimizationRun, STOP_BUDGET, STOP_POOL_EXHAUSTED, Trace
+from .space import MINIMIZE, direction_signs
 
 
 @dataclass(frozen=True)
@@ -34,18 +33,6 @@ class FlashParams:
             raise ValueError("budget must be >= 0")
         if self.n_projections < 1:
             raise ValueError("n_projections must be >= 1")
-
-
-def _direction_signs(directions: Sequence[str]) -> np.ndarray:
-    signs = np.empty(len(directions))
-    for j, d in enumerate(directions):
-        if d == MINIMIZE:
-            signs[j] = 1.0
-        elif d == MAXIMIZE:
-            signs[j] = -1.0
-        else:
-            raise ValueError(f"unknown direction {d!r}")
-    return signs
 
 
 def bazza_select(
@@ -71,7 +58,7 @@ def bazza_select(
         raise ValueError("predictions must be finite")
     if n_projections < 1:
         raise ValueError("n_projections must be >= 1")
-    G = P * -_direction_signs(directions)
+    G = P * -direction_signs(directions)
     lo = G.min(axis=0)
     span = G.max(axis=0) - lo
     span[span == 0.0] = 1.0
@@ -81,56 +68,26 @@ def bazza_select(
     return int(np.argmax(scores))
 
 
-class _Trace:
-    """Measurement bookkeeping over a sorted candidate pool."""
-
-    def __init__(self, candidates: Mapping[int, Sequence[float]], oracle):
-        self.ids = np.array(sorted(candidates), dtype=int)
-        self.X = np.array([candidates[int(i)] for i in self.ids], dtype=float)
-        self.oracle = oracle
-        self.measured = np.zeros(self.ids.size, dtype=bool)
-        self.evaluated: list[tuple[int, tuple[float, ...]]] = []
-        self.Y: np.ndarray | None = None
-
-    def take(self, pos: int) -> None:
-        values = tuple(float(v) for v in self.oracle.measure(tuple(self.X[pos])))
-        if self.Y is None:
-            self.Y = np.zeros((self.ids.size, len(values)))
-        elif len(values) != self.Y.shape[1]:
-            raise ValueError("oracle returned vectors of inconsistent width")
-        self.measured[pos] = True
-        self.Y[pos] = values
-        self.evaluated.append((int(self.ids[pos]), values))
-
-    def pool(self) -> np.ndarray:
-        return np.nonzero(~self.measured)[0]
-
-
 def _run(
     candidates: Mapping[int, Sequence[float]],
     oracle,
     params: FlashParams,
     directions: Sequence[str],
     cart_params: cart.CartParams,
-    objective: int | None,
+    objective: int = 0,
 ) -> OptimizationRun:
-    start = time.perf_counter()
-    trace = _Trace(candidates, oracle)
+    trace = Trace(candidates, oracle)
     n = trace.ids.size
     if n < params.size:
         raise ValueError(
             f"candidate pool has {n} configurations, need at least size={params.size}"
         )
-    signs = _direction_signs(directions)
+    signs = direction_signs(directions)
     rng = np.random.default_rng(params.seed)
 
     for pos in rng.choice(n, size=params.size, replace=False):
         trace.take(int(pos))
-    width = trace.Y.shape[1]
-    if objective is None and width != len(directions):
-        raise ValueError(f"oracle returns {width} objectives, got {len(directions)} directions")
-    if objective is not None and not (0 <= objective < width):
-        raise ValueError(f"objective index {objective} outside oracle vector of width {width}")
+    trace.check_width(directions, objective)
 
     spent = 0
     stop = STOP_BUDGET
@@ -149,14 +106,14 @@ def _run(
             break
         Xe = trace.X[trace.measured]
         Ye = trace.Y[trace.measured]
-        if objective is not None:
+        if len(directions) == 1:
             tree = cart.fit(Xe, Ye[:, objective], cart_params)
             preds = cart.predict_batch(tree, trace.X[pool]) * signs[0]
             pick = int(np.argmin(preds))
         else:
             preds = np.column_stack([
                 cart.predict_batch(cart.fit(Xe, Ye[:, j], cart_params), trace.X[pool])
-                for j in range(width)
+                for j in range(len(directions))
             ])
             pick = bazza_select(
                 preds, params.n_projections, directions, int(rng.integers(2 ** 63))
@@ -164,17 +121,7 @@ def _run(
         trace.take(int(pool[pick]))
         spent += 1
 
-    wall = time.perf_counter() - start
-    evaluated = trace.evaluated
-    if objective is not None:
-        scores = np.array([signs[0] * v[objective] for _, v in evaluated])
-        best = evaluated[int(np.argmin(scores))][0]
-        return OptimizationRun(tuple(evaluated), best, None, len(evaluated), wall, stop,
-                               initial_sample=params.size)
-    front_pos = metrics.pareto_front([v for _, v in evaluated], directions)
-    front = tuple(sorted(evaluated[p][0] for p in front_pos))
-    return OptimizationRun(tuple(evaluated), None, front, len(evaluated), wall, stop,
-                           initial_sample=params.size)
+    return trace.finish(stop, directions, objective, initial_sample=params.size)
 
 
 def flash_single(
@@ -199,4 +146,4 @@ def flash_multi(
     """Optimize several objectives; returns the non-dominated measured front."""
     if len(directions) < 2:
         raise ValueError("flash_multi needs at least two objectives")
-    return _run(candidates, oracle, params, directions, cart_params, None)
+    return _run(candidates, oracle, params, directions, cart_params)

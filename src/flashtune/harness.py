@@ -22,6 +22,7 @@ from .baselines import EpalParams, LivesParams, epal, progressive_sampling, rand
 from .cart import CartParams
 from .flash import FlashParams, flash_multi, flash_single
 from .gp import GpParams
+from .runs import OptimizationRun
 from .space import Dataset, SplitSpec, TableOracle, load_dataset, split
 from .stats import SkParams, Treatment, quartile_report, scott_knott
 from .synth import generate_synthetic
@@ -149,14 +150,22 @@ def _pool_rank(dataset: Dataset, pool: np.ndarray, best: int, objective: int) ->
     return metrics.min_rank(values, pos, direction) - 1
 
 
-def _run_one(
+def repeat_pools(dataset: Dataset, spec: ExperimentSpec, seed: int) -> tuple[np.ndarray, ...]:
+    """(train, holdout, validation, merged train+validation) row ids of the
+    repeat seeded `seed`."""
+    train_ids, hold_ids, val_ids = split(dataset, replace(spec.split, seed=seed))
+    return train_ids, hold_ids, val_ids, np.sort(np.concatenate([train_ids, val_ids]))
+
+
+def run_method(
     method: MethodSpec,
     dataset: Dataset,
     objectives: tuple[int, ...],
     pools,
     seed: int,
     spec: ExperimentSpec,
-) -> MethodResult:
+) -> OptimizationRun:
+    """One method's run on one repeat's pools, through its own fresh oracle."""
     train_ids, hold_ids, val_ids, merged = pools
     directions = tuple(dataset.objectives[j].direction for j in objectives)
     single = len(objectives) == 1
@@ -185,7 +194,8 @@ def _run_one(
             run = flash_multi(cands, run_oracle, fp, directions, spec.cart)
     elif method.kind == "random":
         n = int(opt.get("n", fp.size + fp.budget))
-        run = random_search(dataset.candidates(merged), run_oracle, n, directions, seed)
+        run = random_search(dataset.candidates(merged), run_oracle, n, directions, seed,
+                            objective_col)
     elif method.kind in ("progressive", "rank"):
         if not single:
             raise ValueError(f"{method.kind} handles a single objective only")
@@ -221,28 +231,34 @@ def _run_one(
 
     if oracle.count != len(run.evaluated):
         raise RuntimeError("oracle count does not match the run trace")
+    return run
 
-    if single:
+
+def _score(
+    method: MethodSpec,
+    dataset: Dataset,
+    objectives: tuple[int, ...],
+    pools,
+    run: OptimizationRun,
+    repeat: int,
+) -> MethodResult:
+    if len(objectives) == 1:
+        _, _, val_ids, merged = pools
         rd = metrics.rank_difference(run.best, dataset, objectives[0])
         pool = merged if method.kind in ("flash", "random") else val_ids
         pool_rd = _pool_rank(dataset, np.asarray(pool), run.best, objectives[0])
-        return MethodResult(method.label, 0, False, rd=rd, pool_rd=pool_rd,
+        return MethodResult(method.label, repeat, False, rd=rd, pool_rd=pool_rd,
                             measurements=run.measurements_used,
                             acquisitions=run.acquisitions, wall_time=run.wall_time)
 
-    true_vectors = _true_front_vectors(dataset, objectives)
-    approx = [dict(run.evaluated)[i] for i in run.front]
-    cmp = metrics.front_comparison(true_vectors, approx, directions)
-    return MethodResult(method.label, 0, False, gd=metrics.gd(cmp), igd=metrics.igd(cmp),
-                        measurements=run.measurements_used,
-                        acquisitions=run.acquisitions, wall_time=run.wall_time)
-
-
-def _true_front_vectors(dataset: Dataset, objectives: tuple[int, ...]):
     directions = tuple(dataset.objectives[j].direction for j in objectives)
     V = dataset.values[:, list(objectives)]
-    idx = metrics.pareto_front(V, directions)
-    return [tuple(V[i]) for i in idx]
+    true_vectors = [tuple(V[i]) for i in metrics.pareto_front(V, directions)]
+    approx = [dict(run.evaluated)[i] for i in run.front]
+    cmp = metrics.front_comparison(true_vectors, approx, directions)
+    return MethodResult(method.label, repeat, False, gd=metrics.gd(cmp), igd=metrics.igd(cmp),
+                        measurements=run.measurements_used,
+                        acquisitions=run.acquisitions, wall_time=run.wall_time)
 
 
 def run_experiment(spec: ExperimentSpec, dataset: Dataset | None = None) -> QualityReport:
@@ -265,17 +281,11 @@ def run_experiment(spec: ExperimentSpec, dataset: Dataset | None = None) -> Qual
     rows: list[MethodResult] = []
     for r in range(spec.repeats):
         seed_r = spec.seed + r
-        parts = split(dataset, SplitSpec(
-            spec.split.train_fraction, spec.split.holdout_fraction,
-            spec.split.validation_fraction, seed=seed_r,
-        ))
-        train_ids, hold_ids, val_ids = parts
-        merged = np.sort(np.concatenate([train_ids, val_ids]))
-        pools = (train_ids, hold_ids, val_ids, merged)
+        pools = repeat_pools(dataset, spec, seed_r)
         for m in spec.methods:
             try:
-                result = _run_one(m, dataset, objectives, pools, seed_r, spec)
-                rows.append(replace(result, repeat=r))
+                run = run_method(m, dataset, objectives, pools, seed_r, spec)
+                rows.append(_score(m, dataset, objectives, pools, run, r))
             except Exception:
                 rows.append(MethodResult(m.label, r, True))
 

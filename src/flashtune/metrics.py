@@ -11,24 +11,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .space import MINIMIZE, MAXIMIZE, Dataset
+from .space import MINIMIZE, Dataset, direction_signs
 
 
 def _as_min(values, directions) -> np.ndarray:
     """Map objective values so smaller is better in every column."""
     V = np.asarray(values, dtype=float)
-    out = V.copy()
-    flat = out.ndim == 1
-    if flat:
-        out = out[None, :]
-    if out.shape[1] != len(directions):
+    if V.shape[-1] != len(directions):
         raise ValueError("objective vector length does not match directions")
-    for j, d in enumerate(directions):
-        if d == MAXIMIZE:
-            out[:, j] = -out[:, j]
-        elif d != MINIMIZE:
-            raise ValueError(f"unknown direction {d!r}")
-    return out[0] if flat else out
+    return V * direction_signs(directions)
 
 
 def mmre(predicted: Sequence[float], actual: Sequence[float]) -> float:

@@ -1,11 +1,24 @@
-"""Shared optimizer run trace: what was measured, in what order, and the answer."""
+"""Shared optimizer run trace: what was measured, in what order, and the answer.
+
+Every optimizer measures through a `Trace`: `Trace.take` is the only place in
+the package that calls an oracle (the harness's column-selecting oracle only
+forwards to the one it wraps).  So measurement counting, float conversion and
+the vector-width check are the same for every method, and `Trace.finish`
+builds every method's best answer or Pareto front.
+"""
 
 from __future__ import annotations
 
 import csv
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
+
+import numpy as np
+
+from . import metrics
+from .space import direction_signs
 
 STOP_BUDGET = "budget"
 STOP_POOL_EXHAUSTED = "pool-exhausted"
@@ -49,6 +62,71 @@ class OptimizationRun:
     def acquisitions(self) -> int:
         """Measurements made after the warm-up / holdout phase."""
         return self.measurements_used - self.initial_sample
+
+
+class Trace:
+    """Measurement bookkeeping for one run over a candidate pool.
+
+    The pool is held as ascending `ids` with their configurations as the rows
+    of `X`; positions index both.  The wall clock starts at construction.
+    """
+
+    def __init__(self, candidates: Mapping[int, Sequence[float]], oracle):
+        self.start = time.perf_counter()
+        self.ids = np.array(sorted(candidates), dtype=int)
+        self.X = np.array([candidates[int(i)] for i in self.ids], dtype=float)
+        self.oracle = oracle
+        self.measured = np.zeros(self.ids.size, dtype=bool)
+        self.evaluated: list[tuple[int, tuple[float, ...]]] = []
+        self.Y: np.ndarray | None = None
+
+    def take(self, pos: int) -> tuple[float, ...]:
+        """Measure the configuration at `pos` and record it; returns the vector."""
+        values = tuple(float(v) for v in self.oracle.measure(tuple(self.X[pos])))
+        if self.Y is None:
+            self.Y = np.zeros((self.ids.size, len(values)))
+        elif len(values) != self.Y.shape[1]:
+            raise ValueError("oracle returned vectors of inconsistent width")
+        self.measured[pos] = True
+        self.Y[pos] = values
+        self.evaluated.append((int(self.ids[pos]), values))
+        return values
+
+    def pool(self) -> np.ndarray:
+        """Positions not measured yet."""
+        return np.nonzero(~self.measured)[0]
+
+    def check_width(self, directions: Sequence[str], objective: int = 0) -> None:
+        """Require the measured vectors to fit the run: one direction selects
+        column `objective`, several must match the vector width."""
+        width = self.Y.shape[1]
+        if len(directions) > 1 and width != len(directions):
+            raise ValueError(f"oracle returns {width} objectives, got {len(directions)} directions")
+        if len(directions) == 1 and not (0 <= objective < width):
+            raise ValueError(f"objective index {objective} outside oracle vector of width {width}")
+
+    def finish(
+        self,
+        stop: str,
+        directions: Sequence[str],
+        objective: int = 0,
+        initial_sample: int = 0,
+        best: int | None = None,
+    ) -> OptimizationRun:
+        """The run so far.  Unless `best` is given, one direction picks the
+        best measured value of column `objective` (first in measurement order
+        among ties) and several give the non-dominated measured front."""
+        wall = time.perf_counter() - self.start
+        self.check_width(directions, objective)
+        evaluated = tuple(self.evaluated)
+        front = None
+        if best is None and len(directions) == 1:
+            scores = np.array([v[objective] for _, v in evaluated]) * direction_signs(directions)
+            best = evaluated[int(np.argmin(scores))][0]
+        elif best is None:
+            front_pos = metrics.pareto_front([v for _, v in evaluated], directions)
+            front = tuple(sorted(evaluated[p][0] for p in front_pos))
+        return OptimizationRun(evaluated, best, front, len(evaluated), wall, stop, initial_sample)
 
 
 def write_trace_csv(

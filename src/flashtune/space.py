@@ -34,6 +34,15 @@ BOOLEAN = "boolean"
 INTEGER = "integer"
 
 
+def direction_signs(directions: Sequence[str]) -> np.ndarray:
+    """+1 per minimized and -1 per maximized objective: values times these
+    signs are smaller-is-better in every column."""
+    for d in directions:
+        if d not in DIRECTIONS:
+            raise ValueError(f"unknown direction {d!r}")
+    return np.array([1.0 if d == MINIMIZE else -1.0 for d in directions])
+
+
 class DatasetError(ValueError):
     """A manifest, data file, or in-memory dataset violates its contract."""
 
@@ -134,16 +143,17 @@ class Dataset:
         if not np.isfinite(Y).all():
             raise DatasetError("objective values must be finite")
         for j, opt in enumerate(self.options):
-            for i, v in enumerate(X[:, j]):
-                if not opt.contains(v):
-                    raise RowError(i + 1, f"value {v!r} outside domain of option {opt.name!r}")
+            col = X[:, j]
+            bad = np.nonzero((col != np.floor(col)) | (col < opt.lo) | (col > opt.hi))[0]
+            if bad.size:
+                i = int(bad[0])
+                raise RowError(i + 1, f"value {col[i]!r} outside domain of option {opt.name!r}")
 
         self._index: dict[tuple[float, ...], int] = {}
         for i, row in enumerate(X):
-            key = tuple(row)
-            if key in self._index:
-                raise RowError(i + 1, "duplicate configuration")
-            self._index[key] = i
+            first = self._index.setdefault(tuple(row), i)
+            if first != i:
+                raise RowError(i + 1, f"duplicate configuration (first seen at row {first + 1})")
 
         X.setflags(write=False)
         Y.setflags(write=False)
@@ -274,12 +284,6 @@ def load_dataset(manifest_path: str | Path, data_path: str | Path) -> Dataset:
 
     if len(configs) < 2:
         raise DatasetError("a dataset needs at least 2 rows")
-    seen: dict[tuple[float, ...], int] = {}
-    for i, cfg in enumerate(configs):
-        key = tuple(cfg)
-        if key in seen:
-            raise RowError(i + 1, f"duplicate configuration (first seen at row {seen[key] + 1})")
-        seen[key] = i
     return Dataset(options, objectives, configs, values)
 
 
@@ -417,6 +421,8 @@ class CommandOracle:
             numbers = [float(t) for t in tokens]
         except ValueError:
             raise MeasureError(f"unparseable measurement output {proc.stdout!r}") from None
+        if not all(math.isfinite(x) for x in numbers):
+            raise MeasureError(f"non-finite measurement output {proc.stdout!r}")
         if len(numbers) != self.n_objectives:
             raise MeasureError(
                 f"expected {self.n_objectives} objective values, got {len(numbers)}"

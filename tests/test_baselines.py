@@ -373,3 +373,20 @@ def test_epal_deterministic():
     b = epal(ds.candidates(), TableOracle(ds), EpalParams(epsilon=0.2), ds.directions, seed=8)
     assert a.evaluated == b.evaluated
     assert a.front == b.front
+
+
+def test_lives_loop_with_replacement_trains_on_rows_in_measurement_order():
+    ds = generate_synthetic("single-peak", 6, seed=3)
+    train, hold, val = pools_for(ds, seed=1)
+    scores = iter(range(10_000))
+    tree, run = _lives_loop(
+        train, hold, val, TableOracle(ds), LivesParams(lives=1),
+        cart.CartParams(), "minimize", 0, seed=6, with_replacement=True,
+        scorer=lambda preds, actual: float(next(scores)),
+    )
+    train_trace = run.evaluated[len(hold):-1]
+    ids = [cid for cid, _ in train_trace]
+    assert len(ids) == len(train) > len(set(ids))  # some position drawn twice
+    X = np.array([train[cid] for cid in ids])
+    y = np.array([values[0] for _, values in train_trace])
+    assert tree == cart.fit(X, y, cart.CartParams())

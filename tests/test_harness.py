@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flashtune.baselines import random_search
 from flashtune.flash import FlashParams
 from flashtune.harness import (
     ExperimentSpec,
@@ -10,6 +11,9 @@ from flashtune.harness import (
     run_experiment,
     write_raw_results,
 )
+from flashtune.metrics import rank_difference
+from flashtune.space import SplitSpec, TableOracle, split
+from flashtune.synth import generate_synthetic
 from conftest import make_dataset
 
 
@@ -228,3 +232,20 @@ def test_fairness_twin_methods_identical_within_repeat():
         a = by[("flash_a", rep)]
         b = by[("flash_b", rep)]
         assert (a.rd, a.pool_rd, a.measurements) == (b.rd, b.pool_rd, b.measurements)
+
+
+def test_random_on_selected_objective_picks_that_column():
+    # random search draws the same ids whatever the objective; with
+    # objectives=(1,) its answer must be the best perf_b value it measured
+    ds = generate_synthetic("bi-objective-tradeoff", 6, seed=0)
+    spec = spec_for([MethodSpec("random", options={"n": 10})], repeats=3,
+                    synthetic=("bi-objective-tradeoff", 6), objectives=(1,))
+    report = run_experiment(spec, dataset=ds)
+    for row in report.rows:
+        train, _, val = split(ds, SplitSpec(seed=row.repeat))
+        merged = np.sort(np.concatenate([train, val]))
+        full = random_search(ds.candidates(merged), TableOracle(ds), 10, ds.directions,
+                             seed=row.repeat)
+        best = min(full.evaluated, key=lambda e: e[1][1])[0]
+        assert not row.failed
+        assert row.rd == rank_difference(best, ds, 1)

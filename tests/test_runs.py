@@ -1,6 +1,12 @@
 import pytest
 
-from flashtune.runs import OptimizationRun, write_trace_csv
+from flashtune.baselines import EpalParams, epal, progressive_sampling, random_search
+from flashtune.flash import FlashParams, flash_multi, flash_single
+from flashtune.runs import OptimizationRun, Trace, write_trace_csv
+from flashtune.space import SplitSpec, TableOracle, split
+from flashtune.synth import generate_synthetic
+
+from conftest import make_dataset
 
 
 def make_run(**overrides):
@@ -40,3 +46,52 @@ def test_write_trace_csv(tmp_path):
     assert lines[0] == "step,id,a,b,f1,f2"
     assert lines[1] == "1,3,0.0,1.0,1.0,2.0"
     assert lines[2] == "2,5,1.0,0.0,2.0,1.0"
+
+
+# --- the shared measurement core ------------------------------------------------
+
+class WidthChangingOracle:
+    """Table lookups whose vector gains a column after the first `k` calls."""
+
+    def __init__(self, dataset, k):
+        self.inner = TableOracle(dataset)
+        self.k = k
+
+    def measure(self, config):
+        values = self.inner.measure(config)
+        return values if self.inner.count <= self.k else values + (0.0,)
+
+
+def _pools(ds):
+    train, hold, val = split(ds, SplitSpec(seed=0))
+    return ds.candidates(train), ds.candidates(hold), ds.candidates(val)
+
+
+@pytest.mark.parametrize("optimizer", [
+    lambda ds, o: flash_single(ds.candidates(), o, FlashParams(size=10, budget=5)),
+    lambda ds, o: flash_multi(ds.candidates(), o, FlashParams(size=10, budget=5)),
+    lambda ds, o: epal(ds.candidates(), o, EpalParams(epsilon=0.3)),
+    lambda ds, o: random_search(ds.candidates(), o, 10, ("minimize",)),
+    lambda ds, o: progressive_sampling(*_pools(ds), o),
+], ids=["flash_single", "flash_multi", "epal", "random_search", "progressive_sampling"])
+def test_every_optimizer_rejects_a_width_change(optimizer):
+    ds = generate_synthetic("bi-objective-tradeoff", 6, seed=0)
+    with pytest.raises(ValueError, match="inconsistent width"):
+        optimizer(ds, WidthChangingOracle(ds, k=5))
+
+
+def test_trace_finish_picks_best_or_front():
+    ds = make_dataset([(i,) for i in range(4)], [(3.0, 1.0), (1.0, 4.0), (2.0, 6.0), (1.0, 4.0)],
+                      directions=["minimize", "maximize"])
+    trace = Trace(ds.candidates(), TableOracle(ds))
+    for pos in (2, 3, 1, 0):
+        trace.take(pos)
+    assert trace.finish("budget", ("minimize",), objective=0).best == 3  # first of the tied 1.0
+    assert trace.finish("budget", ("maximize",), objective=1).best == 2
+    assert trace.finish("budget", ("minimize",), objective=1).best == 0
+    assert trace.finish("budget", ds.directions).front == (1, 2, 3)
+    assert trace.finish("budget", ("minimize",), best=2, initial_sample=1).best == 2
+    with pytest.raises(ValueError, match="objective index 2"):
+        trace.finish("budget", ("minimize",), objective=2)
+    with pytest.raises(ValueError, match="3 directions"):
+        trace.finish("budget", ("minimize",) * 3)

@@ -15,6 +15,7 @@ from flashtune.space import (
     SplitError,
     SplitSpec,
     TableOracle,
+    direction_signs,
     load_dataset,
     save_dataset,
     split,
@@ -60,7 +61,7 @@ def test_load_exhaustive_two_option_space(tmp_path):
 def test_load_rejects_duplicate_configuration(tmp_path):
     dup = CSV_2BOOL + "1,1,9.0\n"
     m, d = write_pair(tmp_path, data=dup)
-    with pytest.raises(DatasetError, match="duplicate"):
+    with pytest.raises(DatasetError, match=r"row 5: duplicate configuration \(first seen at row 4\)"):
         load_dataset(m, d)
 
 
@@ -153,6 +154,44 @@ def test_dataset_validation():
         )
 
 
+def test_dataset_reports_duplicate_with_first_row():
+    with pytest.raises(RowError, match=r"^row 4: duplicate configuration \(first seen at row 2\)$"):
+        make_dataset([(0,), (1,), (2,), (1,)], [1.0, 2.0, 3.0, 4.0])
+
+
+def loop_domain_error(options, X):
+    """The per-element domain scan the array test replaced: first bad value
+    by column, then by row."""
+    for j, opt in enumerate(options):
+        for i, v in enumerate(X[:, j]):
+            if not opt.contains(v):
+                return f"row {i + 1}: value {v!r} outside domain of option {opt.name!r}"
+    return None
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_dataset_domain_error_matches_loop(data):
+    n = data.draw(st.integers(2, 6))
+    d = data.draw(st.integers(1, 3))
+    cells = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0])
+    X = np.array([[data.draw(cells) for _ in range(d)] for _ in range(n)])
+    options = [OptionSchema(f"o{j}", "integer", 0, data.draw(st.integers(0, 3))) for j in range(d)]
+    expected = loop_domain_error(options, X)
+    try:
+        Dataset(options, [ObjectiveSchema("y", "minimize")], X, np.ones((n, 1)))
+    except RowError as exc:
+        assert str(exc) == expected or (expected is None and "duplicate" in str(exc))
+    else:
+        assert expected is None
+
+
+def test_direction_signs():
+    assert direction_signs(("minimize", "maximize", "minimize")).tolist() == [1.0, -1.0, 1.0]
+    with pytest.raises(ValueError, match="unknown direction 'sideways'"):
+        direction_signs(("minimize", "sideways"))
+
+
 def test_split_sizes_and_partition(two_bool_dataset):
     configs = [(i,) for i in range(10)]
     ds = make_dataset(configs, list(range(10)))
@@ -243,6 +282,10 @@ def test_command_oracle_failures():
         CommandOracle(opts, 2, "echo 1.0").measure((0.0,))
     with pytest.raises(MeasureError, match="unknown option"):
         CommandOracle(opts, 1, "echo {zed}").measure((0.0,))
+    with pytest.raises(MeasureError, match="non-finite measurement output 'nan"):
+        CommandOracle(opts, 1, "echo nan").measure((0.0,))
+    with pytest.raises(MeasureError, match="non-finite measurement output 'inf"):
+        CommandOracle(opts, 1, "echo inf").measure((0.0,))
 
 
 def test_command_oracle_timeout():
