@@ -27,7 +27,7 @@ from .runs import (
     STOP_WALL_TIME,
     Trace,
 )
-from .space import MINIMIZE, direction_signs
+from .space import MINIMIZE, Pool, direction_signs
 
 
 @dataclass(frozen=True)
@@ -73,14 +73,13 @@ def _lives_loop(
     `scorer(predicted, actual)` maps holdout predictions to a score where
     higher is better; a life is lost whenever the score fails to improve.
     """
-    if not train_pool or not holdout or not validation:
+    parts = [Pool.of(p) for p in (train_pool, holdout, validation)]
+    if not all(parts):
         raise ValueError("train pool, holdout, and validation must be non-empty")
-    if set(train_pool) & set(holdout):
+    if np.intersect1d(parts[0].ids, parts[1].ids).size:
         raise ValueError("holdout must be disjoint from the train pool")
-    trace = Trace({**train_pool, **holdout, **validation}, oracle)
-    train_pos, hold_pos, val_pos = (
-        np.searchsorted(trace.ids, sorted(part)) for part in (train_pool, holdout, validation)
-    )
+    trace = Trace(Pool.union(*parts), oracle)
+    train_pos, hold_pos, val_pos = (np.searchsorted(trace.ids, p.ids) for p in parts)
     rng = np.random.default_rng(seed)
 
     # the holdout is measured up front and its cost charged to this run

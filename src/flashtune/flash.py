@@ -83,6 +83,7 @@ def _run(
             f"candidate pool has {n} configurations, need at least size={params.size}"
         )
     signs = direction_signs(directions)
+    columns = [objective] if len(directions) == 1 else range(len(directions))
     rng = np.random.default_rng(params.seed)
 
     for pos in rng.choice(n, size=params.size, replace=False):
@@ -106,15 +107,14 @@ def _run(
             break
         Xe = trace.X[trace.measured]
         Ye = trace.Y[trace.measured]
+        # predict every row, measured ones too: cheaper than copying the pool rows out of X
+        preds = np.column_stack([
+            cart.predict_batch(cart.fit(Xe, Ye[:, j], cart_params), trace.X)
+            for j in columns
+        ])[pool]
         if len(directions) == 1:
-            tree = cart.fit(Xe, Ye[:, objective], cart_params)
-            preds = cart.predict_batch(tree, trace.X[pool]) * signs[0]
-            pick = int(np.argmin(preds))
+            pick = int(np.argmin(preds[:, 0] * signs[0]))
         else:
-            preds = np.column_stack([
-                cart.predict_batch(cart.fit(Xe, Ye[:, j], cart_params), trace.X[pool])
-                for j in range(len(directions))
-            ])
             pick = bazza_select(
                 preds, params.n_projections, directions, int(rng.integers(2 ** 63))
             )

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import metrics
-from .space import direction_signs
+from .space import Pool, direction_signs
 
 STOP_BUDGET = "budget"
 STOP_POOL_EXHAUSTED = "pool-exhausted"
@@ -67,14 +67,16 @@ class OptimizationRun:
 class Trace:
     """Measurement bookkeeping for one run over a candidate pool.
 
-    The pool is held as ascending `ids` with their configurations as the rows
-    of `X`; positions index both.  The wall clock starts at construction.
+    `ids` and `X` are the arrays of `Pool.of(candidates)`: ascending ids and
+    the read-only matrix of their configurations; positions index both.  A
+    `Pool` is used as it is, with no copy; any other mapping is sorted and
+    stacked once.  The wall clock starts at construction.
     """
 
     def __init__(self, candidates: Mapping[int, Sequence[float]], oracle):
         self.start = time.perf_counter()
-        self.ids = np.array(sorted(candidates), dtype=int)
-        self.X = np.array([candidates[int(i)] for i in self.ids], dtype=float)
+        pool = Pool.of(candidates)
+        self.ids, self.X = pool.ids, pool.X
         self.oracle = oracle
         self.measured = np.zeros(self.ids.size, dtype=bool)
         self.evaluated: list[tuple[int, tuple[float, ...]]] = []

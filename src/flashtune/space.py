@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import shlex
 import subprocess
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -107,6 +109,61 @@ class ObjectiveSchema:
             )
 
 
+class Pool(Mapping):
+    """Read-only candidate pool, the format the optimizers take: a mapping
+    from row id to the tuple of that configuration's option values.
+
+    It is held as arrays: `ids`, strictly ascending integers, and `X`, whose
+    row k holds the option values of `ids[k]`; both are read-only.  Building
+    one from arrays copies nothing and does not check the order of `ids`.
+    Optimizers read the arrays directly; the mapping view costs a binary
+    search and a tuple per lookup.  A key that is not an integer is absent.
+    """
+
+    def __init__(self, ids: np.ndarray, X: np.ndarray):
+        if ids.ndim != 1 or X.shape[0] != ids.size:
+            raise ValueError("a pool needs one row of X per id")
+        # read-only views, so the caller's arrays keep their own flags
+        self.ids = ids.view()
+        self.X = X.view()
+        self.ids.setflags(write=False)
+        self.X.setflags(write=False)
+
+    @classmethod
+    def of(cls, candidates: Mapping[int, Sequence[float]]) -> Pool:
+        """`candidates` itself if it is a Pool, else a Pool of its items:
+        the keys sorted and their values stacked, O(n log n) in Python."""
+        if isinstance(candidates, Pool):
+            return candidates
+        ids = np.array(sorted(candidates), dtype=int)
+        X = np.array([candidates[int(i)] for i in ids], dtype=float)
+        return cls(ids, X)
+
+    @classmethod
+    def union(cls, *pools: Pool) -> Pool:
+        """Every id of the pools; where pools share an id, the last one's row."""
+        ids = np.concatenate([p.ids for p in pools])[::-1]
+        X = np.concatenate([p.X for p in pools])[::-1]
+        ids, last = np.unique(ids, return_index=True)
+        return cls(ids, X[last])
+
+    def __getitem__(self, key) -> tuple[float, ...]:
+        try:
+            k = operator.index(key)
+        except TypeError:
+            raise KeyError(key) from None
+        pos = int(np.searchsorted(self.ids, k))
+        if pos == self.ids.size or int(self.ids[pos]) != k:
+            raise KeyError(key)
+        return tuple(self.X[pos])
+
+    def __iter__(self):
+        return iter(self.ids.tolist())
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+
 class Dataset:
     """Immutable lookup table of configurations and their measured objectives.
 
@@ -119,7 +176,10 @@ class Dataset:
         objectives: Sequence[ObjectiveSchema],
         configs: Iterable[Sequence[float]],
         values: Iterable[Sequence[float]],
+        row_numbers: Sequence[int] | None = None,
     ):
+        """`row_numbers` gives the number a `RowError` reports for each row;
+        by default the rows are numbered 1, 2, ... in order."""
         self.options = tuple(options)
         self.objectives = tuple(objectives)
         if not self.objectives:
@@ -128,8 +188,9 @@ class Dataset:
         if len(set(names)) != len(names):
             raise SchemaError("option and objective names must be mutually distinct")
 
-        X = np.array(list(configs), dtype=float)
-        Y = np.array(list(values), dtype=float)
+        # listing an array row by row would be slow and would flatten an empty one
+        X = np.array(configs if isinstance(configs, np.ndarray) else list(configs), dtype=float)
+        Y = np.array(values if isinstance(values, np.ndarray) else list(values), dtype=float)
         if X.ndim != 2 or X.shape[1] != len(self.options):
             raise DatasetError("configuration rows must match the option count")
         if Y.ndim != 2 or Y.shape[1] != len(self.objectives):
@@ -142,18 +203,23 @@ class Dataset:
             raise DatasetError("configuration values must be finite")
         if not np.isfinite(Y).all():
             raise DatasetError("objective values must be finite")
-        for j, opt in enumerate(self.options):
-            col = X[:, j]
-            bad = np.nonzero((col != np.floor(col)) | (col < opt.lo) | (col > opt.hi))[0]
-            if bad.size:
-                i = int(bad[0])
-                raise RowError(i + 1, f"value {col[i]!r} outside domain of option {opt.name!r}")
+        rows = range(1, X.shape[0] + 1) if row_numbers is None else row_numbers
+        if len(rows) != X.shape[0]:
+            raise ValueError("row_numbers must give one number per row")
+        bad = _outside_domain(self.options, X)
+        bad_options = np.nonzero(bad.any(axis=0))[0]
+        if bad_options.size:
+            j = int(bad_options[0])
+            i = int(np.argmax(bad[:, j]))
+            raise RowError(rows[i], f"value {X[i, j]!r} outside domain of option "
+                                    f"{self.options[j].name!r}")
 
         self._index: dict[tuple[float, ...], int] = {}
         for i, row in enumerate(X):
             first = self._index.setdefault(tuple(row), i)
             if first != i:
-                raise RowError(i + 1, f"duplicate configuration (first seen at row {first + 1})")
+                raise RowError(rows[i],
+                               f"duplicate configuration (first seen at row {rows[first]})")
 
         X.setflags(write=False)
         Y.setflags(write=False)
@@ -183,11 +249,17 @@ class Dataset:
         """Row index of a configuration; KeyError if absent."""
         return self._index[tuple(float(v) for v in config)]
 
-    def candidates(self, indices: Iterable[int] | None = None) -> dict[int, tuple[float, ...]]:
-        """Mapping row id -> option values, the pool format the optimizers take."""
+    def candidates(self, indices: Iterable[int] | None = None) -> Pool:
+        """Pool of row id -> option values, the format the optimizers take.
+
+        Without `indices` it is the whole table: the ids are a range and `X`
+        is `configs` itself, not a copy.  With `indices` the ids are their
+        distinct values in ascending order and `X` copies those rows.
+        """
         if indices is None:
-            indices = range(self.n_rows)
-        return {int(i): tuple(self.configs[int(i)]) for i in indices}
+            return Pool(np.arange(self.n_rows), self.configs)
+        ids = np.unique(np.fromiter(indices, dtype=int))
+        return Pool(ids, self.configs[ids])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -245,8 +317,22 @@ def _parse_manifest(path: Path) -> tuple[list[OptionSchema], list[ObjectiveSchem
     return options, objectives
 
 
+def _outside_domain(options: Sequence[OptionSchema], X: np.ndarray) -> np.ndarray:
+    """Mask of the cells of `X` outside their column's option domain: not an
+    integer (NaN and infinities included) or outside [lo, hi]."""
+    lo = np.array([o.lo for o in options], dtype=float)
+    hi = np.array([o.hi for o in options], dtype=float)
+    return (X != np.floor(X)) | (X < lo) | (X > hi)
+
+
 def load_dataset(manifest_path: str | Path, data_path: str | Path) -> Dataset:
-    """Load and validate a dataset from a manifest file and a CSV table."""
+    """Load and validate a dataset from a manifest file and a CSV table.
+
+    A `RowError` names the file row: 1-based, header excluded, blank lines
+    counted.  The first bad cell in file order is reported first, whether it
+    does not parse or lies outside its option's domain; then come the checks
+    of `Dataset`, which does the domain test.
+    """
     options, objectives = _parse_manifest(Path(manifest_path))
     wanted = [o.name for o in options] + [o.name for o in objectives]
 
@@ -257,34 +343,50 @@ def load_dataset(manifest_path: str | Path, data_path: str | Path) -> Dataset:
         except StopIteration:
             raise SchemaError("data file is empty") from None
         header = [h.strip() for h in header]
-        col_of: dict[str, int] = {}
         for name in wanted:
             if name not in header:
                 raise SchemaError(f"data file is missing column {name!r}")
-            col_of[name] = header.index(name)
+        cols = [header.index(name) for name in wanted]
+        # in-domain stand-ins for the cells after one that does not parse
+        padding = [float(o.lo) for o in options] + [0.0] * len(objectives)
 
-        configs: list[list[float]] = []
-        values: list[list[float]] = []
+        table: list[list[float]] = []
+        rows: list[int] = []
+        failure: RowError | None = None
         for rowno, record in enumerate(reader, start=1):
             if not record or all(not c.strip() for c in record):
                 continue
-            def cell(name: str) -> float:
-                try:
-                    return float(record[col_of[name]])
-                except (ValueError, IndexError):
-                    raise RowError(rowno, f"non-numeric or missing value in column {name!r}") from None
-            cfg = []
-            for opt in options:
-                v = cell(opt.name)
-                if not opt.contains(v):
-                    raise RowError(rowno, f"value {v!r} outside domain of option {opt.name!r}")
-                cfg.append(v)
-            configs.append(cfg)
-            values.append([cell(o.name) for o in objectives])
+            rows.append(rowno)
+            try:
+                table.append([float(record[c]) for c in cols])
+            except (ValueError, IndexError):
+                cells: list[float] = []
+                for name, c in zip(wanted, cols):
+                    try:
+                        cells.append(float(record[c]))
+                    except (ValueError, IndexError):
+                        failure = RowError(rowno,
+                                           f"non-numeric or missing value in column {name!r}")
+                        break
+                # the cells before the bad one are domain-checked below
+                table.append(cells + padding[len(cells):])
+                break
 
-    if len(configs) < 2:
-        raise DatasetError("a dataset needs at least 2 rows")
-    return Dataset(options, objectives, configs, values)
+    d = len(options)
+    T = np.array(table, dtype=float).reshape(len(table), len(wanted))
+    try:
+        if failure is not None:
+            raise failure
+        return Dataset(options, objectives, T[:, :d], T[:, d:], row_numbers=rows)
+    except DatasetError:
+        # a value outside its domain earlier in the file is reported instead
+        bad = _outside_domain(options, T[:, :d])
+        if bad.any():
+            i = int(np.argmax(bad.any(axis=1)))
+            j = int(np.argmax(bad[i]))
+            raise RowError(rows[i], f"value {float(T[i, j])!r} outside domain of option "
+                                    f"{options[j].name!r}") from None
+        raise
 
 
 def _format_value(v: float) -> str:

@@ -1,6 +1,14 @@
 import pytest
 
-from flashtune.baselines import EpalParams, epal, progressive_sampling, random_search
+import numpy as np
+
+from flashtune.baselines import (
+    EpalParams,
+    epal,
+    progressive_sampling,
+    random_search,
+    rank_based,
+)
 from flashtune.flash import FlashParams, flash_multi, flash_single
 from flashtune.runs import OptimizationRun, Trace, write_trace_csv
 from flashtune.space import SplitSpec, TableOracle, split
@@ -95,3 +103,39 @@ def test_trace_finish_picks_best_or_front():
         trace.finish("budget", ("minimize",), objective=2)
     with pytest.raises(ValueError, match="3 directions"):
         trace.finish("budget", ("minimize",) * 3)
+
+
+# --- a Pool and a dict of the same items give the same run ---------------------
+
+def _run_fields(result):
+    run = result[1] if isinstance(result, tuple) else result
+    return run.evaluated, run.best, run.front, run.stop_reason
+
+
+def _lives(fn, shared=False):
+    def call(ds, as_pool):
+        train, hold, val = split(ds, SplitSpec(seed=3))
+        if shared:
+            val = np.concatenate([val, train[::3]])
+        pools = [ds.candidates(part) for part in (train, hold, val)]
+        return fn(*[as_pool(p) for p in pools], TableOracle(ds), seed=4)
+    return call
+
+
+@pytest.mark.parametrize("optimizer", [
+    lambda ds, p: flash_single(p(ds.candidates()), TableOracle(ds),
+                               FlashParams(size=10, budget=15, seed=2), "maximize", objective=1),
+    lambda ds, p: flash_multi(p(ds.candidates(range(0, ds.n_rows, 2))), TableOracle(ds),
+                              FlashParams(size=10, budget=15, seed=2), ("minimize", "maximize")),
+    lambda ds, p: epal(p(ds.candidates()), TableOracle(ds), EpalParams(epsilon=0.3), seed=2),
+    lambda ds, p: random_search(p(ds.candidates()), TableOracle(ds), 12, ("minimize",), seed=2),
+    _lives(progressive_sampling),
+    _lives(rank_based),
+    _lives(progressive_sampling, shared=True),
+], ids=["flash_single", "flash_multi", "epal", "random_search", "progressive_sampling",
+        "rank_based", "lives_validation_shares_train_ids"])
+def test_pool_and_dict_give_the_same_run(optimizer):
+    ds = generate_synthetic("bi-objective-tradeoff", 6, seed=1)
+    from_pool = _run_fields(optimizer(ds, lambda pool: pool))
+    from_dict = _run_fields(optimizer(ds, dict))
+    assert from_pool == from_dict

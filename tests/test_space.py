@@ -1,3 +1,7 @@
+import csv
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,11 +14,13 @@ from flashtune.space import (
     MeasureError,
     ObjectiveSchema,
     OptionSchema,
+    Pool,
     RowError,
     SchemaError,
     SplitError,
     SplitSpec,
     TableOracle,
+    _parse_manifest,
     direction_signs,
     load_dataset,
     save_dataset,
@@ -159,6 +165,17 @@ def test_dataset_reports_duplicate_with_first_row():
         make_dataset([(0,), (1,), (2,), (1,)], [1.0, 2.0, 3.0, 4.0])
 
 
+def test_dataset_reports_given_row_numbers():
+    options = [OptionSchema("a", "integer", 0, 3)]
+    objectives = [ObjectiveSchema("y", "minimize")]
+    with pytest.raises(RowError, match=r"^row 40: duplicate configuration \(first seen at row 20\)$"):
+        Dataset(options, objectives, [(0,), (1,), (2,), (1,)], [(1.0,)] * 4, row_numbers=[10, 20, 30, 40])
+    with pytest.raises(RowError, match=r"^row 30: value .*7.0.* outside domain of option .a.$"):
+        Dataset(options, objectives, [(0,), (1,), (7,)], [(1.0,)] * 3, row_numbers=[10, 20, 30])
+    with pytest.raises(ValueError, match="one number per row"):
+        Dataset(options, objectives, [(0,), (1,)], [(1.0,)] * 2, row_numbers=[1])
+
+
 def loop_domain_error(options, X):
     """The per-element domain scan the array test replaced: first bad value
     by column, then by row."""
@@ -184,6 +201,208 @@ def test_dataset_domain_error_matches_loop(data):
         assert str(exc) == expected or (expected is None and "duplicate" in str(exc))
     else:
         assert expected is None
+
+
+# --- the candidate pool ------------------------------------------------------
+
+def dict_candidates(ds, indices=None):
+    """The pool as a plain dict, as `Dataset.candidates` built it before
+    pools were held as arrays."""
+    if indices is None:
+        indices = range(ds.n_rows)
+    return {int(i): tuple(ds.configs[int(i)]) for i in indices}
+
+
+def check_pool(pool, expected, absent):
+    assert isinstance(pool, Pool)
+    assert pool == expected and expected == pool
+    assert dict(pool) == expected
+    assert list(pool) == sorted(set(expected))
+    assert len(pool) == len(expected)
+    for k, v in expected.items():
+        assert k in pool and np.int64(k) in pool
+        assert pool[k] == v
+    for k in absent:
+        assert k not in pool
+        with pytest.raises(KeyError):
+            pool[k]
+    for key in ("a", 0.0, 1.5, None, (0,)):
+        assert key not in pool
+        with pytest.raises(KeyError):
+            pool[key]
+    assert not pool.X.flags.writeable and not pool.ids.flags.writeable
+    with pytest.raises(ValueError):
+        pool.X[...] = 0.0
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_pool_matches_dict_candidates(data):
+    n = data.draw(st.integers(2, 30))
+    ds = make_dataset([(i, i % 3) for i in range(n)], np.arange(n, dtype=float))
+    if data.draw(st.booleans()):
+        indices = None
+        absent = [-1, n, n + 7]
+    else:
+        indices = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+        absent = sorted(set(range(-2, n + 2)) - set(indices))
+    pool = ds.candidates(indices)
+    check_pool(pool, dict_candidates(ds, indices), absent)
+    assert Pool.of(pool) is pool
+    check_pool(Pool.of(dict_candidates(ds, indices)), dict_candidates(ds, indices), absent)
+
+
+def test_full_pool_shares_the_table():
+    ds = make_dataset([(0,), (1,), (2,)], [1.0, 2.0, 3.0])
+    pool = ds.candidates()
+    assert np.shares_memory(pool.X, ds.configs)
+    assert pool.ids.tolist() == [0, 1, 2]
+
+
+def test_pool_union_later_pool_wins():
+    a = Pool(np.array([1, 4]), np.array([[1.0], [4.0]]))
+    b = Pool(np.array([2, 4]), np.array([[2.0], [40.0]]))
+    assert Pool.union(a, b) == {1: (1.0,), 2: (2.0,), 4: (40.0,)}
+    assert Pool.union(b, a) == {1: (1.0,), 2: (2.0,), 4: (4.0,)}
+
+
+def test_pool_leaves_callers_arrays_writable():
+    ids, X = np.array([0, 1]), np.zeros((2, 1))
+    Pool(ids, X)
+    assert ids.flags.writeable and X.flags.writeable
+    with pytest.raises(ValueError, match="one row of X per id"):
+        Pool(ids, np.zeros((3, 1)))
+
+
+# --- loader error rows ---------------------------------------------------------
+
+def reference_load(manifest_path, data_path):
+    """The loader before `Dataset` took over its domain test: one
+    `OptionSchema.contains` call per option cell.  Its duplicate-row error,
+    which `Dataset` numbered by data row, is mapped to file rows."""
+    options, objectives = _parse_manifest(Path(manifest_path))
+    wanted = [o.name for o in options] + [o.name for o in objectives]
+
+    with open(data_path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError("data file is empty") from None
+        header = [h.strip() for h in header]
+        col_of: dict[str, int] = {}
+        for name in wanted:
+            if name not in header:
+                raise SchemaError(f"data file is missing column {name!r}")
+            col_of[name] = header.index(name)
+
+        configs: list[list[float]] = []
+        values: list[list[float]] = []
+        file_rows: list[int] = []
+        for rowno, record in enumerate(reader, start=1):
+            if not record or all(not c.strip() for c in record):
+                continue
+            def cell(name: str) -> float:
+                try:
+                    return float(record[col_of[name]])
+                except (ValueError, IndexError):
+                    raise RowError(rowno, f"non-numeric or missing value in column {name!r}") from None
+            cfg = []
+            for opt in options:
+                v = cell(opt.name)
+                if not opt.contains(v):
+                    raise RowError(rowno, f"value {v!r} outside domain of option {opt.name!r}")
+                cfg.append(v)
+            configs.append(cfg)
+            values.append([cell(o.name) for o in objectives])
+            file_rows.append(rowno)
+
+    if len(configs) < 2:
+        raise DatasetError("a dataset needs at least 2 rows")
+    try:
+        return Dataset(options, objectives, configs, values)
+    except RowError as exc:
+        m = re.fullmatch(r"row (\d+): duplicate configuration \(first seen at row (\d+)\)", str(exc))
+        if m is None:
+            raise
+        row, first = (file_rows[int(g) - 1] for g in m.groups())
+        raise RowError(row, f"duplicate configuration (first seen at row {first})") from None
+
+
+LOADER_MANIFEST = "option a bool\noption b int 0 2\nobjective y minimize\nobjective z maximize\n"
+VALID_CELLS = {"a": ["0", "1", "1.0"], "b": ["0", "1", "2", "2.0"],
+               "y": ["1.5", "2", "-3"], "z": ["1.5", "2", "-3"]}
+UNPARSABLE_CELLS = ["x", ""]
+OUT_OF_DOMAIN_CELLS = ["3", "-1", "0.5", "nan", "inf", "-inf"]
+NON_FINITE_CELLS = ["nan", "inf", "-inf"]
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_load_errors_match_reference_loader(tmp_path_factory, data):
+    header = data.draw(st.permutations(["a", "b", "y", "z"]))
+    lines = [",".join(header)]
+    for _ in range(data.draw(st.integers(0, 7))):
+        kind = data.draw(st.sampled_from(["clean"] * 3 + ["dirty"] * 2 + ["short", "blank", "commas"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "commas":
+            lines.append(",,,")
+        else:
+            row = []
+            for c in header:
+                cell = "valid" if kind == "clean" else \
+                    data.draw(st.sampled_from(["valid"] * 3 + ["unparsable", "out", "out"]))
+                if cell == "unparsable":
+                    cells = UNPARSABLE_CELLS
+                elif cell == "out":
+                    cells = OUT_OF_DOMAIN_CELLS if c in "ab" else NON_FINITE_CELLS
+                else:
+                    cells = VALID_CELLS[c]
+                row.append(data.draw(st.sampled_from(cells)))
+            if kind == "short":
+                row = row[:data.draw(st.integers(1, 3))]
+            lines.append(",".join(row))
+    work = tmp_path_factory.mktemp("load")
+    m, d = work / "m.txt", work / "d.csv"
+    m.write_text(LOADER_MANIFEST)
+    d.write_text("\n".join(lines) + "\n")
+
+    def outcome(load):
+        try:
+            return load(m, d)
+        except DatasetError as exc:
+            return type(exc), str(exc)
+
+    assert outcome(load_dataset) == outcome(reference_load)
+
+
+@pytest.mark.parametrize("rows, error", [
+    (["0,3,1,1", "3,0,1,1"], "row 1: value 3.0 outside domain of option 'b'"),
+    (["0,0,1,1", "0,3,x,1"], "row 2: value 3.0 outside domain of option 'b'"),
+    (["0,x,1,1", "0,3,1,1"], "row 1: non-numeric or missing value in column 'b'"),
+    (["0,0,nan,1", "1,0,1,1", "1,-1,1,1"], "row 3: value -1.0 outside domain of option 'b'"),
+    (["0,0,1,1", "", "0,0,inf,1"], "objective values must be finite"),
+    (["1,nan,1,1"], "row 1: value nan outside domain of option 'b'"),
+    (["1,1,1,1"], "a dataset needs at least 2 rows"),
+])
+def test_load_reports_the_first_bad_cell_in_file_order(tmp_path, rows, error):
+    m, d = write_pair(tmp_path, manifest=LOADER_MANIFEST, data="a,b,y,z\n" + "\n".join(rows) + "\n")
+    with pytest.raises(DatasetError) as new:
+        load_dataset(m, d)
+    with pytest.raises(DatasetError) as old:
+        reference_load(m, d)
+    assert str(new.value) == str(old.value) == error
+
+
+def test_load_counts_file_rows_for_every_row_error(tmp_path):
+    manifest = "option a int 0 3\nobjective perf minimize\n"
+    m, d = write_pair(tmp_path, manifest=manifest, data="a,perf\n\n1,1.0\n2,2.0\n1,3.0\n")
+    with pytest.raises(RowError, match=r"^row 4: duplicate configuration \(first seen at row 2\)$"):
+        load_dataset(m, d)
+    m, d = write_pair(tmp_path, manifest=manifest, data="a,perf\n\n1,1.0\n2,2.0\n9,3.0\n")
+    with pytest.raises(RowError, match=r"^row 4: value 9.0 outside domain of option 'a'$"):
+        load_dataset(m, d)
 
 
 def test_direction_signs():
