@@ -31,6 +31,7 @@ from .metrics import (
     best_rows,
     dominates,
     front_comparison,
+    front_quality,
     gd,
     igd,
     mmre,

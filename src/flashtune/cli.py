@@ -164,15 +164,12 @@ def tune_mo(manifest, data, cart_min_split, cart_min_leaf, size, budget, project
     write_trace_csv(run, out_dir / "trace.csv", dataset.candidates(),
                     dataset.option_names, dataset.objective_names)
     _write_front_csv(out_dir / "front.csv", dataset, run.front)
-    true_vectors = [tuple(dataset.values[i]) for i in
-                    metrics.pareto_front(dataset.values, dataset.directions)]
-    approx = [tuple(dataset.values[i]) for i in run.front]
-    cmp = metrics.front_comparison(true_vectors, approx, dataset.directions)
+    gd, igd = metrics.front_quality(dataset, run.front, range(len(dataset.objectives)))
     _write_summary(out_dir / "summary.txt", [
         f"objectives: {', '.join(dataset.objective_names)}",
         f"front size: {len(run.front)}",
-        f"gd: {metrics.gd(cmp)!r}",
-        f"igd: {metrics.igd(cmp)!r}",
+        f"gd: {gd!r}",
+        f"igd: {igd!r}",
         f"measurements used: {run.measurements_used}",
         f"stop reason: {run.stop_reason}",
     ])
@@ -260,11 +257,10 @@ def eval_fronts(manifest, data, true_front, approx_front):
     dataset = load_dataset(manifest, data)
     true_ids = _read_front_ids(dataset, Path(true_front))
     approx_ids = _read_front_ids(dataset, Path(approx_front))
-    true_vectors = [tuple(dataset.values[i]) for i in true_ids]
-    approx_vectors = [tuple(dataset.values[i]) for i in approx_ids]
-    cmp = metrics.front_comparison(true_vectors, approx_vectors, dataset.directions)
-    click.echo(f"gd={metrics.gd(cmp)!r}")
-    click.echo(f"igd={metrics.igd(cmp)!r}")
+    gd, igd = metrics.front_quality(dataset, approx_ids, range(len(dataset.objectives)),
+                                    true_front=true_ids)
+    click.echo(f"gd={gd!r}")
+    click.echo(f"igd={igd!r}")
     approx_min = dataset.values[approx_ids] * direction_signs(dataset.directions)
     for j, name in enumerate(dataset.objective_names):
         rd = metrics.rank_difference(approx_ids[int(np.argmin(approx_min[:, j]))], dataset, j)
@@ -359,11 +355,11 @@ def experiment(manifest, data, kind, n_options, methods, objectives, repeats, se
         with_replacement=with_replacement,
         sk=SkParams(seed=seed),
     )
-    dataset, _ = load_experiment_dataset(spec)
+    dataset, label = load_experiment_dataset(spec)
     if objectives:
         idx = tuple(_resolve_objective(dataset, o.strip()) for o in objectives.split(","))
         spec = replace(spec, objectives=idx)
-    report = run_experiment(spec, dataset)
+    report = run_experiment(spec, dataset, label)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.txt").write_text(render_report(report, include_timing=emit_timing),

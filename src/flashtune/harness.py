@@ -119,6 +119,11 @@ class QualityReport:
             if r.method == method and not r.failed and getattr(r, metric) is not None
         ]
 
+    def treatments(self, metric: str) -> list[Treatment]:
+        """One treatment per method with at least one observation, in method order."""
+        return [Treatment(label, tuple(obs)) for label in self.methods
+                if (obs := self.observations(metric, label))]
+
 
 class _ColumnOracle:
     """Restrict an oracle's objective vector to the selected columns."""
@@ -141,13 +146,6 @@ def load_experiment_dataset(spec: ExperimentSpec) -> tuple[Dataset, str]:
         kind, n_options = spec.synthetic
         return generate_synthetic(kind, n_options, spec.seed), f"{kind}({n_options} options)"
     return load_dataset(spec.manifest, spec.data), str(spec.data)
-
-
-def _pool_rank(dataset: Dataset, pool: np.ndarray, best: int, objective: int) -> int:
-    direction = dataset.objectives[objective].direction
-    values = dataset.values[pool, objective]
-    pos = int(np.nonzero(pool == best)[0][0])
-    return metrics.min_rank(values, pos, direction) - 1
 
 
 def repeat_pools(dataset: Dataset, spec: ExperimentSpec, seed: int) -> tuple[np.ndarray, ...]:
@@ -241,32 +239,31 @@ def _score(
     pools,
     run: OptimizationRun,
     repeat: int,
+    true_front: tuple[int, ...] | None,
 ) -> MethodResult:
+    """Rank differences for one objective, else GD/IGD against `true_front`."""
+    cost = dict(measurements=run.measurements_used, acquisitions=run.acquisitions,
+                wall_time=run.wall_time)
     if len(objectives) == 1:
         _, _, val_ids, merged = pools
-        rd = metrics.rank_difference(run.best, dataset, objectives[0])
         pool = merged if method.kind in ("flash", "random") else val_ids
-        pool_rd = _pool_rank(dataset, np.asarray(pool), run.best, objectives[0])
-        return MethodResult(method.label, repeat, False, rd=rd, pool_rd=pool_rd,
-                            measurements=run.measurements_used,
-                            acquisitions=run.acquisitions, wall_time=run.wall_time)
-
-    directions = tuple(dataset.objectives[j].direction for j in objectives)
-    V = dataset.values[:, list(objectives)]
-    true_vectors = [tuple(V[i]) for i in metrics.pareto_front(V, directions)]
-    approx = [dict(run.evaluated)[i] for i in run.front]
-    cmp = metrics.front_comparison(true_vectors, approx, directions)
-    return MethodResult(method.label, repeat, False, gd=metrics.gd(cmp), igd=metrics.igd(cmp),
-                        measurements=run.measurements_used,
-                        acquisitions=run.acquisitions, wall_time=run.wall_time)
+        rd = metrics.rank_difference(run.best, dataset, objectives[0])
+        pool_rd = metrics.rank_difference(run.best, dataset, objectives[0], rows=pool)
+        return MethodResult(method.label, repeat, False, rd=rd, pool_rd=pool_rd, **cost)
+    gd, igd = metrics.front_quality(dataset, run.front, objectives, true_front)
+    return MethodResult(method.label, repeat, False, gd=gd, igd=igd, **cost)
 
 
-def run_experiment(spec: ExperimentSpec, dataset: Dataset | None = None) -> QualityReport:
-    """Execute every method for every repeat and rank the outcomes."""
+def run_experiment(
+    spec: ExperimentSpec, dataset: Dataset | None = None, label: str = "in-memory dataset"
+) -> QualityReport:
+    """Execute every method for every repeat and rank the outcomes.
+
+    A given `dataset` is reported under `label`; otherwise the spec's dataset
+    is loaded and reported under its own name.
+    """
     if dataset is None:
         dataset, label = load_experiment_dataset(spec)
-    else:
-        label = "in-memory dataset"
     objectives = spec.objectives or tuple(range(len(dataset.objectives)))
     for j in objectives:
         if not (0 <= j < len(dataset.objectives)):
@@ -277,6 +274,10 @@ def run_experiment(spec: ExperimentSpec, dataset: Dataset | None = None) -> Qual
             raise ValueError(f"method {m.label!r} needs >= 2 objectives")
         if not single and m.kind in SINGLE_ONLY:
             raise ValueError(f"method {m.label!r} handles a single objective only")
+    true_front = None
+    if not single:
+        directions = tuple(dataset.objectives[j].direction for j in objectives)
+        true_front = metrics.pareto_front(dataset.values[:, list(objectives)], directions)
 
     rows: list[MethodResult] = []
     for r in range(spec.repeats):
@@ -285,7 +286,7 @@ def run_experiment(spec: ExperimentSpec, dataset: Dataset | None = None) -> Qual
         for m in spec.methods:
             try:
                 run = run_method(m, dataset, objectives, pools, seed_r, spec)
-                rows.append(_score(m, dataset, objectives, pools, run, r))
+                rows.append(_score(m, dataset, objectives, pools, run, r, true_front))
             except Exception:
                 rows.append(MethodResult(m.label, r, True))
 
@@ -302,24 +303,11 @@ def run_experiment(spec: ExperimentSpec, dataset: Dataset | None = None) -> Qual
     )
     ranks: dict[str, dict[str, int | None]] = {}
     for metric in report.metric_names():
-        treatments = []
-        for label_ in labels:
-            obs = report.observations(metric, label_)
-            if obs:
-                treatments.append(Treatment(label_, tuple(obs)))
-        metric_ranks: dict[str, int | None] = {label_: None for label_ in labels}
+        treatments = report.treatments(metric)
+        ranks[metric] = dict.fromkeys(labels)
         if treatments:
-            metric_ranks.update(scott_knott(treatments, spec.sk))
-        ranks[metric] = metric_ranks
+            ranks[metric].update(scott_knott(treatments, spec.sk))
     return replace(report, ranks=ranks)
-
-
-def _fmt(value, as_int: bool = False) -> str:
-    if value is None:
-        return "X"
-    if as_int:
-        return str(int(value))
-    return repr(float(value))
 
 
 def render_report(report: QualityReport, include_timing: bool = False) -> str:
@@ -334,18 +322,13 @@ def render_report(report: QualityReport, include_timing: bool = False) -> str:
     ]
     for metric in report.metric_names():
         lines.append(f"metric: {metric} (lower is better)")
-        treatments = []
-        ranks = {}
-        for label in report.methods:
-            obs = report.observations(metric, label)
-            if obs:
-                treatments.append(Treatment(label, tuple(obs)))
-                ranks[label] = report.ranks[metric][label]
+        treatments = report.treatments(metric)
+        ranks = report.ranks[metric]
         if treatments:
             lines.append(quartile_report(treatments, ranks).rstrip("\n"))
-        missing = [label for label in report.methods if not report.observations(metric, label)]
-        for label in missing:
-            lines.append(f"   X  {label}  no successful repeats")
+        for label in report.methods:
+            if ranks[label] is None:
+                lines.append(f"   X  {label}  no successful repeats")
         lines.append("")
     if include_timing:
         lines.append("wall time (median seconds per repeat)")
@@ -363,29 +346,38 @@ def render_report(report: QualityReport, include_timing: bool = False) -> str:
     return "\n".join(lines)
 
 
-def write_raw_results(report: QualityReport, path: Path, include_timing: bool = False) -> None:
-    header = ["method", "repeat", "status", "rd", "pool_rd", "gd", "igd", "measurements",
-              "acquisitions"]
-    if include_timing:
-        header.append("wall_time")
+# Report columns written as integers; every other value is written as repr(float).
+_COUNTS = ("rd", "pool_rd", "measurements", "acquisitions")
+
+
+def _value(row: MethodResult, field: str):
+    return None if row.failed else getattr(row, field)
+
+
+def _cell(value, field: str = "") -> str:
+    """One CSV cell: "X" for a missing value (a failed row has none), an
+    integer for a count, else the float's repr."""
+    if value is None:
+        return "X"
+    return str(int(value)) if field in _COUNTS else repr(float(value))
+
+
+def _write_csv(path: Path, header: Sequence[str], rows) -> Path:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for r in report.rows:
-            row = [
-                r.method,
-                r.repeat,
-                "X" if r.failed else "ok",
-                _fmt(r.rd, as_int=True),
-                _fmt(r.pool_rd, as_int=True),
-                _fmt(r.gd),
-                _fmt(r.igd),
-                _fmt(r.measurements, as_int=True),
-                _fmt(r.acquisitions, as_int=True),
-            ]
-            if include_timing:
-                row.append(_fmt(r.wall_time))
-            writer.writerow(row)
+        writer.writerows(rows)
+    return path
+
+
+def write_raw_results(report: QualityReport, path: Path, include_timing: bool = False) -> None:
+    fields = ["rd", "pool_rd", "gd", "igd", "measurements", "acquisitions"]
+    if include_timing:
+        fields.append("wall_time")
+    _write_csv(path, ["method", "repeat", "status", *fields], (
+        [r.method, r.repeat, "X" if r.failed else "ok",
+         *(_cell(_value(r, f), f) for f in fields)]
+        for r in report.rows))
 
 
 def emit_plot_data(report: QualityReport, out_dir: str | Path, include_timing: bool = False) -> list[Path]:
@@ -396,81 +388,27 @@ def emit_plot_data(report: QualityReport, out_dir: str | Path, include_timing: b
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
     by_key = {(r.method, r.repeat): r for r in report.rows}
 
-    def cell(method: str, repeat: int, metric: str, as_int=False) -> str:
-        r = by_key[(method, repeat)]
-        if r.failed:
-            return "X"
-        return _fmt(getattr(r, metric), as_int=as_int)
+    fields = report.metric_names()
+    header = ["method", "repeat", *("rank_difference" if f == "rd" else f for f in fields)]
+    rows = ([m, rep, *(_cell(_value(by_key[(m, rep)], f), f) for f in fields)]
+            for m in report.methods for rep in range(report.repeats))
+    name = "rank_difference.csv" if report.single_objective else "quality_indicators.csv"
+    written = [_write_csv(out / name, header, rows)]
 
-    if report.single_objective:
-        path = out / "rank_difference.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["method", "repeat", "rank_difference", "measurements"])
-            for method in report.methods:
-                for rep in range(report.repeats):
-                    writer.writerow([method, rep,
-                                     cell(method, rep, "rd", as_int=True),
-                                     cell(method, rep, "measurements", as_int=True)])
-        written.append(path)
-    else:
-        path = out / "quality_indicators.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["method", "repeat", "gd", "igd", "measurements"])
-            for method in report.methods:
-                for rep in range(report.repeats):
-                    writer.writerow([method, rep,
-                                     cell(method, rep, "gd"),
-                                     cell(method, rep, "igd"),
-                                     cell(method, rep, "measurements", as_int=True)])
-        written.append(path)
-
-    # measurement ratios as percent of a reference method, one column per method
-    reference = report.methods[0]
-    for label in report.methods:
-        if label.startswith("progressive"):
-            reference = label
-            break
-    path = out / "measurement_ratio.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(report.methods))
-        for rep in range(report.repeats):
-            ref = by_key[(reference, rep)]
-            row = []
-            for method in report.methods:
-                r = by_key[(method, rep)]
-                if r.failed or ref.failed or not ref.measurements:
-                    row.append("X")
-                else:
-                    row.append(repr(100.0 * r.measurements / ref.measurements))
-            writer.writerow(row)
-    written.append(path)
-
+    # each method's value as a multiple of a reference method's, per repeat;
+    # the reference is the first label with the prefix, else the first method
+    ratios = [("measurement_ratio.csv", "measurements", "progressive", 100.0)]
     if include_timing:
-        reference = report.methods[0]
-        for label in report.methods:
-            if label.startswith("flash"):
-                reference = label
-                break
-        path = out / "time_gain.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(list(report.methods))
-            for rep in range(report.repeats):
-                ref = by_key[(reference, rep)]
-                row = []
-                for method in report.methods:
-                    r = by_key[(method, rep)]
-                    if r.failed or ref.failed or not ref.wall_time:
-                        row.append("X")
-                    else:
-                        row.append(repr(r.wall_time / ref.wall_time))
-                writer.writerow(row)
-        written.append(path)
+        ratios.append(("time_gain.csv", "wall_time", "flash", 1.0))
+    for name, field, prefix, scale in ratios:
+        reference = next((m for m in report.methods if m.startswith(prefix)), report.methods[0])
+        rows = []
+        for rep in range(report.repeats):
+            base = _value(by_key[(reference, rep)], field)
+            values = (_value(by_key[(m, rep)], field) for m in report.methods)
+            rows.append([_cell(scale * v / base if v is not None and base else None)
+                         for v in values])
+        written.append(_write_csv(out / name, report.methods, rows))
     return written

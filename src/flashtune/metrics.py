@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .space import MINIMIZE, Dataset, direction_signs
+from .space import Dataset, direction_signs
 
 
 def _as_min(values, directions) -> np.ndarray:
@@ -63,29 +63,25 @@ def mu_rd(predicted: Sequence[float], actual: Sequence[float]) -> float:
     return float(np.mean(np.abs(average_ranks(a) - average_ranks(p))))
 
 
-def min_rank(values: Sequence[float], i: int, direction: str = MINIMIZE) -> int:
-    """1-based rank of entry i, counting ties as the smallest tied rank."""
-    v = _as_min(np.asarray(values, dtype=float)[:, None], (direction,))[:, 0]
-    return int(np.sum(v < v[i])) + 1
-
-
-def rank_difference(
-    predicted_best: int,
-    dataset: Dataset,
-    objective: int = 0,
-    direction: str | None = None,
-) -> int:
-    """|rank(actual best) - rank(predicted best)| over the whole dataset.
+def rank_difference(best: int, dataset: Dataset, objective: int = 0, rows=None) -> int:
+    """|rank(actual best) - rank(predicted best)|: the number of rows strictly
+    better than row `best` on one objective, over the whole table or over the
+    row ids `rows`, which must include `best`.
 
     Rank 1 is the best row.  Ties take the smallest rank among equal values,
     so picking any tied optimum scores 0.
     """
-    if not (0 <= predicted_best < dataset.n_rows):
-        raise ValueError(f"unknown row id {predicted_best}")
-    if direction is None:
-        direction = dataset.objectives[objective].direction
-    column = dataset.values[:, objective]
-    return min_rank(column, predicted_best, direction) - 1
+    if not (0 <= best < dataset.n_rows):
+        raise ValueError(f"unknown row id {best}")
+    direction = dataset.objectives[objective].direction
+    v = _as_min(dataset.values[:, objective][:, None], (direction,))[:, 0]
+    pool = v
+    if rows is not None:
+        rows = np.asarray(rows)
+        if not np.any(rows == best):
+            raise ValueError(f"row {best} is not among the given rows")
+        pool = v[rows]
+    return int(np.sum(pool < v[best]))
 
 
 def dominates(a: Sequence[float], b: Sequence[float], directions: Sequence[str]) -> bool:
@@ -157,10 +153,9 @@ def pareto_front(points, directions: Sequence[str]) -> tuple[int, ...]:
     return tuple(int(i) for i in np.nonzero(keep)[0])
 
 
-def best_rows(dataset: Dataset, objective: int = 0, direction: str | None = None) -> tuple[int, ...]:
+def best_rows(dataset: Dataset, objective: int = 0) -> tuple[int, ...]:
     """Row ids attaining the optimal value of one objective (ties included)."""
-    if direction is None:
-        direction = dataset.objectives[objective].direction
+    direction = dataset.objectives[objective].direction
     v = _as_min(dataset.values[:, objective][:, None], (direction,))[:, 0]
     return tuple(int(i) for i in np.nonzero(v == v.min())[0])
 
@@ -225,3 +220,20 @@ def gd(cmp: FrontComparison) -> float:
 def igd(cmp: FrontComparison) -> float:
     """Mean distance from each true point to its nearest approximated point."""
     return _mean_nearest(_normalized(cmp, cmp.true_front), _normalized(cmp, cmp.approx_front))
+
+
+def front_quality(
+    dataset: Dataset, front, objectives: Sequence[int], true_front=None
+) -> tuple[float, float]:
+    """(GD, IGD) of the row ids `front` on the columns `objectives`.
+
+    The reference is the rows `true_front` when given (a front computed once
+    for many runs, or read from a file), else the table's own Pareto front.
+    """
+    columns = list(objectives)
+    directions = tuple(dataset.objectives[j].direction for j in columns)
+    V = dataset.values[:, columns]
+    if true_front is None:
+        true_front = pareto_front(V, directions)
+    cmp = front_comparison(V[list(true_front)], V[list(front)], directions)
+    return gd(cmp), igd(cmp)

@@ -211,7 +211,7 @@ class Dataset:
         if bad_options.size:
             j = int(bad_options[0])
             i = int(np.argmax(bad[:, j]))
-            raise RowError(rows[i], f"value {X[i, j]!r} outside domain of option "
+            raise RowError(rows[i], f"value {float(X[i, j])!r} outside domain of option "
                                     f"{self.options[j].name!r}")
 
         self._index: dict[tuple[float, ...], int] = {}
@@ -530,6 +530,3 @@ class CommandOracle:
                 f"expected {self.n_objectives} objective values, got {len(numbers)}"
             )
         return tuple(numbers)
-
-
-MeasurementOracle = TableOracle | CommandOracle

@@ -192,3 +192,20 @@ def test_experiment_with_replacement_flag(tmp_path):
                    "--with-replacement", "--out", out)
     assert code == 0
     assert (out / "report.txt").exists()
+
+
+def test_experiment_report_names_its_dataset(tmp_path, capsys):
+    out = tmp_path / "kind"
+    assert run_cli("experiment", "--kind", "interaction", "--options", 6,
+                   "--methods", "flash,random", "--repeats", 1,
+                   "--size", 8, "--budget", 5, "--seed", 1, "--out", out) == 0
+    assert "dataset: interaction(6 options)\n" in (out / "report.txt").read_text()
+    assert "dataset: interaction(6 options)\n" in capsys.readouterr().out
+
+    manifest, data, _ = synth_files(tmp_path, kind="bi-objective-tradeoff", options=5)
+    out = tmp_path / "files"
+    assert run_cli("experiment", "--manifest", manifest, "--data", data,
+                   "--objectives", "perf_b", "--methods", "flash,random", "--repeats", 1,
+                   "--size", 8, "--budget", 5, "--seed", 1, "--out", out) == 0
+    assert f"dataset: {data}\n" in (out / "report.txt").read_text()
+    assert f"dataset: {data}\n" in capsys.readouterr().out

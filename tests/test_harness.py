@@ -5,7 +5,9 @@ from flashtune.baselines import random_search
 from flashtune.flash import FlashParams
 from flashtune.harness import (
     ExperimentSpec,
+    MethodResult,
     MethodSpec,
+    QualityReport,
     emit_plot_data,
     render_report,
     run_experiment,
@@ -249,3 +251,206 @@ def test_random_on_selected_objective_picks_that_column():
         best = min(full.evaluated, key=lambda e: e[1][1])[0]
         assert not row.failed
         assert row.rd == rank_difference(best, ds, 1)
+
+
+# --- report files, pinned byte for byte ---------------------------------------
+
+def hand_single_report():
+    """Three repeats: `progressive_1` (the measurement-ratio reference) fails
+    in repeat 1, `rank` fails in every repeat, and `flash_2` (the time-gain
+    reference) has a zero wall time in repeat 0; neither reference is first."""
+    methods = ("random", "progressive_1", "flash_2", "rank")
+    cells = {  # rd, pool_rd, measurements, acquisitions, wall_time per repeat
+        "random": [(3, 1, 50, 50, 0.5), (0, 0, 50, 50, 0.75), (7, 2, 50, 50, 1.5)],
+        "progressive_1": [(12, 4, 37, 15, 2.0), None, (5, 1, 41, 19, 3.25)],
+        "flash_2": [(1, 0, 50, 20, 0.0), (0, 0, 50, 20, 0.4), (2, 1, 50, 20, 0.3)],
+        "rank": [None, None, None],
+    }
+    rows = []
+    for rep in range(3):
+        for m in methods:
+            v = cells[m][rep]
+            if v is None:
+                rows.append(MethodResult(m, rep, True))
+            else:
+                rd, pool_rd, meas, acq, wall = v
+                rows.append(MethodResult(m, rep, False, rd=rd, pool_rd=pool_rd,
+                                         measurements=meas, acquisitions=acq, wall_time=wall))
+    ranks = {"rd": {"random": 1, "progressive_1": 2, "flash_2": 1, "rank": None},
+             "measurements": {"random": 2, "progressive_1": 1, "flash_2": 2, "rank": None}}
+    return QualityReport("hand-built", ("perf",), True, methods, 3, 11, tuple(rows), ranks)
+
+
+def hand_multi_report():
+    rows = (
+        MethodResult("epal_0.3", 0, False, gd=0.125, igd=0.3, measurements=44,
+                     acquisitions=24, wall_time=2.5),
+        MethodResult("flash", 0, False, gd=0.0, igd=0.1, measurements=80,
+                     acquisitions=50, wall_time=0.5),
+        MethodResult("epal_0.3", 1, True),
+        MethodResult("flash", 1, False, gd=0.05, igd=1.0 / 3.0, measurements=80,
+                     acquisitions=50, wall_time=0.25),
+    )
+    ranks = {"gd": {"epal_0.3": 2, "flash": 1}, "igd": {"epal_0.3": 1, "flash": 1},
+             "measurements": {"epal_0.3": 1, "flash": 2}}
+    return QualityReport("hand-built", ("perf_a", "perf_b"), False, ("epal_0.3", "flash"),
+                         2, 0, rows, ranks)
+
+
+def report_files(report, out, timing):
+    write_raw_results(report, out / "results.csv", include_timing=timing)
+    written = emit_plot_data(report, out, include_timing=timing)
+    return [p.name for p in written], {p.name: p.read_text() for p in sorted(out.iterdir())}
+
+
+SINGLE_RESULTS = """\
+method,repeat,status,rd,pool_rd,gd,igd,measurements,acquisitions,wall_time
+random,0,ok,3,1,X,X,50,50,0.5
+progressive_1,0,ok,12,4,X,X,37,15,2.0
+flash_2,0,ok,1,0,X,X,50,20,0.0
+rank,0,X,X,X,X,X,X,X,X
+random,1,ok,0,0,X,X,50,50,0.75
+progressive_1,1,X,X,X,X,X,X,X,X
+flash_2,1,ok,0,0,X,X,50,20,0.4
+rank,1,X,X,X,X,X,X,X,X
+random,2,ok,7,2,X,X,50,50,1.5
+progressive_1,2,ok,5,1,X,X,41,19,3.25
+flash_2,2,ok,2,1,X,X,50,20,0.3
+rank,2,X,X,X,X,X,X,X,X
+"""
+
+SINGLE_RANK_DIFFERENCE = """\
+method,repeat,rank_difference,measurements
+random,0,3,50
+random,1,0,50
+random,2,7,50
+progressive_1,0,12,37
+progressive_1,1,X,X
+progressive_1,2,5,41
+flash_2,0,1,50
+flash_2,1,0,50
+flash_2,2,2,50
+rank,0,X,X
+rank,1,X,X
+rank,2,X,X
+"""
+
+SINGLE_MEASUREMENT_RATIO = """\
+random,progressive_1,flash_2,rank
+135.13513513513513,100.0,135.13513513513513,X
+X,X,X,X
+121.95121951219512,100.0,121.95121951219512,X
+"""
+
+SINGLE_TIME_GAIN = """\
+random,progressive_1,flash_2,rank
+X,X,X,X
+1.875,X,1.0,X
+5.0,10.833333333333334,1.0,X
+"""
+
+SINGLE_REPORT = """\
+experiment report
+dataset: hand-built
+objectives: perf
+mode: single-objective
+repeats: 3  seed: 11
+
+metric: rd (lower is better)
+   1  flash_2        median=1            IQR=1            | -o--                         |
+   1  random         median=3            IQR=3.5          |    ---o-----                 |
+   2  progressive_1  median=8.5          IQR=3.5          |                -----o----    |
+   X  rank  no successful repeats
+
+metric: measurements (lower is better)
+   1  progressive_1  median=39           IQR=2            |  --o---                      |
+   2  flash_2        median=50           IQR=0            |                             o|
+   2  random         median=50           IQR=0            |                             o|
+   X  rank  no successful repeats
+
+wall time (median seconds per repeat)
+      random  0.750
+      progressive_1  2.625
+      flash_2  0.300
+      rank  X
+
+failures (recorded as X):
+      rank  repeat 0
+      progressive_1  repeat 1
+      rank  repeat 1
+      rank  repeat 2
+"""
+
+
+def test_single_objective_report_files_pinned(tmp_path):
+    report = hand_single_report()
+    names, files = report_files(report, tmp_path, timing=True)
+    assert names == ["rank_difference.csv", "measurement_ratio.csv", "time_gain.csv"]
+    assert files == {
+        "measurement_ratio.csv": SINGLE_MEASUREMENT_RATIO,
+        "rank_difference.csv": SINGLE_RANK_DIFFERENCE,
+        "results.csv": SINGLE_RESULTS,
+        "time_gain.csv": SINGLE_TIME_GAIN,
+    }
+    assert render_report(report, include_timing=True) == SINGLE_REPORT
+
+
+def test_report_files_without_timing_pinned(tmp_path):
+    report = hand_single_report()
+    names, files = report_files(report, tmp_path, timing=False)
+    assert names == ["rank_difference.csv", "measurement_ratio.csv"]
+    assert files["results.csv"] == "".join(
+        line.rsplit(",", 1)[0] + "\n" for line in SINGLE_RESULTS.splitlines())
+    assert files["rank_difference.csv"] == SINGLE_RANK_DIFFERENCE
+    assert files["measurement_ratio.csv"] == SINGLE_MEASUREMENT_RATIO
+    timing_section = SINGLE_REPORT.index("wall time")
+    assert render_report(report) == (SINGLE_REPORT[:timing_section]
+                                     + SINGLE_REPORT[SINGLE_REPORT.index("failures"):])
+
+
+def test_multi_objective_report_files_pinned(tmp_path):
+    report = hand_multi_report()
+    names, files = report_files(report, tmp_path, timing=True)
+    assert names == ["quality_indicators.csv", "measurement_ratio.csv", "time_gain.csv"]
+    assert files == {
+        "measurement_ratio.csv": "epal_0.3,flash\n100.0,181.8181818181818\nX,X\n",
+        "quality_indicators.csv": (
+            "method,repeat,gd,igd,measurements\n"
+            "epal_0.3,0,0.125,0.3,44\n"
+            "epal_0.3,1,X,X,X\n"
+            "flash,0,0.0,0.1,80\n"
+            "flash,1,0.05,0.3333333333333333,80\n"),
+        "results.csv": (
+            "method,repeat,status,rd,pool_rd,gd,igd,measurements,acquisitions,wall_time\n"
+            "epal_0.3,0,ok,X,X,0.125,0.3,44,24,2.5\n"
+            "flash,0,ok,X,X,0.0,0.1,80,50,0.5\n"
+            "epal_0.3,1,X,X,X,X,X,X,X,X\n"
+            "flash,1,ok,X,X,0.05,0.3333333333333333,80,50,0.25\n"),
+        "time_gain.csv": "epal_0.3,flash\n5.0,1.0\nX,1.0\n",
+    }
+    assert render_report(report, include_timing=True) == """\
+experiment report
+dataset: hand-built
+objectives: perf_a, perf_b
+mode: multi-objective
+repeats: 2  seed: 0
+
+metric: gd (lower is better)
+   1  flash     median=0.025        IQR=0.025        |   ---o---                    |
+   2  epal_0.3  median=0.125        IQR=0            |                             o|
+
+metric: igd (lower is better)
+   1  flash     median=0.216667     IQR=0.116667     |       --------o-------       |
+   1  epal_0.3  median=0.3          IQR=0            |                         o    |
+
+metric: measurements (lower is better)
+   1  epal_0.3  median=44           IQR=0            |o                             |
+   2  flash     median=80           IQR=0            |                             o|
+
+wall time (median seconds per repeat)
+      epal_0.3  2.500
+      flash  0.375
+
+failures (recorded as X):
+      epal_0.3  repeat 1
+"""

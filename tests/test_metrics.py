@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from flashtune.metrics import (
     best_rows,
     dominates,
     front_comparison,
+    front_quality,
     gd,
     igd,
     mmre,
@@ -112,6 +114,53 @@ def test_rank_difference_unknown_id():
     ds = make_dataset([(0,), (1,)], [1.0, 2.0])
     with pytest.raises(ValueError):
         rank_difference(9, ds)
+
+
+def min_rank(values, i, direction):
+    """1-based rank of entry i, ties taking the smallest tied rank: the
+    arithmetic the pool rank used before `rank_difference` took `rows`."""
+    v = np.asarray(values, dtype=float) * (1.0 if direction == "minimize" else -1.0)
+    return int(np.sum(v < v[i])) + 1
+
+
+def pool_rank(dataset, pool, best, objective):
+    """The harness's rank of `best` within its pool, as first written."""
+    values = dataset.values[pool, objective]
+    pos = int(np.nonzero(pool == best)[0][0])
+    return min_rank(values, pos, dataset.objectives[objective].direction) - 1
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_rank_difference_matches_min_rank_oracle(data):
+    n = data.draw(st.integers(2, 30))
+    m = data.draw(st.integers(1, 2))
+    # few distinct values, so ties are common
+    values = [[float(data.draw(st.integers(0, 4))) for _ in range(m)] for _ in range(n)]
+    directions = [data.draw(st.sampled_from(["minimize", "maximize"])) for _ in range(m)]
+    ds = make_dataset([(i,) for i in range(n)], values, directions=directions)
+    objective = data.draw(st.integers(0, m - 1))
+    full = data.draw(st.booleans())
+    if full:
+        pool = list(range(n))
+    else:
+        pool = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    pool = data.draw(st.permutations(pool))
+    best = data.draw(st.sampled_from(pool))
+    if data.draw(st.booleans()):
+        best, rows = np.int64(best), np.asarray(pool, dtype=np.int64)
+    else:
+        rows = [int(i) for i in pool]
+    expected = pool_rank(ds, np.asarray(pool), best, objective)
+    assert rank_difference(best, ds, objective, rows=rows) == expected
+    whole = min_rank(ds.values[:, objective], int(best), directions[objective]) - 1
+    assert rank_difference(best, ds, objective) == whole
+    if full:
+        assert expected == whole
+    outside = sorted(set(range(n)) - set(pool))
+    if outside:
+        with pytest.raises(ValueError, match="not among"):
+            rank_difference(outside[0], ds, objective, rows=rows)
 
 
 def test_best_rows():
@@ -267,3 +316,42 @@ def test_pareto_front_single_objective():
     pts = [(3.0,), (1.0,), (2.0,), (1.0,)]
     assert pareto_front(pts, ("minimize",)) == (1, 3)
     assert pareto_front(pts, ("maximize",)) == (0,)
+
+
+def inline_front_quality(dataset, front, objectives, true_ids=None):
+    """The trace -> front -> front_comparison block that the harness, tune-mo
+    and eval each held before `front_quality`."""
+    directions = tuple(dataset.objectives[j].direction for j in objectives)
+    V = dataset.values[:, list(objectives)]
+    if true_ids is None:
+        true_ids = pareto_front(V, directions)
+    true_vectors = [tuple(V[i]) for i in true_ids]
+    approx = [tuple(V[i]) for i in front]
+    cmp = front_comparison(true_vectors, approx, directions)
+    return gd(cmp), igd(cmp)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_front_quality_matches_inline_block(data):
+    n = data.draw(st.integers(3, 25))
+    values = [[float(data.draw(st.integers(0, 9))) for _ in range(3)] for _ in range(n)]
+    directions = [data.draw(st.sampled_from(["minimize", "maximize"])) for _ in range(3)]
+    ds = make_dataset([(i,) for i in range(n)], values, directions=directions)
+    objectives = tuple(data.draw(st.permutations([0, 1, 2]))[:data.draw(st.integers(2, 3))])
+    dirs = tuple(directions[j] for j in objectives)
+    V = ds.values[:, list(objectives)]
+
+    def subset_front():
+        rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        return [rows[i] for i in pareto_front(V[rows], dirs)]
+
+    front = subset_front()
+    true_ids = subset_front() if data.draw(st.booleans()) else None
+    try:
+        expected = inline_front_quality(ds, front, objectives, true_ids)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            front_quality(ds, front, objectives, true_front=true_ids)
+    else:
+        assert front_quality(ds, front, objectives, true_front=true_ids) == expected

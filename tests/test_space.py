@@ -182,7 +182,7 @@ def loop_domain_error(options, X):
     for j, opt in enumerate(options):
         for i, v in enumerate(X[:, j]):
             if not opt.contains(v):
-                return f"row {i + 1}: value {v!r} outside domain of option {opt.name!r}"
+                return f"row {i + 1}: value {float(v)!r} outside domain of option {opt.name!r}"
     return None
 
 
@@ -201,6 +201,20 @@ def test_dataset_domain_error_matches_loop(data):
         assert str(exc) == expected or (expected is None and "duplicate" in str(exc))
     else:
         assert expected is None
+
+
+@pytest.mark.parametrize("bad", ["7", "-1", "2.5", "7.0"])
+def test_dataset_and_loader_report_a_domain_error_alike(tmp_path, bad):
+    manifest = "option a int 0 3\nobjective perf minimize\n"
+    m, d = write_pair(tmp_path, manifest=manifest, data=f"a,perf\n0,1.0\n1,2.0\n{bad},3.0\n")
+    with pytest.raises(RowError) as from_file:
+        load_dataset(m, d)
+    options = [OptionSchema("a", "integer", 0, 3)]
+    with pytest.raises(RowError) as in_memory:
+        Dataset(options, [ObjectiveSchema("perf", "minimize")],
+                np.array([[0.0], [1.0], [float(bad)]]), np.ones((3, 1)))
+    assert str(in_memory.value) == str(from_file.value)
+    assert str(from_file.value) == f"row 3: value {float(bad)!r} outside domain of option 'a'"
 
 
 # --- the candidate pool ------------------------------------------------------
