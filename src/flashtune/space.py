@@ -17,6 +17,7 @@ column per option or objective.  On disk it is a pair of files:
 from __future__ import annotations
 
 import csv
+import io
 import math
 import operator
 import shlex
@@ -214,12 +215,16 @@ class Dataset:
             raise RowError(rows[i], f"value {float(X[i, j])!r} outside domain of option "
                                     f"{self.options[j].name!r}")
 
-        self._index: dict[tuple[float, ...], int] = {}
-        for i, row in enumerate(X):
-            first = self._index.setdefault(tuple(row), i)
-            if first != i:
-                raise RowError(rows[i],
-                               f"duplicate configuration (first seen at row {rows[first]})")
+        n = X.shape[0]
+        self._index: dict[tuple[float, ...], int] = dict(zip(map(tuple, X.tolist()), range(n)))
+        if len(self._index) < n:
+            # a duplicate: find the first one in row order, and where it was first seen
+            seen: dict[tuple[float, ...], int] = {}
+            for i, row in enumerate(X.tolist()):
+                first = seen.setdefault(tuple(row), i)
+                if first != i:
+                    raise RowError(rows[i],
+                                   f"duplicate configuration (first seen at row {rows[first]})")
 
         X.setflags(write=False)
         Y.setflags(write=False)
@@ -325,6 +330,27 @@ def _outside_domain(options: Sequence[OptionSchema], X: np.ndarray) -> np.ndarra
     return (X != np.floor(X)) | (X < lo) | (X > hi)
 
 
+def _parse_clean(body: str, cols: list[int]) -> np.ndarray | None:
+    """The table of the `cols` columns of a CSV body, parsed in C, or None
+    when the body is not one `np.loadtxt` provably reads as `csv` and `float`
+    do: one row per line, in order.
+
+    loadtxt knows no quoting, skips blank lines and ends lines at ``\n``,
+    where `csv` also ends them at a lone ``\r``.  So a body holding a quote
+    or a lone ``\r``, or yielding fewer rows than it has lines, is not clean.
+    Where loadtxt parses a cell it gives the value `float` gives; a cell it
+    cannot parse raises.
+    """
+    if not body.strip() or '"' in body or body.count("\r") != body.count("\r\n"):
+        return None
+    try:
+        T = np.loadtxt(io.StringIO(body), delimiter=",", usecols=cols, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    lines = body.count("\n") + (not body.endswith("\n"))
+    return T if T.shape[0] == lines else None
+
+
 def load_dataset(manifest_path: str | Path, data_path: str | Path) -> Dataset:
     """Load and validate a dataset from a manifest file and a CSV table.
 
@@ -337,23 +363,27 @@ def load_dataset(manifest_path: str | Path, data_path: str | Path) -> Dataset:
     wanted = [o.name for o in options] + [o.name for o in objectives]
 
     with open(data_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise SchemaError("data file is empty") from None
-        header = [h.strip() for h in header]
-        for name in wanted:
-            if name not in header:
-                raise SchemaError(f"data file is missing column {name!r}")
-        cols = [header.index(name) for name in wanted]
+        body = fh.read()
+    header = [h.strip() for h in header]
+    for name in wanted:
+        if name not in header:
+            raise SchemaError(f"data file is missing column {name!r}")
+    cols = [header.index(name) for name in wanted]
+
+    T = _parse_clean(body, cols)
+    failure: RowError | None = None
+    if T is not None:
+        rows: range | list[int] = range(1, T.shape[0] + 1)
+    else:
         # in-domain stand-ins for the cells after one that does not parse
         padding = [float(o.lo) for o in options] + [0.0] * len(objectives)
-
         table: list[list[float]] = []
-        rows: list[int] = []
-        failure: RowError | None = None
-        for rowno, record in enumerate(reader, start=1):
+        rows = []
+        for rowno, record in enumerate(csv.reader(io.StringIO(body, newline="")), start=1):
             if not record or all(not c.strip() for c in record):
                 continue
             rows.append(rowno)
@@ -371,9 +401,9 @@ def load_dataset(manifest_path: str | Path, data_path: str | Path) -> Dataset:
                 # the cells before the bad one are domain-checked below
                 table.append(cells + padding[len(cells):])
                 break
+        T = np.array(table, dtype=float).reshape(len(table), len(wanted))
 
     d = len(options)
-    T = np.array(table, dtype=float).reshape(len(table), len(wanted))
     try:
         if failure is not None:
             raise failure

@@ -93,6 +93,30 @@ def test_baseline_epal_rejects_single_objective(tmp_path):
                    "--data", data, "--out", tmp_path / "x") == 1
 
 
+def test_baseline_random_searches_the_given_objective(tmp_path):
+    manifest, data, _ = synth_files(tmp_path, kind="bi-objective-tradeoff", options=6)
+    outs = {}
+    for objective in ("perf_a", "perf_b", None):
+        out = outs[objective] = tmp_path / f"random-{objective}"
+        chosen = () if objective is None else ("--objective", objective)
+        assert run_cli("baseline", "--method", "random", "--manifest", manifest, "--data", data,
+                       "--size", 10, "--budget", 10, "--seed", 1, *chosen, "--out", out) == 0
+    assert dir_bytes(outs["perf_a"]) != dir_bytes(outs["perf_b"])
+    for objective in ("perf_a", "perf_b"):
+        summary = (outs[objective] / "summary.txt").read_text()
+        assert "best id:" in summary and "rank difference:" in summary
+    assert "front size:" in (outs[None] / "summary.txt").read_text()
+
+
+def test_baseline_epal_rejects_an_objective(tmp_path, capsys):
+    manifest, data, _ = synth_files(tmp_path, kind="bi-objective-tradeoff", options=6)
+    out = tmp_path / "epal"
+    assert run_cli("baseline", "--method", "epal", "--manifest", manifest, "--data", data,
+                   "--objective", "perf_a", "--out", out) == 1
+    assert "--objective does not apply to epal" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_reports_front_quality(tmp_path, capsys):
     manifest, data, out = synth_files(tmp_path, kind="bi-objective-tradeoff", options=4)
     # the data file doubles as a front listing: every row is on the front

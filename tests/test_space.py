@@ -20,6 +20,7 @@ from flashtune.space import (
     SplitError,
     SplitSpec,
     TableOracle,
+    _parse_clean,
     _parse_manifest,
     direction_signs,
     load_dataset,
@@ -407,6 +408,123 @@ def test_load_reports_the_first_bad_cell_in_file_order(tmp_path, rows, error):
     with pytest.raises(DatasetError) as old:
         reference_load(m, d)
     assert str(new.value) == str(old.value) == error
+
+
+CLEAN_MANIFEST = ("option a int 0 3\noption b int 0 3\noption c bool\n"
+                  "objective y minimize\nobjective z maximize\n")
+CLEAN_WANTED = ["a", "b", "c", "y", "z"]
+PADDING = ["", " ", "  ", "\t"]
+
+
+def cell_text(data, v: float) -> str:
+    """A way to write `v` that `float` reads back as `v`: repr, %.17e or
+    %.25g, an integer as such, a `+` sign, `-0`, spaces around."""
+    formats = [repr, "%.17e".__mod__, "%.25g".__mod__]
+    if v.is_integer() and abs(v) < 1e15:
+        formats.append(lambda x: str(int(x)))
+    text = data.draw(st.sampled_from(formats))(abs(v))
+    if v < 0 or (v == 0 and data.draw(st.booleans())):
+        text = "-" + text
+    elif data.draw(st.booleans()):
+        text = "+" + text
+    return data.draw(st.sampled_from(PADDING)) + text + data.draw(st.sampled_from(PADDING))
+
+
+def load_outcome(load, m, d):
+    """The bytes of the arrays a loader builds, or its error and message."""
+    try:
+        ds = load(m, d)
+    except DatasetError as exc:
+        return type(exc), str(exc)
+    return ds.options, ds.objectives, ds.configs.tobytes(), ds.values.tobytes()
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_clean_files_load_as_the_reference_loader_does(tmp_path_factory, data):
+    configs = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 1)),
+                                 min_size=2, max_size=12, unique=True))
+    extras = data.draw(st.sampled_from([[], ["n"], ["t"], ["n", "t"]]))
+    header = data.draw(st.permutations(CLEAN_WANTED + extras))
+    last_wanted = max(header.index(name) for name in CLEAN_WANTED)
+    objective = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.integers(-10**6, 10**6).map(float))
+    text = st.sampled_from(["abc", "x y", "", "1e", "nan", "#", "'q'"])
+    eol = data.draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for a, b, c in configs:
+        values = {"a": float(a), "b": float(b), "c": float(c),
+                  "y": data.draw(objective), "z": data.draw(objective),
+                  "n": data.draw(objective)}
+        row = [data.draw(text) if name == "t" else cell_text(data, values[name]) for name in header]
+        # ragged: drop unwanted trailing cells, or add cells past the header
+        row = row[:data.draw(st.integers(last_wanted + 1, len(row)))]
+        row += data.draw(st.lists(st.sampled_from(["9", "extra", ""]), max_size=2))
+        lines.append(",".join(row))
+    body = eol.join(lines) + (eol if data.draw(st.booleans()) else "")
+    work = tmp_path_factory.mktemp("clean")
+    m, d = work / "m.txt", work / "d.csv"
+    m.write_text(CLEAN_MANIFEST)
+    d.write_bytes((",".join(header) + eol + body).encode())
+
+    assert _parse_clean(body, [header.index(name) for name in CLEAN_WANTED]) is not None
+    assert load_outcome(load_dataset, m, d) == load_outcome(reference_load, m, d)
+    ds = load_dataset(m, d)
+    assert all(ds.lookup(ds.config(i)) == i for i in range(ds.n_rows))
+
+
+@pytest.mark.parametrize("body", [
+    "0,0,0,1,2,t\n\n0,0,0,3,4,t\n",          # a blank line, then a duplicate
+    "0,0,0,1,2,t\n \t \n1,0,0,3,4,t\n",       # a whitespace-only line
+    "0,0,0,1,2,t\n,,,,,\n1,0,0,3,4,t\n",      # a line of empty cells
+    '0,0,0,1,"2",t\n1,0,0,3,4,t\n',           # a quoted number
+    '0,0,0,1,2,"t,u"\n1,0,0,3,4,t\n',         # a quoted text cell holding the delimiter
+    "0,0,0,1,2,t\r1,0,0,3,4,t\n",             # a lone carriage return ends a line
+    "0,0,0,1,2,t\n\r0,0,0,3,4,t\n",           # ... and makes a blank line
+    "0,0,0,1,2,t\n1,0,0,3,4,t\n\n",           # a blank last line
+    "0,0,0,1,2,t\n\u0661,0,0,3,4,t\n",   # a digit only `float` reads
+    "0,0,0,1,2,t\n1,0,0,x,4,t\n",             # a cell nothing reads
+    "",                                       # no rows at all
+    "\n \n",                                  # only blank lines
+])
+@pytest.mark.filterwarnings("error")
+def test_unclean_files_fall_back_to_the_loop(tmp_path, body):
+    m, d = write_pair(tmp_path, manifest=CLEAN_MANIFEST)
+    d.write_bytes(("a,b,c,y,z,t\n" + body).encode())
+    assert _parse_clean(body, [0, 1, 2, 3, 4]) is None
+    assert load_outcome(load_dataset, m, d) == load_outcome(reference_load, m, d)
+
+
+def setdefault_index(X, rows):
+    """`Dataset.__init__`'s index before the one-pass build: one `setdefault`
+    per row, raising at the first duplicate."""
+    index = {}
+    for i, row in enumerate(X):
+        first = index.setdefault(tuple(row), i)
+        if first != i:
+            return index, f"row {rows[i]}: duplicate configuration (first seen at row {rows[first]})"
+    return index, None
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_index_matches_setdefault_loop(data):
+    n = data.draw(st.integers(2, 12))
+    d = data.draw(st.integers(1, 3))
+    X = np.array([[data.draw(st.sampled_from([0.0, -0.0, 1.0, 2.0])) for _ in range(d)]
+                  for _ in range(n)])
+    rows = data.draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n, unique=True))
+    options = [OptionSchema(f"o{j}", "integer", 0, 2) for j in range(d)]
+    index, expected = setdefault_index(X, rows)
+    try:
+        ds = Dataset(options, [ObjectiveSchema("y", "minimize")], X, np.ones((n, 1)),
+                     row_numbers=rows)
+    except RowError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+        assert ds._index == index
+        assert all(ds.lookup(X[i]) == i for i in range(n))
 
 
 def test_load_counts_file_rows_for_every_row_error(tmp_path):
