@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import cart, metrics
-from .gp import GpParams, gp_fit, gp_predict_batch, linalg
+from .gp import GpParams, _sq_dists, gp_fit, gp_predict_batch, linalg
 from .runs import (
     OptimizationRun,
     STOP_BUDGET,
@@ -96,6 +96,7 @@ def _lives_loop(
     train_rows: list[int] = []
     train_y: list[float] = []
     tree: cart.TreeNode | None = None
+    memo: dict = {}
     lives = params.lives
     # worst score first, so the first model never costs a life
     last_score = -np.inf
@@ -107,7 +108,7 @@ def _lives_loop(
         for pos in train_pos[chunk]:
             train_y.append(trace.take(int(pos))[objective])
             train_rows.append(int(pos))
-        tree = cart.fit(trace.X[train_rows], np.array(train_y), cart_params)
+        tree = cart.fit(trace.X[train_rows], np.array(train_y), cart_params, memo=memo)
         preds = cart.predict_batch(tree, hold_X)
         score = scorer(preds, hold_actual)
         if score <= last_score:
@@ -236,7 +237,6 @@ def epal(
     n = trace.ids.size
     if n < params.init_size:
         raise ValueError(f"candidate pool has {n} rows, need init_size={params.init_size}")
-    m = len(directions)
     signs = direction_signs(directions)
 
     # normalize inputs per option over the candidate set for the kernel
@@ -245,10 +245,25 @@ def epal(
     x_span[x_span == 0.0] = 1.0
     Xn = (X - x_lo) / x_span
 
+    # squared distances from every pool row to each measured point, one
+    # column per point in measurement order: O(measured x n), never n x n
+    store = np.empty((n, min(n, 2 * params.init_size)))
+    column = np.zeros(n, dtype=np.intp)
+    stored = 0
+
+    def take(pos: int) -> None:
+        nonlocal store, stored
+        trace.take(pos)
+        if stored == store.shape[1]:
+            store = np.hstack([store, np.empty((n, min(n, 2 * stored) - stored))])
+        store[:, stored] = _sq_dists(Xn, Xn[pos:pos + 1])[:, 0]
+        column[pos] = stored
+        stored += 1
+
     rng = np.random.default_rng(seed)
     discarded = np.zeros(n, dtype=bool)
     for pos in rng.choice(n, size=params.init_size, replace=False):
-        trace.take(int(pos))
+        take(int(pos))
     trace.check_width(directions)
 
     stop = STOP_POOL_EXHAUSTED
@@ -261,13 +276,13 @@ def epal(
             stop = STOP_WALL_TIME
             break
 
-        # larger-is-better mapped targets, one GP per objective
-        G_meas = -(trace.Y[measured] * signs)
-        mu = np.empty((unknown.size, m))
-        sd = np.empty((unknown.size, m))
-        for j in range(m):
-            g = gp_fit(Xn[measured], G_meas[:, j], gp_params)
-            mu[:, j], sd[:, j] = gp_predict_batch(g, Xn[unknown])
+        # larger-is-better mapped targets, one GP per objective, trained in
+        # pool-position order on distances gathered from the store
+        meas_pos = np.nonzero(measured)[0]
+        cols = column[meas_pos]
+        G_meas = -(trace.Y[meas_pos] * signs)
+        gps = gp_fit(Xn[meas_pos], G_meas, gp_params, d2=store[np.ix_(meas_pos, cols)])
+        mu, sd = gp_predict_batch(gps, Xn[unknown], d2=store[np.ix_(unknown, cols)])
 
         lo = G_meas.min(axis=0)
         span = G_meas.max(axis=0) - lo
@@ -285,6 +300,6 @@ def epal(
         if survivors.size == 0:
             break
         norms = np.linalg.norm(s_unknown[~discard_now], axis=1)
-        trace.take(int(survivors[int(np.argmax(norms))]))
+        take(int(survivors[int(np.argmax(norms))]))
 
     return trace.finish(stop, directions, initial_sample=params.init_size)

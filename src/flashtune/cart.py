@@ -13,6 +13,16 @@ filter of a stable sort is the stable sort of the subset, so every node sees
 exactly the order a fresh per-node sort would give, and node rows stay in
 ascending original order: sums, gains, thresholds and leaf means do not
 depend on how the order was obtained.
+
+A refit can reuse the subtrees that a new row left alone.  A subtree is a
+pure function of its node's rows (their option values and targets, in node
+order), its depth and the `CartParams`.  So `fit(..., memo=m)` keys each node
+it searches for a split on exactly those: the bytes of the node's X block and
+of its y values, the depth and the params.  A key found in `m` gives back the
+subtree the previous fit on `m` grew for it; every other node is grown and
+stored.  The key is the content itself, not a name the caller gives the rows,
+so a memo shared by unrelated fits never returns a wrong tree.  After the fit
+`m` holds only this fit's nodes, so it stays the size of one tree.
 """
 
 from __future__ import annotations
@@ -103,8 +113,15 @@ def _best_split(
 
 def _grow(
     XT: np.ndarray, y: np.ndarray, rows: np.ndarray, order: np.ndarray, depth: int,
-    params: CartParams,
-) -> TreeNode:
+    params: CartParams, old: dict, new: dict,
+) -> tuple[TreeNode, tuple | None]:
+    """The subtree of `rows` and its memo key.
+
+    `old` is the memo as the previous fit left it and `new` receives this
+    fit's entries.  An entry maps a key to (subtree, left child's key, right
+    child's key).  A node that is a leaf without a split search gets no key
+    (None), since it costs nothing to rebuild.
+    """
     yn = y[rows]
     n = yn.size
     if (
@@ -112,24 +129,43 @@ def _grow(
         or (params.max_depth is not None and depth >= params.max_depth)
         or yn.max() == yn.min()
     ):
-        return Leaf(float(yn.mean()), n)
+        return Leaf(float(yn.mean()), n), None
+    key = (XT[:, rows].tobytes(), yn.tobytes(), depth, params)
+    if key in old:
+        _keep(key, old, new)
+        return new[key][0], key
     found = _best_split(XT, y, yn, order, params.min_samples_leaf)
     if found is None:
-        return Leaf(float(yn.mean()), n)
-    j, thr = found
-    rows_left = XT[j, rows] <= thr
-    order_left = XT[j, order] <= thr
-    d = order.shape[0]
-    return Split(
-        j,
-        thr,
-        _grow(XT, y, rows[rows_left], order[order_left].reshape(d, -1), depth + 1, params),
-        _grow(XT, y, rows[~rows_left], order[~order_left].reshape(d, -1), depth + 1, params),
-    )
+        node, left_key, right_key = Leaf(float(yn.mean()), n), None, None
+    else:
+        j, thr = found
+        rows_left = XT[j, rows] <= thr
+        order_left = XT[j, order] <= thr
+        d = order.shape[0]
+        left, left_key = _grow(XT, y, rows[rows_left], order[order_left].reshape(d, -1),
+                               depth + 1, params, old, new)
+        right, right_key = _grow(XT, y, rows[~rows_left], order[~order_left].reshape(d, -1),
+                                 depth + 1, params, old, new)
+        node = Split(j, thr, left, right)
+    new[key] = (node, left_key, right_key)
+    return node, key
 
 
-def fit(xs, ys, params: CartParams = CartParams()) -> TreeNode:
-    """Fit a regression tree on configuration rows `xs` and targets `ys`."""
+def _keep(key: tuple, old: dict, new: dict) -> None:
+    """Carry a reused subtree's entry and its descendants' from `old` to `new`."""
+    entry = new[key] = old[key]
+    for child in entry[1:]:
+        if child is not None:
+            _keep(child, old, new)
+
+
+def fit(xs, ys, params: CartParams = CartParams(), *, memo: dict | None = None) -> TreeNode:
+    """Fit a regression tree on configuration rows `xs` and targets `ys`.
+
+    `memo`, a dict that starts empty, lets a refit reuse the subtrees the
+    previous fit on it grew (see the module docstring); the tree is the same
+    with or without it.  Keep one memo per sequence of refits.
+    """
     X = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if X.ndim != 2:
@@ -144,7 +180,10 @@ def fit(xs, ys, params: CartParams = CartParams()) -> TreeNode:
         raise ValueError("targets must be finite")
     XT = np.ascontiguousarray(X.T)
     order = np.argsort(XT, axis=1, kind="stable")
-    return _grow(XT, y, np.arange(y.size), order, 0, params)
+    memo = {} if memo is None else memo
+    old = dict(memo)
+    memo.clear()
+    return _grow(XT, y, np.arange(y.size), order, 0, params, old, memo)[0]
 
 
 def _max_option_index(tree: TreeNode) -> int:

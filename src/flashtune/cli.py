@@ -274,29 +274,36 @@ def eval_fronts(manifest, data, true_front, approx_front):
 
 
 def _read_front_ids(dataset: Dataset, path: Path) -> list[int]:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DatasetError(f"{path} is empty") from None
+        except csv.Error as exc:
+            raise DatasetError(f"{path} header: not readable as CSV: {exc}") from None
         cols = []
         for name in dataset.option_names:
             if name not in header:
                 raise DatasetError(f"{path} is missing option column {name!r}")
             cols.append(header.index(name))
         ids = []
-        for rowno, record in enumerate(reader, start=1):
-            if not record or all(not c.strip() for c in record):
-                continue
-            try:
-                config = tuple(float(record[c]) for c in cols)
-            except (ValueError, IndexError):
-                raise DatasetError(f"{path} row {rowno}: non-numeric option value") from None
-            try:
-                ids.append(dataset.lookup(config))
-            except KeyError:
-                raise DatasetError(f"{path} row {rowno}: configuration not in dataset") from None
+        rowno = 0
+        try:
+            for rowno, record in enumerate(reader, start=1):
+                if not record or all(not c.strip() for c in record):
+                    continue
+                try:
+                    config = tuple(float(record[c]) for c in cols)
+                except (ValueError, IndexError):
+                    raise DatasetError(f"{path} row {rowno}: non-numeric option value") from None
+                try:
+                    ids.append(dataset.lookup(config))
+                except KeyError:
+                    raise DatasetError(
+                        f"{path} row {rowno}: configuration not in dataset") from None
+        except csv.Error as exc:
+            raise DatasetError(f"{path} row {rowno + 1}: not readable as CSV: {exc}") from None
     if not ids:
         raise DatasetError(f"{path} lists no configurations")
     return ids

@@ -85,6 +85,8 @@ def _run(
     signs = direction_signs(directions)
     columns = [objective] if len(directions) == 1 else range(len(directions))
     rng = np.random.default_rng(params.seed)
+    # one memo per objective: each refit reuses the subtrees the new row missed
+    memos = {j: {} for j in columns}
 
     for pos in rng.choice(n, size=params.size, replace=False):
         trace.take(int(pos))
@@ -109,7 +111,7 @@ def _run(
         Ye = trace.Y[trace.measured]
         # predict every row, measured ones too: cheaper than copying the pool rows out of X
         preds = np.column_stack([
-            cart.predict_batch(cart.fit(Xe, Ye[:, j], cart_params), trace.X)
+            cart.predict_batch(cart.fit(Xe, Ye[:, j], cart_params, memo=memos[j]), trace.X)
             for j in columns
         ])[pool]
         if len(directions) == 1:

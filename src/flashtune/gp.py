@@ -4,6 +4,17 @@ Used only by the ePAL baseline, which needs predictive uncertainty.  Inputs
 are expected min-max normalized per option; targets are centered internally
 so the prior mean is the training mean.  Cost is cubic in the training size.
 
+Several objectives measured on the same inputs share their work.  `gp_fit`
+with an (n, m) target matrix factors each candidate length scale's kernel
+once for all m columns and returns one process per column; `gp_predict_batch`
+on that tuple builds the cross kernel and runs the triangular solve once per
+distinct factor.  Both accept the squared distances as `d2`, so a caller that
+keeps them across fits (ePAL adds one measured point per step) computes each
+pair once.  Given the distances `_sq_dists` would compute, every figure is
+bitwise the one that separate 1-D calls give: the same floats go through the
+same operations.  The factors always come from `cho_factor` on the whole
+kernel matrix; a factor updated row by row would differ in its last bits.
+
 scipy is imported on the first fit or prediction, not with the package: the
 import takes about a third of a second, and only ePAL pays it.
 """
@@ -79,52 +90,83 @@ def _factor(K: np.ndarray, noise: float):
                 raise GpError("kernel matrix is not positive definite") from None
 
 
-def _fit_one(d2: np.ndarray, yc: np.ndarray, params: GpParams):
-    K = _kernel(d2, params)
-    chol = _factor(K, params.noise_variance)
-    alpha = linalg().cho_solve(chol, yc)
-    n = d2.shape[0]
-    lml = float(
-        -0.5 * yc @ alpha
-        - np.sum(np.log(np.diag(chol[0])))
-        - 0.5 * n * np.log(2.0 * np.pi)
-    )
-    return chol, alpha, lml
+def gp_fit(xs, ys, params: GpParams = GpParams(), *, d2=None):
+    """Fit exact GP regression; optionally refine the length scale on a grid.
 
-
-def gp_fit(xs, ys, params: GpParams = GpParams()) -> GaussianProcess:
-    """Fit exact GP regression; optionally refine the length scale on a grid."""
+    `ys` of shape (n,) gives one `GaussianProcess`.  `ys` of shape (n, m)
+    gives a tuple of m, one per column, fitted as m separate 1-D calls would
+    be, bit for bit: each candidate length scale's kernel is factored once
+    and solved per column, and each column keeps its own best scale.
+    `d2`, if given, is the (n, n) matrix `_sq_dists(xs, xs)` and is used in
+    its place.
+    """
     X = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if X.ndim != 2 or y.ndim != 1 or y.size != X.shape[0] or y.size == 0:
+    Y = np.asarray(ys, dtype=float)
+    if X.ndim != 2 or Y.ndim not in (1, 2) or Y.shape[0] != X.shape[0] or Y.size == 0:
         raise ValueError("need a non-empty 2-D input matrix and aligned targets")
-    y_mean = float(y.mean())
-    yc = y - y_mean
+    n = X.shape[0]
+    if d2 is None:
+        d2 = _sq_dists(X, X)
+    elif np.shape(d2) != (n, n):
+        raise ValueError("d2 must be the (n, n) squared distances of the inputs")
+    columns = [Y] if Y.ndim == 1 else list(Y.T)
+    y_means = [float(y.mean()) for y in columns]
+    centered = [y - mean for y, mean in zip(columns, y_means)]
 
     candidates = [params]
     if params.refine:
         candidates = [replace(params, length_scale=ls) for ls in params.length_scale_grid]
-    d2 = _sq_dists(X, X)
-    best = None
+    best = [None] * len(columns)
     for cand in candidates:
-        chol, alpha, lml = _fit_one(d2, yc, cand)
-        if best is None or lml > best[3]:
-            best = (cand, chol, alpha, lml)
-    chosen, chol, alpha, lml = best
-    return GaussianProcess(X.copy(), y.copy(), chosen, y_mean, chol, alpha, lml)
+        chol = _factor(_kernel(d2, cand), cand.noise_variance)
+        log_det = np.sum(np.log(np.diag(chol[0])))
+        for j, yc in enumerate(centered):
+            alpha = linalg().cho_solve(chol, yc)
+            lml = float(-0.5 * yc @ alpha - log_det - 0.5 * n * np.log(2.0 * np.pi))
+            if best[j] is None or lml > best[j][3]:
+                best[j] = (cand, chol, alpha, lml)
+    X = X.copy()
+    gps = tuple(
+        GaussianProcess(X, y.copy(), chosen, mean, chol, alpha, lml)
+        for y, mean, (chosen, chol, alpha, lml) in zip(columns, y_means, best)
+    )
+    return gps[0] if Y.ndim == 1 else gps
 
 
-def gp_predict_batch(gp: GaussianProcess, xs) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and standard deviation of the latent function at xs."""
+def gp_predict_batch(gp, xs, *, d2=None) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and standard deviation of the latent function at xs.
+
+    `gp` is one `GaussianProcess`, giving 1-D arrays, or a tuple of them
+    fitted on the same inputs (as `gp_fit` returns for 2-D targets), giving
+    (U, m) arrays.  The kernel block and the triangular solve are computed
+    once per distinct Cholesky factor.  `d2`, if given, is the (U, n) matrix
+    `_sq_dists(xs, X)` against the training inputs `X`, used in its place.
+    """
+    gps = (gp,) if isinstance(gp, GaussianProcess) else tuple(gp)
+    X = gps[0].X
+    if not all(g.X is X or np.array_equal(g.X, X) for g in gps):
+        raise ValueError("the processes must share their training inputs")
     Xq = np.asarray(xs, dtype=float)
-    if Xq.ndim != 2 or Xq.shape[1] != gp.X.shape[1]:
+    if Xq.ndim != 2 or Xq.shape[1] != X.shape[1]:
         raise ValueError("query points must match the training dimensionality")
-    Ks = _kernel(_sq_dists(Xq, gp.X), gp.params)
-    mu = Ks @ gp._alpha + gp.y_mean
-    L = gp._chol[0]
-    v = linalg().solve_triangular(L, Ks.T, lower=True)
-    var = gp.params.signal_variance - (v * v).sum(axis=0)
-    return mu, np.sqrt(np.maximum(var, 0.0))
+    if d2 is None:
+        d2 = _sq_dists(Xq, X)
+    elif np.shape(d2) != (Xq.shape[0], X.shape[0]):
+        raise ValueError("d2 must be the (U, n) squared distances of queries to inputs")
+    mu = np.empty((Xq.shape[0], len(gps)))
+    sigma = np.empty_like(mu)
+    done: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for j, g in enumerate(gps):
+        if id(g._chol) not in done:
+            Ks = _kernel(d2, g.params)
+            v = linalg().solve_triangular(g._chol[0], Ks.T, lower=True)
+            var = g.params.signal_variance - (v * v).sum(axis=0)
+            done[id(g._chol)] = Ks, np.sqrt(np.maximum(var, 0.0))
+        Ks, sigma[:, j] = done[id(g._chol)]
+        mu[:, j] = Ks @ g._alpha + g.y_mean
+    if isinstance(gp, GaussianProcess):
+        return mu[:, 0], sigma[:, 0]
+    return mu, sigma
 
 
 def gp_predict(gp: GaussianProcess, x) -> tuple[float, float]:

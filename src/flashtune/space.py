@@ -286,7 +286,7 @@ class Dataset:
 def _parse_manifest(path: Path) -> tuple[list[OptionSchema], list[ObjectiveSchema]]:
     options: list[OptionSchema] = []
     objectives: list[ObjectiveSchema] = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -362,11 +362,14 @@ def load_dataset(manifest_path: str | Path, data_path: str | Path) -> Dataset:
     options, objectives = _parse_manifest(Path(manifest_path))
     wanted = [o.name for o in options] + [o.name for o in objectives]
 
-    with open(data_path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark spreadsheet tools may write
+    with open(data_path, newline="", encoding="utf-8-sig") as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:
             raise SchemaError("data file is empty") from None
+        except csv.Error as exc:
+            raise SchemaError(f"data file header is not readable CSV: {exc}") from None
         body = fh.read()
     header = [h.strip() for h in header]
     for name in wanted:
@@ -383,24 +386,29 @@ def load_dataset(manifest_path: str | Path, data_path: str | Path) -> Dataset:
         padding = [float(o.lo) for o in options] + [0.0] * len(objectives)
         table: list[list[float]] = []
         rows = []
-        for rowno, record in enumerate(csv.reader(io.StringIO(body, newline="")), start=1):
-            if not record or all(not c.strip() for c in record):
-                continue
-            rows.append(rowno)
-            try:
-                table.append([float(record[c]) for c in cols])
-            except (ValueError, IndexError):
-                cells: list[float] = []
-                for name, c in zip(wanted, cols):
-                    try:
-                        cells.append(float(record[c]))
-                    except (ValueError, IndexError):
-                        failure = RowError(rowno,
-                                           f"non-numeric or missing value in column {name!r}")
-                        break
-                # the cells before the bad one are domain-checked below
-                table.append(cells + padding[len(cells):])
-                break
+        rowno = 0
+        try:
+            for rowno, record in enumerate(csv.reader(io.StringIO(body, newline="")), start=1):
+                if not record or all(not c.strip() for c in record):
+                    continue
+                rows.append(rowno)
+                try:
+                    table.append([float(record[c]) for c in cols])
+                except (ValueError, IndexError):
+                    cells: list[float] = []
+                    for name, c in zip(wanted, cols):
+                        try:
+                            cells.append(float(record[c]))
+                        except (ValueError, IndexError):
+                            failure = RowError(
+                                rowno, f"non-numeric or missing value in column {name!r}")
+                            break
+                    # the cells before the bad one are domain-checked below
+                    table.append(cells + padding[len(cells):])
+                    break
+        except csv.Error as exc:
+            # e.g. a cell beyond the csv module's field size limit
+            failure = RowError(rowno + 1, f"not readable as CSV: {exc}")
         T = np.array(table, dtype=float).reshape(len(table), len(wanted))
 
     d = len(options)

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from flashtune import gp
 from flashtune.space import (
     BOOLEAN,
     INTEGER,
@@ -45,3 +48,40 @@ def two_bool_dataset():
     configs = [(0, 0), (0, 1), (1, 0), (1, 1)]
     values = [3.0, 2.0, 4.0, 1.0]
     return make_dataset(configs, values, kinds=[BOOLEAN, BOOLEAN])
+
+
+# --- the GP before multi-column fits and gathered distances --------------------
+
+def reference_gp_fit(xs, ys, params):
+    """One objective's GP fit as it was before `gp_fit` took (n, m) targets
+    and `d2`: own distances, one factor per grid scale per objective."""
+    X = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    y_mean = float(y.mean())
+    yc = y - y_mean
+    candidates = [params]
+    if params.refine:
+        candidates = [replace(params, length_scale=ls) for ls in params.length_scale_grid]
+    d2 = gp._sq_dists(X, X)
+    best = None
+    for cand in candidates:
+        chol = gp._factor(gp._kernel(d2, cand), cand.noise_variance)
+        alpha = gp.linalg().cho_solve(chol, yc)
+        lml = float(
+            -0.5 * yc @ alpha
+            - np.sum(np.log(np.diag(chol[0])))
+            - 0.5 * d2.shape[0] * np.log(2.0 * np.pi)
+        )
+        if best is None or lml > best[3]:
+            best = (cand, chol, alpha, lml)
+    chosen, chol, alpha, lml = best
+    return gp.GaussianProcess(X.copy(), y.copy(), chosen, y_mean, chol, alpha, lml)
+
+
+def reference_gp_predict_batch(g, xs):
+    Xq = np.asarray(xs, dtype=float)
+    Ks = gp._kernel(gp._sq_dists(Xq, g.X), g.params)
+    mu = Ks @ g._alpha + g.y_mean
+    v = gp.linalg().solve_triangular(g._chol[0], Ks.T, lower=True)
+    var = g.params.signal_variance - (v * v).sum(axis=0)
+    return mu, np.sqrt(np.maximum(var, 0.0))

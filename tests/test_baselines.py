@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flashtune import baselines, cart, metrics
+from flashtune import gp as gp_module
 from flashtune.baselines import (
     EpalParams,
     LivesParams,
@@ -15,10 +16,12 @@ from flashtune.baselines import (
     rank_based,
 )
 from flashtune.flash import FlashParams, flash_single
-from flashtune.space import SplitSpec, TableOracle, split
+from flashtune.gp import GpParams
+from flashtune.runs import Trace
+from flashtune.space import SplitSpec, TableOracle, direction_signs, split
 from flashtune.synth import generate_synthetic
 
-from conftest import make_dataset
+from conftest import make_dataset, reference_gp_fit, reference_gp_predict_batch
 
 MIN2 = ("minimize", "minimize")
 
@@ -281,6 +284,101 @@ def test_epal_sequence_unchanged_under_dense_oracle(monkeypatch, epsilon):
         assert a.front == b.front
         assert a.stop_reason == b.stop_reason
     assert min(r.measurements_used for r in fast) < ds.n_rows
+
+
+def reference_epal(candidates, oracle, params, directions, seed,
+                   gp_params=GpParams(refine=True)):
+    """ePAL as it was before the distance store and the shared factors: per
+    iteration, one GP fit and one prediction per objective, each computing
+    its own distances."""
+    trace = Trace(candidates, oracle)
+    X = trace.X
+    n = trace.ids.size
+    m = len(directions)
+    signs = direction_signs(directions)
+    x_lo = X.min(axis=0)
+    x_span = X.max(axis=0) - x_lo
+    x_span[x_span == 0.0] = 1.0
+    Xn = (X - x_lo) / x_span
+    rng = np.random.default_rng(seed)
+    discarded = np.zeros(n, dtype=bool)
+    for pos in rng.choice(n, size=params.init_size, replace=False):
+        trace.take(int(pos))
+    while True:
+        measured = trace.measured
+        unknown = np.nonzero(~measured & ~discarded)[0]
+        if unknown.size == 0:
+            break
+        G_meas = -(trace.Y[measured] * signs)
+        mu = np.empty((unknown.size, m))
+        sd = np.empty((unknown.size, m))
+        for j in range(m):
+            g = reference_gp_fit(Xn[measured], G_meas[:, j], gp_params)
+            mu[:, j], sd[:, j] = reference_gp_predict_batch(g, Xn[unknown])
+        lo = G_meas.min(axis=0)
+        span = G_meas.max(axis=0) - lo
+        span[span == 0.0] = 1.0
+        h_meas = (G_meas - lo) / span
+        h_unknown = (mu - lo) / span
+        s_unknown = sd / span
+        discard_now = epsilon_discard(h_meas, h_unknown, s_unknown, params.epsilon)
+        discarded[unknown[discard_now]] = True
+        survivors = unknown[~discard_now]
+        if survivors.size == 0:
+            break
+        norms = np.linalg.norm(s_unknown[~discard_now], axis=1)
+        trace.take(int(survivors[int(np.argmax(norms))]))
+    return trace.finish("pool-exhausted", directions, initial_sample=params.init_size)
+
+
+@pytest.mark.parametrize("epsilon", [0.01, 0.3])
+def test_epal_sequence_matches_the_per_objective_reference(monkeypatch, epsilon):
+    ds = generate_synthetic("bi-objective-tradeoff", 8, seed=2)
+    X = ds.candidates().X
+    lo, span = X.min(axis=0), X.max(axis=0) - X.min(axis=0)
+    position = {row.tobytes(): i for i, row in enumerate((X - lo) / span)}
+    gathered = []
+
+    def checked_fit(xs, ys, params, *, d2=None):
+        # training rows in pool order, and the block gathered from the store
+        # is their distance matrix, bit for bit
+        pos = [position[row.tobytes()] for row in xs]
+        gathered.append(pos == sorted(pos))
+        gathered.append(d2.tobytes() == gp_module._sq_dists(xs, xs).tobytes())
+        return gp_module.gp_fit(xs, ys, params, d2=d2)
+
+    def checked_predict(gps, xs, *, d2=None):
+        gathered.append(d2.tobytes() == gp_module._sq_dists(xs, gps[0].X).tobytes())
+        return gp_module.gp_predict_batch(gps, xs, d2=d2)
+
+    monkeypatch.setattr(baselines, "gp_fit", checked_fit)
+    monkeypatch.setattr(baselines, "gp_predict_batch", checked_predict)
+    for seed in range(3):
+        run = epal(ds.candidates(), TableOracle(ds), EpalParams(epsilon=epsilon),
+                   ds.directions, seed)
+        ref = reference_epal(ds.candidates(), TableOracle(ds), EpalParams(epsilon=epsilon),
+                             ds.directions, seed)
+        assert run.evaluated == ref.evaluated
+        assert run.front == ref.front
+        assert run.stop_reason == ref.stop_reason
+        assert run.measurements_used < ds.n_rows
+    assert gathered and all(gathered)
+
+
+def test_epal_fits_once_per_iteration_and_grows_the_store_with_measurements(monkeypatch):
+    ds = generate_synthetic("bi-objective-tradeoff", 7, seed=4)
+    fits, discards, stored = [], [], []
+    real_dists = gp_module._sq_dists
+    monkeypatch.setattr(baselines, "gp_fit",
+                        lambda *a, **k: fits.append(1) or gp_module.gp_fit(*a, **k))
+    monkeypatch.setattr(baselines, "epsilon_discard",
+                        lambda *a: discards.append(1) or epsilon_discard(*a))
+    monkeypatch.setattr(baselines, "_sq_dists",
+                        lambda A, B: stored.append(B.shape[0]) or real_dists(A, B))
+    run = epal(ds.candidates(), TableOracle(ds), EpalParams(epsilon=0.05), ds.directions, 3)
+    assert len(fits) == len(discards) > 0
+    # one pool-wide column per measured point, never a pool x pool block
+    assert stored == [1] * run.measurements_used
 
 
 def test_epsilon_discard_rule_direct():

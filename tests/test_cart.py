@@ -270,6 +270,98 @@ def test_fit_matches_per_node_sort_reference(case):
     assert fit(X, y, params) == reference_fit(X, y, params)
 
 
+# --- refits that reuse subtrees through a memo -----------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(fit_cases(), st.data())
+def test_memo_refits_match_fresh_fits(case, data):
+    """Each step adds one pool row to the training rows, at a random position
+    (flash keeps rows in pool order) or at the end (the lives loop keeps them
+    in measurement order), and may repeat a row (sampling with replacement).
+    Every refit on the shared memo gives the fresh tree, and leaves the memo
+    holding exactly the nodes a fresh memo gets from this fit."""
+    X, y, params = case
+    n = y.size
+    rows = list(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)))
+    memo: dict = {}
+    for step in range(data.draw(st.integers(1, 12))):
+        if step:
+            row = data.draw(st.integers(0, n - 1))
+            at = data.draw(st.one_of(st.just(len(rows)), st.integers(0, len(rows))))
+            rows.insert(at, row)
+        tree = fit(X[rows], y[rows], params, memo=memo)
+        fresh: dict = {}
+        assert tree == fit(X[rows], y[rows], params, memo=fresh)
+        assert tree == fit(X[rows], y[rows], params)
+        assert tree == reference_fit(X[rows], y[rows], params)
+        assert memo.keys() == fresh.keys()
+
+
+def test_memo_shared_by_unrelated_fits_returns_their_own_trees():
+    rng = np.random.default_rng(11)
+    A = rng.integers(0, 3, size=(40, 4)).astype(float)
+    ya = rng.normal(size=40)
+    B = rng.integers(0, 2, size=(25, 6)).astype(float)
+    yb = rng.integers(0, 5, size=25).astype(float)
+    # same options as A with one target moved, and other options with A's targets
+    yc = ya.copy()
+    yc[7] += 1.0
+    A2 = rng.integers(0, 3, size=(40, 4)).astype(float)
+    memo: dict = {}
+    for X, y, params in [(A, ya, LOOSE), (B, yb, LOOSE), (A, ya, LOOSE), (A2, ya, LOOSE),
+                         (A, ya, LOOSE), (A, yc, LOOSE), (A, ya, CartParams(max_depth=2)),
+                         (A, ya, LOOSE), (B[:20], yb[:20], LOOSE)]:
+        assert fit(X, y, params, memo=memo) == reference_fit(X, y, params)
+
+
+def test_memo_tells_depths_apart_under_max_depth():
+    # an outlier row split off at the root leaves the old rows, unchanged, one
+    # level deeper, where max_depth allows one split fewer
+    rng = np.random.default_rng(14)
+    X = rng.integers(0, 4, size=(30, 3)).astype(float)
+    y = X @ np.array([2.0, 1.0, -1.0])
+    params = CartParams(min_samples_split=2, min_samples_leaf=1, max_depth=2)
+    memo: dict = {}
+    fit(X, y, params, memo=memo)
+    X2 = np.vstack([X, [[10.0, 0.0, 0.0]]])
+    y2 = np.append(y, 1000.0)
+    tree = fit(X2, y2, params, memo=memo)
+    assert isinstance(tree, Split) and tree.right == Leaf(1000.0, 1)
+    assert tree == reference_fit(X2, y2, params)
+
+
+def test_memo_reuses_the_subtrees_a_new_row_misses():
+    def nodes(tree):
+        yield tree
+        if isinstance(tree, Split):
+            yield from nodes(tree.left)
+            yield from nodes(tree.right)
+
+    rng = np.random.default_rng(13)
+    X = rng.integers(0, 4, size=(60, 5)).astype(float)
+    y = X @ np.array([3.0, -2.0, 1.0, 0.5, 0.0]) + rng.normal(scale=0.1, size=60)
+    memo: dict = {}
+    before = {id(t) for t in nodes(fit(X[:-1], y[:-1], LOOSE, memo=memo))}
+    after = fit(X, y, LOOSE, memo=memo)
+    assert after == reference_fit(X, y, LOOSE)
+    reused = [t for t in nodes(after) if id(t) in before]
+    assert reused and any(isinstance(t, Split) for t in reused)
+
+
+def test_memo_keeps_only_the_last_fits_nodes():
+    rng = np.random.default_rng(12)
+    X = rng.integers(0, 4, size=(80, 5)).astype(float)
+    y = rng.normal(size=80)
+    memo: dict = {}
+    fit(X, y, LOOSE, memo=memo)
+    big = len(memo)
+    fit(X[:10], y[:10], LOOSE, memo=memo)
+    alone: dict = {}
+    fit(X[:10], y[:10], LOOSE, memo=alone)
+    assert 0 < len(memo) == len(alone) < big
+    assert memo.keys() == alone.keys()
+
+
 def test_identical_options_split_on_lower_index():
     rng = np.random.default_rng(4)
     noise = rng.normal(size=8)

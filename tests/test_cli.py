@@ -137,6 +137,35 @@ def test_eval_rejects_foreign_configuration(tmp_path):
                    "--true-front", data, "--approx-front", bad) == 1
 
 
+def test_eval_accepts_a_front_file_with_a_byte_order_mark(tmp_path, capsys):
+    manifest, data, out = synth_files(tmp_path, kind="bi-objective-tradeoff", options=4)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + data.read_bytes())
+    assert run_cli("eval", "--manifest", manifest, "--data", data,
+                   "--true-front", data, "--approx-front", marked) == 0
+    assert "igd=0.0" in capsys.readouterr().out
+
+
+def test_eval_front_with_a_field_over_the_csv_limit_exits_1(tmp_path, capsys):
+    manifest, data, out = synth_files(tmp_path, kind="bi-objective-tradeoff", options=4)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("o00,o01,o02,o03,note\n0,0,0,0,\"" + "x" * 200_000 + "\"\n")
+    assert run_cli("eval", "--manifest", manifest, "--data", data,
+                   "--true-front", data, "--approx-front", bad) == 1
+    assert "row 1: not readable as CSV" in capsys.readouterr().err
+
+
+def test_tune_on_a_field_over_the_csv_limit_exits_1(tmp_path, capsys):
+    manifest, data, _ = synth_files(tmp_path)
+    lines = data.read_text().splitlines()
+    big = tmp_path / "big.csv"
+    big.write_text("\n".join([lines[0] + ",note", lines[1] + ",ok",
+                              lines[2] + ',"' + "x" * 200_000 + '"'] + lines[3:]) + "\n")
+    assert run_cli("tune", "--manifest", manifest, "--data", big,
+                   "--size", 3, "--budget", 0, "--out", tmp_path / "out") == 1
+    assert "row 2: not readable as CSV: field larger than field limit" in capsys.readouterr().err
+
+
 def test_experiment_single_objective(tmp_path):
     out = tmp_path / "exp"
     code = run_cli("experiment", "--kind", "single-peak", "--options", 7,

@@ -6,6 +6,8 @@ import pytest
 from flashtune import gp as gp_module
 from flashtune.gp import GpParams, gp_fit, gp_predict, gp_predict_batch
 
+from conftest import reference_gp_fit, reference_gp_predict_batch
+
 
 def naive_posterior(X, y, query, params):
     """Textbook dense-solve oracle: explicit inverse, no factorization reuse."""
@@ -116,6 +118,85 @@ def test_refinement_computes_distances_once(monkeypatch):
     assert refined.log_marginal == fixed.log_marginal
 
 
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def assert_same_process(shared, alone):
+    assert shared.params == alone.params
+    assert same_bits(shared.log_marginal, alone.log_marginal)
+    assert same_bits(shared._chol[0], alone._chol[0])
+    assert same_bits(shared._alpha, alone._alpha)
+    assert same_bits(shared.y_mean, alone.y_mean)
+
+
+def test_multi_column_fit_and_predict_match_one_dimensional_calls():
+    """A two-column fit, predicted with distances gathered from a per-point
+    store as ePAL keeps it, gives every column's figures bit for bit as 1-D
+    fits and predictions computing their own distances do: both today's
+    1-D path and the reference copy of the path before the change."""
+    rng = np.random.default_rng(21)
+    same_scale = different_scale = 0
+    for case in range(200):
+        n_pool, d = int(rng.integers(8, 60)), int(rng.integers(1, 8))
+        pool = rng.random((n_pool, d))
+        if case % 3 == 0:
+            pool = np.round(pool * 3) / 3  # repeated rows and equal distances
+        store = np.column_stack([gp_module._sq_dists(pool, pool[i:i + 1])[:, 0]
+                                 for i in range(n_pool)])
+        k = int(rng.integers(1, n_pool))
+        meas = np.sort(rng.choice(n_pool, size=k, replace=False))
+        query = np.setdiff1d(np.arange(n_pool), meas)
+        # the two objectives of a trade-off, or two unrelated ones
+        Y = rng.normal(size=(k, 2))
+        if case % 2:
+            Y[:, 1] = -Y[:, 0] + rng.normal(scale=0.3, size=k)
+        params = GpParams(refine=case % 4 != 3, noise_variance=(1e-6, 1e-3)[case % 2])
+        d2_train = store[np.ix_(meas, meas)]
+        d2_query = store[np.ix_(query, meas)]
+        assert same_bits(d2_train, gp_module._sq_dists(pool[meas], pool[meas]))
+        assert same_bits(d2_query, gp_module._sq_dists(pool[query], pool[meas]))
+
+        shared = gp_fit(pool[meas], Y, params, d2=d2_train)
+        mu, sigma = gp_predict_batch(shared, pool[query], d2=d2_query)
+        assert isinstance(shared, tuple) and len(shared) == 2
+        assert mu.shape == sigma.shape == (query.size, 2)
+        for j in range(2):
+            # a strided column, as ePAL passed each objective before
+            before = reference_gp_fit(pool[meas], Y[:, j], params)
+            alone = gp_fit(pool[meas], Y[:, j], params)
+            assert_same_process(shared[j], before)
+            assert_same_process(alone, before)
+            mu_j, sigma_j = reference_gp_predict_batch(before, pool[query])
+            assert same_bits(mu[:, j], mu_j) and same_bits(sigma[:, j], sigma_j)
+            assert all(same_bits(a, b) for a, b in zip(
+                gp_predict_batch(alone, pool[query]), (mu_j, sigma_j)))
+            # one process of the tuple predicts as its 1-D twin, with or without d2
+            assert all(same_bits(a, b) for a, b in zip(
+                gp_predict_batch(shared[j], pool[query], d2=d2_query), (mu_j, sigma_j)))
+        if shared[0].params == shared[1].params:
+            same_scale += 1
+            assert shared[0]._chol is shared[1]._chol  # factored once
+        else:
+            different_scale += 1
+    assert same_scale > 20 and different_scale > 20
+
+
+def test_multi_column_predict_solves_once_per_factor(monkeypatch):
+    rng = np.random.default_rng(22)
+    X = rng.random((12, 3))
+    Y = np.column_stack([rng.normal(size=12)] * 3)  # equal columns choose equal scales
+    gps = gp_fit(X, Y, GpParams(refine=True))
+    solves = []
+    real = gp_module.linalg().solve_triangular
+    monkeypatch.setattr(gp_module.linalg(), "solve_triangular",
+                        lambda *a, **k: solves.append(1) or real(*a, **k))
+    mu, sigma = gp_predict_batch(gps, rng.random((5, 3)))
+    assert len(solves) == 1
+    assert same_bits(mu[:, 0], mu[:, 2]) and same_bits(sigma[:, 0], sigma[:, 1])
+
+
 def test_validation():
     with pytest.raises(ValueError):
         gp_fit(np.zeros((0, 2)), [])
@@ -130,3 +211,10 @@ def test_validation():
     gp = gp_fit([[0.0], [1.0]], [0.0, 1.0])
     with pytest.raises(ValueError):
         gp_predict(gp, [0.0, 1.0])
+    with pytest.raises(ValueError, match="d2"):
+        gp_fit([[0.0], [1.0]], [0.0, 1.0], d2=np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="d2"):
+        gp_predict_batch(gp, [[0.5]], d2=np.zeros((2, 2)))
+    other = gp_fit([[0.0], [2.0]], [0.0, 1.0])
+    with pytest.raises(ValueError, match="share"):
+        gp_predict_batch((gp, other), [[0.5]])

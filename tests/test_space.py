@@ -537,6 +537,28 @@ def test_load_counts_file_rows_for_every_row_error(tmp_path):
         load_dataset(m, d)
 
 
+def test_byte_order_mark_is_not_part_of_the_first_name(tmp_path):
+    # spreadsheet tools may start a UTF-8 file with a byte-order mark
+    plain = load_dataset(*write_pair(tmp_path))
+    m, d = tmp_path / "bom-manifest.txt", tmp_path / "bom-data.csv"
+    m.write_bytes(b"\xef\xbb\xbf" + MANIFEST_2BOOL.encode())
+    d.write_bytes(b"\xef\xbb\xbf" + CSV_2BOOL.encode())
+    marked = load_dataset(m, d)
+    assert marked == plain
+    assert marked.option_names == ("a", "b")
+
+
+def test_field_over_the_csv_limit_is_a_row_error(tmp_path):
+    # the quote sends the body to the csv loop, whose field limit is 131,072
+    huge = '"' + "x" * 200_000 + '"'
+    m, d = write_pair(tmp_path, data=f"a,b,perf,note\n0,0,3.0,ok\n\n0,1,2.0,{huge}\n")
+    with pytest.raises(RowError, match=r"^row 3: not readable as CSV: field larger"):
+        load_dataset(m, d)
+    m, d = write_pair(tmp_path, data=f"a,b,perf,{huge}\n0,0,3.0,\n0,1,2.0,\n")
+    with pytest.raises(SchemaError, match="header is not readable CSV"):
+        load_dataset(m, d)
+
+
 def test_direction_signs():
     assert direction_signs(("minimize", "maximize", "minimize")).tolist() == [1.0, -1.0, 1.0]
     with pytest.raises(ValueError, match="unknown direction 'sideways'"):
