@@ -86,6 +86,8 @@ def _lives_loop(
     for pos in hold_pos:
         trace.take(int(pos))
     hold_X, hold_actual = trace.X[hold_pos], trace.Y[hold_pos, objective]
+    # read-only, so one predict memo serves every refit's holdout prediction
+    hold_X.flags.writeable = False
 
     if with_replacement:
         order = rng.integers(0, train_pos.size, size=train_pos.size)
@@ -97,6 +99,7 @@ def _lives_loop(
     train_y: list[float] = []
     tree: cart.TreeNode | None = None
     memo: dict = {}
+    hold_memo: dict = {}
     lives = params.lives
     # worst score first, so the first model never costs a life
     last_score = -np.inf
@@ -109,7 +112,7 @@ def _lives_loop(
             train_y.append(trace.take(int(pos))[objective])
             train_rows.append(int(pos))
         tree = cart.fit(trace.X[train_rows], np.array(train_y), cart_params, memo=memo)
-        preds = cart.predict_batch(tree, hold_X)
+        preds = cart.predict_batch(tree, hold_X, memo=hold_memo)
         score = scorer(preds, hold_actual)
         if score <= last_score:
             lives -= 1

@@ -23,6 +23,20 @@ subtree the previous fit on `m` grew for it; every other node is grown and
 stored.  The key is the content itself, not a name the caller gives the rows,
 so a memo shared by unrelated fits never returns a wrong tree.  After the fit
 `m` holds only this fit's nodes, so it stays the size of one tree.
+
+A prediction over the same matrix can likewise keep the rows a refit did not
+move.  `predict_batch` walks the tree with an explicit stack, naming each node
+by its path: the tuple of (option index, threshold, side) steps from the
+root.  Over a fixed matrix the rows that reach a path depend on the path
+alone, so `predict_batch(..., memo=m)` stores, per path, the node found there
+and the row positions that reach it, plus the whole last output.  On the next
+call a node that `is` the one stored at its path is a subtree whose rows keep
+their predictions, and it is carried over whole; a split whose two child paths
+are both stored hands them their stored rows without a comparison.  Only the
+rest is compared and written.  As `fit`'s memo hands back unchanged subtree
+objects, a refit that adds one row rewrites little more than the rows along
+that row's path.  The memo is tied to one read-only matrix object: a writeable
+one is refused and another one starts it over.
 """
 
 from __future__ import annotations
@@ -208,8 +222,14 @@ def predict(tree: TreeNode, config: Sequence[float]) -> float:
     return node.prediction
 
 
-def predict_batch(tree: TreeNode, configs) -> np.ndarray:
-    """Elementwise predict over many configurations; order preserved."""
+def predict_batch(tree: TreeNode, configs, *, memo: dict | None = None) -> np.ndarray:
+    """Elementwise predict over many configurations; order preserved.
+
+    `memo`, a dict that starts empty, lets a sequence of calls on one
+    read-only matrix rewrite only the rows whose path through the tree
+    changed (see the module docstring); the result is the same with or
+    without it.  Keep one memo per sequence of refits.
+    """
     X = np.asarray(configs, dtype=float)
     if X.size == 0:
         return np.zeros(0, dtype=float)
@@ -219,20 +239,58 @@ def predict_batch(tree: TreeNode, configs) -> np.ndarray:
         raise ValueError(
             f"configurations have {X.shape[1]} options, tree splits on index {_max_option_index(tree)}"
         )
-    out = np.empty(X.shape[0], dtype=float)
-
-    def walk(node: TreeNode, idx: np.ndarray) -> None:
+    kept = memo is not None
+    if kept and X.flags.writeable:
+        raise ValueError("a predict memo needs a read-only matrix")
+    memo = {} if memo is None else memo
+    if memo.get("X") is not X:
+        memo.clear()
+        memo.update(X=X, out=np.empty(X.shape[0], dtype=float), paths={})
+    old, out = memo["paths"], memo["out"]
+    new: dict = {}
+    stack: list = [((), tree, np.arange(X.shape[0]))]
+    while stack:
+        path, node, rows = stack.pop()
+        entry = old.get(path)
+        if entry is not None and entry[0] is node:
+            _carry(path, node, old, new)
+            continue
+        new[path] = (node, rows)
         if isinstance(node, Leaf):
-            out[idx] = node.prediction
-            return
-        mask = X[idx, node.option_index] <= node.threshold
-        if mask.any():
-            walk(node.left, idx[mask])
-        if not mask.all():
-            walk(node.right, idx[~mask])
+            out[rows] = node.prediction
+            continue
+        if rows.size == 0:
+            continue
+        j, thr = node.option_index, node.threshold
+        left_path, right_path = path + ((j, thr, 0),), path + ((j, thr, 1),)
+        if left_path in old and right_path in old:
+            rows_left, rows_right = old[left_path][1], old[right_path][1]
+        else:
+            rows_left, rows_right = _partition(X, rows, j, thr)
+        stack.append((right_path, node.right, rows_right))
+        stack.append((left_path, node.left, rows_left))
+    memo["paths"] = new
+    return out.copy() if kept else out
 
-    walk(tree, np.arange(X.shape[0]))
-    return out
+
+def _partition(X: np.ndarray, rows: np.ndarray, j: int, thr: float):
+    """The positions in `rows` whose option `j` is at most `thr`, and the rest."""
+    mask = X[rows, j] <= thr
+    return rows[mask], rows[~mask]
+
+
+def _carry(path: tuple, node: TreeNode, old: dict, new: dict) -> None:
+    """Carry a reused subtree's path entries from `old` to `new`."""
+    stack = [(path, node)]
+    while stack:
+        path, node = stack.pop()
+        if path not in old:
+            continue
+        new[path] = old[path]
+        if isinstance(node, Split):
+            step = (node.option_index, node.threshold)
+            stack.append((path + (step + (0,),), node.left))
+            stack.append((path + (step + (1,),), node.right))
 
 
 def dump_tree(tree: TreeNode, option_names: Sequence[str] | None = None) -> str:

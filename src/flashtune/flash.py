@@ -85,42 +85,55 @@ def _run(
     signs = direction_signs(directions)
     columns = [objective] if len(directions) == 1 else range(len(directions))
     rng = np.random.default_rng(params.seed)
-    # one memo per objective: each refit reuses the subtrees the new row missed
-    memos = {j: {} for j in columns}
+    # per objective, one fit memo (each refit reuses the subtrees the new row
+    # missed) and one predict memo (rows whose path did not change keep their
+    # prediction)
+    fit_memos = {j: {} for j in columns}
+    predict_memos = {j: {} for j in columns}
 
     for pos in rng.choice(n, size=params.size, replace=False):
         trace.take(int(pos))
     trace.check_width(directions, objective)
+    # measured positions in ascending order, as the mask would give them, so
+    # the training rows and hence the trees do not depend on measurement order
+    taken = np.flatnonzero(trace.measured)
 
     spent = 0
     stop = STOP_BUDGET
     while spent < params.budget:
-        pool = trace.pool()
-        if pool.size == 0:
+        remaining = n - taken.size
+        if remaining == 0:
             stop = STOP_POOL_EXHAUSTED
             break
-        if params.budget - spent >= pool.size:
+        if params.budget - spent >= remaining:
             # every remaining candidate gets measured regardless of the
             # acquisition order, so skip the pointless surrogate refits
-            for pos in pool:
+            for pos in trace.pool():
                 trace.take(int(pos))
-            spent += pool.size
+            spent += remaining
             stop = STOP_POOL_EXHAUSTED
             break
-        Xe = trace.X[trace.measured]
-        Ye = trace.Y[trace.measured]
-        # predict every row, measured ones too: cheaper than copying the pool rows out of X
-        preds = np.column_stack([
-            cart.predict_batch(cart.fit(Xe, Ye[:, j], cart_params, memo=memos[j]), trace.X)
+        Xe = trace.X[taken]
+        Ye = trace.Y[taken]
+        # predict every row, measured ones too: the memo keeps the rows a refit did not move
+        preds = [
+            cart.predict_batch(cart.fit(Xe, Ye[:, j], cart_params, memo=fit_memos[j]),
+                               trace.X, memo=predict_memos[j])
             for j in columns
-        ])[pool]
+        ]
         if len(directions) == 1:
-            pick = int(np.argmin(preds[:, 0] * signs[0]))
+            scores = preds[0] * signs[0]
+            scores[taken] = np.inf
+            pick = int(np.argmin(scores))
         else:
-            pick = bazza_select(
-                preds, params.n_projections, directions, int(rng.integers(2 ** 63))
-            )
-        trace.take(int(pool[pick]))
+            # bazza_select normalizes over the candidates, so it sees only the pool
+            pool = trace.pool()
+            pick = int(pool[bazza_select(
+                np.column_stack([p[pool] for p in preds]),
+                params.n_projections, directions, int(rng.integers(2 ** 63)),
+            )])
+        trace.take(pick)
+        taken = np.insert(taken, np.searchsorted(taken, pick), pick)
         spent += 1
 
     return trace.finish(stop, directions, objective, initial_sample=params.size)

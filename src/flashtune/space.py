@@ -339,9 +339,11 @@ def _parse_clean(body: str, cols: list[int]) -> np.ndarray | None:
     where `csv` also ends them at a lone ``\r``.  So a body holding a quote
     or a lone ``\r``, or yielding fewer rows than it has lines, is not clean.
     Where loadtxt parses a cell it gives the value `float` gives; a cell it
-    cannot parse raises.
+    cannot parse raises.  loadtxt has no field size limit, so a body with a
+    line longer than `csv.field_size_limit()` is not clean either.
     """
-    if not body.strip() or '"' in body or body.count("\r") != body.count("\r\n"):
+    if (not body.strip() or '"' in body or body.count("\r") != body.count("\r\n")
+            or _has_line_over(body, csv.field_size_limit())):
         return None
     try:
         T = np.loadtxt(io.StringIO(body), delimiter=",", usecols=cols, comments=None, ndmin=2)
@@ -349,6 +351,19 @@ def _parse_clean(body: str, cols: list[int]) -> np.ndarray | None:
         return None
     lines = body.count("\n") + (not body.endswith("\n"))
     return T if T.shape[0] == lines else None
+
+
+def _has_line_over(body: str, limit: int) -> bool:
+    """Whether a line of `body` is longer than `limit` characters.
+
+    Such a line holds a whole aligned block of `limit // 2` characters with no
+    newline, so the lines are measured only when one of these few blocks
+    lacks a newline.
+    """
+    half = max(limit // 2, 1)
+    if all(body.find("\n", k, k + half) >= 0 for k in range(0, len(body) - half + 1, half)):
+        return False
+    return max(map(len, body.split("\n"))) > limit
 
 
 def load_dataset(manifest_path: str | Path, data_path: str | Path) -> Dataset:

@@ -362,6 +362,107 @@ def test_memo_keeps_only_the_last_fits_nodes():
     assert memo.keys() == alone.keys()
 
 
+# --- predictions that keep the rows a refit did not move -------------------------
+
+def read_only(X):
+    X = np.array(X, dtype=float)
+    X.flags.writeable = False
+    return X
+
+
+@settings(max_examples=150, deadline=None)
+@given(fit_cases(), st.data())
+def test_predict_memo_matches_fresh_predictions(case, data):
+    """The refits of `test_memo_refits_match_fresh_fits`, each predicting the
+    whole fixed matrix through one predict memo: every result is bitwise the
+    fresh `predict_batch` and the per-row `predict`, and the memo holds the
+    paths of the last call only."""
+    X, y, params = case
+    X = read_only(X)
+    n = y.size
+    rows = list(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)))
+    fit_memo: dict = {}
+    predict_memo: dict = {}
+    for step in range(data.draw(st.integers(1, 12))):
+        if step:
+            row = data.draw(st.integers(0, n - 1))
+            at = data.draw(st.one_of(st.just(len(rows)), st.integers(0, len(rows))))
+            rows.insert(at, row)
+        tree = fit(X[rows], y[rows], params, memo=fit_memo)
+        got = predict_batch(tree, X, memo=predict_memo)
+        assert got.tobytes() == predict_batch(tree, X).tobytes()
+        assert got.tobytes() == np.array([predict(tree, r) for r in X]).tobytes()
+        # the memo keeps this call's paths only, as a fresh one would
+        fresh: dict = {}
+        predict_batch(tree, X, memo=fresh)
+        assert predict_memo["paths"].keys() == fresh["paths"].keys()
+
+
+def stable_root_case():
+    """A matrix whose target hangs mostly on option 0, so adding a training
+    row keeps the root split."""
+    rng = np.random.default_rng(21)
+    X = read_only(rng.integers(0, 4, size=(2000, 5)))
+    y = 10.0 * X[:, 0] + X[:, 1] - X[:, 2] + rng.normal(scale=0.1, size=2000)
+    return X, y
+
+
+def test_predict_memo_compares_fewer_rows_when_the_root_split_stays(monkeypatch):
+    from flashtune import cart
+
+    X, y = stable_root_case()
+    compared = []
+    partition = cart._partition
+
+    def counting(X, rows, j, thr):
+        compared.append(rows.size)
+        return partition(X, rows, j, thr)
+
+    monkeypatch.setattr(cart, "_partition", counting)
+    fit_memo: dict = {}
+    predict_memo: dict = {}
+    rows = list(range(0, 80, 2))
+    before = fit(X[rows], y[rows], LOOSE, memo=fit_memo)
+    predict_batch(before, X, memo=predict_memo)
+    rows.insert(5, 9)
+    after = fit(X[rows], y[rows], LOOSE, memo=fit_memo)
+    assert (after.option_index, after.threshold) == (before.option_index, before.threshold)
+    compared.clear()
+    got = predict_batch(after, X, memo=predict_memo)
+    assert sum(compared) < X.shape[0]
+    assert got.tobytes() == predict_batch(after, X).tobytes()
+
+
+def test_predict_memo_switched_to_another_matrix_starts_over():
+    X, y = stable_root_case()
+    other = read_only(X[::-1][:700])
+    memo: dict = {}
+    for rows, Z in [(range(40), X), (range(41), other), (range(42), X), (range(42), other)]:
+        tree = fit(X[list(rows)], y[list(rows)], LOOSE)
+        assert predict_batch(tree, Z, memo=memo).tobytes() == predict_batch(tree, Z).tobytes()
+        assert memo["X"] is Z
+
+
+def test_predict_memo_returns_arrays_it_does_not_keep():
+    X, y = stable_root_case()
+    memo: dict = {}
+    tree = fit(X[:40], y[:40], LOOSE)
+    first = predict_batch(tree, X, memo=memo)
+    expected = first.copy()
+    first[:] = -1.0
+    assert predict_batch(tree, X, memo=memo).tobytes() == expected.tobytes()
+
+
+def test_predict_memo_refuses_a_writeable_matrix():
+    X, y = stable_root_case()
+    tree = fit(X[:40], y[:40], LOOSE)
+    with pytest.raises(ValueError, match="read-only"):
+        predict_batch(tree, np.array(X), memo={})
+    with pytest.raises(ValueError, match="read-only"):
+        predict_batch(tree, X.tolist(), memo={})
+    assert predict_batch(tree, np.array(X)).tobytes() == predict_batch(tree, X).tobytes()
+
+
 def test_identical_options_split_on_lower_index():
     rng = np.random.default_rng(4)
     noise = rng.normal(size=8)

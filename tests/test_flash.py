@@ -1,11 +1,16 @@
+import gc
+import itertools
 import time
 
 import numpy as np
 import pytest
 
+from flashtune import cart
+from flashtune.baselines import progressive_sampling
 from flashtune.flash import FlashParams, bazza_select, flash_multi, flash_single
 from flashtune.metrics import pareto_front, rank_difference
-from flashtune.space import TableOracle
+from flashtune.runs import STOP_BUDGET, STOP_POOL_EXHAUSTED, Trace
+from flashtune.space import SplitSpec, TableOracle, direction_signs, split
 from flashtune.synth import generate_synthetic
 
 from conftest import make_dataset
@@ -263,3 +268,111 @@ def test_single_objective_column_selection():
     with pytest.raises(ValueError, match="objective index"):
         flash_single(ds.candidates(), TableOracle(ds),
                      FlashParams(size=5, budget=1, seed=0), objective=7)
+
+
+# --- acquisition sequence against the mask-and-pool step ----------------------
+
+def reference_run(candidates, oracle, params, directions, cart_params=cart.CartParams(),
+                  objective=0):
+    """flash's step as it was before the predict memo: training rows gathered
+    by the measured mask, the single-objective argmin and bazza_select both
+    over the pool's rows."""
+    trace = Trace(candidates, oracle)
+    signs = direction_signs(directions)
+    columns = [objective] if len(directions) == 1 else range(len(directions))
+    rng = np.random.default_rng(params.seed)
+    for pos in rng.choice(trace.ids.size, size=params.size, replace=False):
+        trace.take(int(pos))
+    spent = 0
+    stop = STOP_BUDGET
+    while spent < params.budget:
+        pool = trace.pool()
+        if pool.size == 0:
+            stop = STOP_POOL_EXHAUSTED
+            break
+        if params.budget - spent >= pool.size:
+            for pos in pool:
+                trace.take(int(pos))
+            spent += pool.size
+            stop = STOP_POOL_EXHAUSTED
+            break
+        Xe = trace.X[trace.measured]
+        Ye = trace.Y[trace.measured]
+        preds = np.column_stack([
+            cart.predict_batch(cart.fit(Xe, Ye[:, j], cart_params), trace.X) for j in columns
+        ])[pool]
+        if len(directions) == 1:
+            pick = int(np.argmin(preds[:, 0] * signs[0]))
+        else:
+            pick = bazza_select(
+                preds, params.n_projections, directions, int(rng.integers(2 ** 63))
+            )
+        trace.take(int(pool[pick]))
+        spent += 1
+    return trace.finish(stop, directions, objective, initial_sample=params.size)
+
+
+def tied_table():
+    """4 integer options with 4 levels whose objectives read two or three
+    options coarsely, so most leaves hold many rows and predictions tie."""
+    X = np.array(list(itertools.product(range(4), repeat=4)), dtype=float)
+    y0 = 3.0 * (X[:, 0] >= 2) + (X[:, 1] == 3)
+    y1 = 2.0 * (X[:, 2] >= 1) - (X[:, 0] >= 1)
+    return make_dataset(X, np.column_stack([y0, y1]))
+
+
+def outcome(run):
+    return run.evaluated, run.best, run.front, run.stop_reason
+
+
+def tenths_table():
+    """The tied table's configurations with targets in tenths: leaves whose
+    means are equal in exact arithmetic can differ in the last bit with the
+    order of their rows, so training rows gathered out of order move picks."""
+    X = np.array(tied_table().configs)
+    y0 = np.round(0.1 * ((X @ [1.0, 2.0, 3.0, 5.0]) % 7), 1)
+    y1 = np.round(0.1 * ((X @ [3.0, 1.0, 4.0, 1.0]) % 5), 1)
+    return make_dataset(X, np.column_stack([y0, y1]))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("table, budget", [
+    (tied_table, 25), (tied_table, 245), (tied_table, 246), (tenths_table, 40), (tenths_table, 246),
+])
+def test_acquisition_sequence_matches_the_mask_and_pool_step(table, budget, seed):
+    ds = table()
+    params = FlashParams(size=10, budget=budget, seed=seed)
+    for objective, direction in [(0, "minimize"), (1, "maximize")]:
+        got = flash_single(ds.candidates(), TableOracle(ds), params, direction,
+                           objective=objective)
+        want = reference_run(ds.candidates(), TableOracle(ds), params, (direction,),
+                             objective=objective)
+        assert outcome(got) == outcome(want)
+    got = flash_multi(ds.candidates(), TableOracle(ds), params, ("minimize", "maximize"))
+    want = reference_run(ds.candidates(), TableOracle(ds), params, ("minimize", "maximize"))
+    assert outcome(got) == outcome(want)
+    assert got.stop_reason == ("pool-exhausted" if budget >= 246 else "budget")
+
+
+# --- no reference cycles ------------------------------------------------------
+
+def test_runs_leave_no_reference_cycles():
+    """A cycle keeps whatever it holds, a pool-sized prediction vector say,
+    alive until a collection runs; none of these calls may leave one."""
+    ds = generate_synthetic("bi-objective-tradeoff", 6, seed=3)
+    X = np.array(ds.configs)
+    X.flags.writeable = False
+    tree = cart.fit(X, ds.values[:, 0])
+    train, hold, val = (ds.candidates(part) for part in split(ds, SplitSpec(seed=2)))
+    params = FlashParams(size=10, budget=10, seed=1)
+    gc.collect()
+    gc.disable()
+    try:
+        cart.predict_batch(tree, X)
+        cart.predict_batch(tree, X, memo={})
+        flash_single(ds.candidates(), TableOracle(ds), params)
+        flash_multi(ds.candidates(), TableOracle(ds), params, ds.directions)
+        progressive_sampling(train, hold, val, TableOracle(ds), seed=4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -20,6 +20,7 @@ from flashtune.space import (
     SplitError,
     SplitSpec,
     TableOracle,
+    _has_line_over,
     _parse_clean,
     _parse_manifest,
     direction_signs,
@@ -557,6 +558,28 @@ def test_field_over_the_csv_limit_is_a_row_error(tmp_path):
     m, d = write_pair(tmp_path, data=f"a,b,perf,{huge}\n0,0,3.0,\n0,1,2.0,\n")
     with pytest.raises(SchemaError, match="header is not readable CSV"):
         load_dataset(m, d)
+
+
+@pytest.mark.parametrize("later", ["0,1,2.0,ok", "0,1,slow,ok"])
+def test_unquoted_field_over_the_csv_limit_fails_on_both_parse_paths(tmp_path, later):
+    # without a quote the body is clean but for the long cell, and a bad cell
+    # in a later row must not change which error the long one gives
+    limit = csv.field_size_limit()
+    m, d = write_pair(tmp_path, data=f"a,b,perf,note\n0,0,3.0,{'x' * 200_000}\n{later}\n")
+    with pytest.raises(RowError, match=r"^row 1: not readable as CSV: field larger"):
+        load_dataset(m, d)
+    assert csv.field_size_limit() == limit
+    body = f"0,0,3.0,{'x' * 200_000}\n0,1,2.0,ok\n"
+    assert _parse_clean(body, [0, 1, 2]) is None
+    # a long body of short lines stays on the fast path
+    assert _parse_clean("0,0,3.0,ok\n" * 30_000, [0, 1, 2]).shape == (30_000, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=30), st.integers(1, 25))
+def test_has_line_over_matches_line_lengths(lengths, limit):
+    body = "\n".join("x" * k for k in lengths)
+    assert _has_line_over(body, limit) == (max(lengths) > limit)
 
 
 def test_direction_signs():
