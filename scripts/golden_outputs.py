@@ -5,9 +5,10 @@ For each seed (1 and 7) the script generates its tables (three synthetic
 kinds through `flashtune synth`, a 125-row integer table with one minimized
 and one maximized objective that it writes itself, and a messy copy of that
 table as a spreadsheet might export it), then runs
-`tune`, `tune-mo`, `baseline` with every method, `eval`, single- and
-multi-objective `experiment`, two failing commands and the synthetic rig
-script on them.  Each command gets its own directory holding `command.txt`,
+`tune`, `tune-mo`, `baseline` with every method, `eval` (also on front files
+that spell zero as `-0` or `-0.0`, or name a configuration the table lacks),
+single- and multi-objective `experiment`, three failing commands and the
+synthetic rig script on them.  Each command gets its own directory holding `command.txt`,
 `stdout.txt`, `stderr.txt`, `exit_code.txt` and every file the command
 wrote.  Commands run from inside the seed's directory with relative paths,
 and the absolute output directory is replaced by `<OUT>` in stdout and
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import os
 import random
 import shutil
@@ -87,6 +89,26 @@ def write_messy_copy(table: Path, messy: Path) -> None:
     (messy / "data.csv").write_bytes("\r\n".join(lines).encode("utf-8"))
 
 
+def write_front_variants(table: Path) -> None:
+    """Front files that name `table`'s configurations in other spellings:
+    `front-zeros.csv` (the true front) and `approx-zeros.csv` (every other
+    front row) write each zero as `-0`, `0.0` or `-0.0` in
+    turn, and `absent.csv` names a front row and then a configuration the
+    table lacks."""
+    with open(table / "front.csv", newline="", encoding="utf-8") as fh:
+        header, *front = list(csv.reader(fh))
+    zeros = itertools.cycle(["-0", "0.0", "-0.0"])
+
+    def write(name: str, rows: list[list[str]]) -> None:
+        lines = [",".join(header)]
+        lines += [",".join(next(zeros) if cell == "0" else cell for cell in row) for row in rows]
+        (table / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    write("front-zeros.csv", front)
+    write("approx-zeros.csv", front[::2])
+    write("absent.csv", [front[0], ["1", "2", "5"]])
+
+
 def commands(seed: int) -> list[tuple[str, list[str]]]:
     """(name, argv) pairs; paths are relative to the seed directory, and
     every command but `eval` writes into `<name>/out`."""
@@ -137,6 +159,9 @@ def commands(seed: int) -> list[tuple[str, list[str]]]:
                            "--approx-front", "tune-mo-bi/out/front.csv"]),
         ("eval-int", cli + ["eval", *table("int"), "--true-front", "tables/int/front.csv",
                             "--approx-front", "tune-mo-int/out/front.csv"]),
+        ("eval-int-zeros", cli + ["eval", *table("int"), "--true-front",
+                                  "tables/int/front-zeros.csv", "--approx-front",
+                                  "tables/int/approx-zeros.csv"]),
         ("experiment-single", cli + ["experiment", "--kind", "interaction", "--options", "6",
                                      "--methods", "flash,progressive,rank,random:40",
                                      "--repeats", "3", "--size", "15", "--budget", "10",
@@ -153,6 +178,8 @@ def commands(seed: int) -> list[tuple[str, list[str]]]:
         ("fail-tune-mo-single", cli + ["tune-mo", *table("single-peak"), "--seed", s]),
         ("fail-eval-foreign", cli + ["eval", *table("int"), "--true-front", "tables/int/front.csv",
                                      "--approx-front", "tables/bi-objective-tradeoff/data.csv"]),
+        ("fail-eval-absent", cli + ["eval", *table("int"), "--true-front", "tables/int/front.csv",
+                                    "--approx-front", "tables/int/absent.csv"]),
         ("rig", [sys.executable, str(ROOT / "scripts" / "run_synthetic_rig.py"), "--repeats", "1",
                  "--options", "6", "--seed", s]),
     ]
@@ -192,6 +219,7 @@ def main(argv=None) -> int:
         cwd.mkdir(parents=True)
         write_integer_table(cwd / "tables" / "int", seed)
         write_messy_copy(cwd / "tables" / "int", cwd / "tables" / "messy")
+        write_front_variants(cwd / "tables" / "int")
         for name, argv_ in commands(seed):
             run(name, argv_, cwd, out, env)
             if name.startswith("synth-"):

@@ -210,6 +210,12 @@ def _max_option_index(tree: TreeNode) -> int:
     )
 
 
+def _width_error(tree: TreeNode, width: int) -> ValueError:
+    return ValueError(
+        f"configurations have {width} options, tree splits on index {_max_option_index(tree)}"
+    )
+
+
 def predict(tree: TreeNode, config: Sequence[float]) -> float:
     """Descend by threshold comparisons to a leaf and return its prediction."""
     node = tree
@@ -235,12 +241,11 @@ def predict_batch(tree: TreeNode, configs, *, memo: dict | None = None) -> np.nd
         return np.zeros(0, dtype=float)
     if X.ndim != 2:
         raise ValueError("configs must be a 2-D array of configuration rows")
-    if X.shape[1] <= _max_option_index(tree):
-        raise ValueError(
-            f"configurations have {X.shape[1]} options, tree splits on index {_max_option_index(tree)}"
-        )
+    width = X.shape[1]
     kept = memo is not None
     if kept and X.flags.writeable:
+        if _max_option_index(tree) >= width:
+            raise _width_error(tree, width)
         raise ValueError("a predict memo needs a read-only matrix")
     memo = {} if memo is None else memo
     if memo.get("X") is not X:
@@ -259,6 +264,11 @@ def predict_batch(tree: TreeNode, configs, *, memo: dict | None = None) -> np.nd
         if isinstance(node, Leaf):
             out[rows] = node.prediction
             continue
+        # a carried subtree was checked by the call that stored it; one that
+        # no row reaches is not walked, so it is checked whole
+        if node.option_index >= width or (rows.size == 0 and _max_option_index(node) >= width):
+            memo.clear()
+            raise _width_error(tree, width)
         if rows.size == 0:
             continue
         j, thr = node.option_index, node.threshold
@@ -296,18 +306,16 @@ def _carry(path: tuple, node: TreeNode, old: dict, new: dict) -> None:
 def dump_tree(tree: TreeNode, option_names: Sequence[str] | None = None) -> str:
     """Indented text rendering of a tree, for --dump-tree debugging output."""
     lines: list[str] = []
-
-    def name(j: int) -> str:
-        return option_names[j] if option_names is not None else f"option[{j}]"
-
-    def walk(node: TreeNode, indent: int) -> None:
+    stack: list[tuple[TreeNode, int]] = [(tree, 0)]
+    while stack:
+        node, indent = stack.pop()
         pad = "  " * indent
         if isinstance(node, Leaf):
             lines.append(f"{pad}leaf prediction={node.prediction:.6g} count={node.count}")
-        else:
-            lines.append(f"{pad}split {name(node.option_index)} <= {node.threshold:.6g}")
-            walk(node.left, indent + 1)
-            walk(node.right, indent + 1)
-
-    walk(tree, 0)
+            continue
+        j = node.option_index
+        name = option_names[j] if option_names is not None else f"option[{j}]"
+        lines.append(f"{pad}split {name} <= {node.threshold:.6g}")
+        stack.append((node.right, indent + 1))
+        stack.append((node.left, indent + 1))
     return "\n".join(lines) + "\n"

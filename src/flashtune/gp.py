@@ -12,8 +12,14 @@ distinct factor.  Both accept the squared distances as `d2`, so a caller that
 keeps them across fits (ePAL adds one measured point per step) computes each
 pair once.  Given the distances `_sq_dists` would compute, every figure is
 bitwise the one that separate 1-D calls give: the same floats go through the
-same operations.  The factors always come from `cho_factor` on the whole
+same operations.  The factors always come from LAPACK's `dpotrf` on the whole
 kernel matrix; a factor updated row by row would differ in its last bits.
+
+`dpotrf`, `dpotrs` and `dtrtrs` are called directly, with the arguments
+scipy's `cho_factor`, `cho_solve` and `solve_triangular` pass them, so every
+figure is the wrappers' bit for bit without their per-call argument checks.
+Of those checks only finiteness can fail here, and it is made on the kernels
+and the targets.
 
 scipy is imported on the first fit or prediction, not with the package: the
 import takes about a third of a second, and only ePAL pays it.
@@ -77,17 +83,24 @@ class GaussianProcess:
 
 
 def _factor(K: np.ndarray, noise: float):
-    """Cholesky of K + noise*I with escalating jitter; raises GpError if hopeless."""
+    """Cholesky of K + noise*I with escalating jitter, as `cho_factor(...,
+    lower=True)` returns it: the factor in the lower triangle and True.
+    Raises GpError if hopeless."""
+    if not np.isfinite(K).all():
+        raise ValueError("kernel matrix must be finite")
     n = K.shape[0]
     scale = float(np.trace(K)) / n if n else 1.0
+    dpotrf = linalg().lapack.dpotrf
     jitter = 0.0
     while True:
-        try:
-            return linalg().cho_factor(K + (noise + jitter) * np.eye(n), lower=True)
-        except np.linalg.LinAlgError:
-            jitter = max(jitter * 10.0, 1e-12 * scale)
-            if jitter > 1e-3 * scale:
-                raise GpError("kernel matrix is not positive definite") from None
+        c, info = dpotrf(K + (noise + jitter) * np.eye(n), lower=1, clean=0)
+        if info == 0:
+            return c, True
+        if info < 0:
+            raise ValueError(f"dpotrf: illegal value in argument {-info}")
+        jitter = max(jitter * 10.0, 1e-12 * scale)
+        if jitter > 1e-3 * scale:
+            raise GpError("kernel matrix is not positive definite")
 
 
 def gp_fit(xs, ys, params: GpParams = GpParams(), *, d2=None):
@@ -109,6 +122,8 @@ def gp_fit(xs, ys, params: GpParams = GpParams(), *, d2=None):
         d2 = _sq_dists(X, X)
     elif np.shape(d2) != (n, n):
         raise ValueError("d2 must be the (n, n) squared distances of the inputs")
+    if not np.isfinite(Y).all():
+        raise ValueError("targets must be finite")
     columns = [Y] if Y.ndim == 1 else list(Y.T)
     y_means = [float(y.mean()) for y in columns]
     centered = [y - mean for y, mean in zip(columns, y_means)]
@@ -116,12 +131,15 @@ def gp_fit(xs, ys, params: GpParams = GpParams(), *, d2=None):
     candidates = [params]
     if params.refine:
         candidates = [replace(params, length_scale=ls) for ls in params.length_scale_grid]
+    dpotrs = linalg().lapack.dpotrs
     best = [None] * len(columns)
     for cand in candidates:
         chol = _factor(_kernel(d2, cand), cand.noise_variance)
         log_det = np.sum(np.log(np.diag(chol[0])))
         for j, yc in enumerate(centered):
-            alpha = linalg().cho_solve(chol, yc)
+            alpha, info = dpotrs(chol[0], yc, lower=1)
+            if info:
+                raise ValueError(f"dpotrs: illegal value in argument {-info}")
             lml = float(-0.5 * yc @ alpha - log_det - 0.5 * n * np.log(2.0 * np.pi))
             if best[j] is None or lml > best[j][3]:
                 best[j] = (cand, chol, alpha, lml)
@@ -155,11 +173,16 @@ def gp_predict_batch(gp, xs, *, d2=None) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("d2 must be the (U, n) squared distances of queries to inputs")
     mu = np.empty((Xq.shape[0], len(gps)))
     sigma = np.empty_like(mu)
+    dtrtrs = linalg().lapack.dtrtrs
     done: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for j, g in enumerate(gps):
         if id(g._chol) not in done:
             Ks = _kernel(d2, g.params)
-            v = linalg().solve_triangular(g._chol[0], Ks.T, lower=True)
+            if not np.isfinite(Ks).all():
+                raise ValueError("query kernel must be finite")
+            v, info = dtrtrs(g._chol[0], Ks.T, lower=1)
+            if info:
+                raise ValueError(f"dtrtrs: returned info {info}")
             var = g.params.signal_variance - (v * v).sum(axis=0)
             done[id(g._chol)] = Ks, np.sqrt(np.maximum(var, 0.0))
         Ks, sigma[:, j] = done[id(g._chol)]

@@ -84,7 +84,7 @@ class Trace:
 
     def take(self, pos: int) -> tuple[float, ...]:
         """Measure the configuration at `pos` and record it; returns the vector."""
-        values = tuple(float(v) for v in self.oracle.measure(tuple(self.X[pos])))
+        values = tuple(float(v) for v in self.oracle.measure(tuple(self.X[pos].tolist())))
         if self.Y is None:
             self.Y = np.zeros((self.ids.size, len(values)))
         elif len(values) != self.Y.shape[1]:

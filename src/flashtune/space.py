@@ -21,6 +21,7 @@ import io
 import math
 import operator
 import shlex
+import struct
 import subprocess
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -169,6 +170,14 @@ class Dataset:
     """Immutable lookup table of configurations and their measured objectives.
 
     Safe for concurrent reads; the backing arrays are marked read-only.
+
+    `lookup` finds a row through an index keyed by bytes: the row's option
+    values plus 0.0, so that -0.0 and 0.0 share a key, packed as native
+    doubles.  The values are finite, so two rows share a key exactly when
+    their float tuples compare equal.  A query is packed as it comes; when
+    that misses, or the values do not pack, each value goes through
+    `float(v) + 0.0` and the length is checked before one more try.  So any
+    spelling of a configuration that `float` reads finds its row.
     """
 
     def __init__(
@@ -215,13 +224,16 @@ class Dataset:
             raise RowError(rows[i], f"value {float(X[i, j])!r} outside domain of option "
                                     f"{self.options[j].name!r}")
 
-        n = X.shape[0]
-        self._index: dict[tuple[float, ...], int] = dict(zip(map(tuple, X.tolist()), range(n)))
+        n, d = X.shape
+        self._pack = struct.Struct(f"{d}d").pack
+        # a void view reads each row's bytes as one scalar; it needs a width
+        keys = (X + 0.0).view(f"V{8 * d}").ravel().tolist() if d else [b""] * n
+        self._index: dict[bytes, int] = dict(zip(keys, range(n)))
         if len(self._index) < n:
             # a duplicate: find the first one in row order, and where it was first seen
-            seen: dict[tuple[float, ...], int] = {}
-            for i, row in enumerate(X.tolist()):
-                first = seen.setdefault(tuple(row), i)
+            seen: dict[bytes, int] = {}
+            for i, key in enumerate(keys):
+                first = seen.setdefault(key, i)
                 if first != i:
                     raise RowError(rows[i],
                                    f"duplicate configuration (first seen at row {rows[first]})")
@@ -252,7 +264,17 @@ class Dataset:
 
     def lookup(self, config: Sequence[float]) -> int:
         """Row index of a configuration; KeyError if absent."""
-        return self._index[tuple(float(v) for v in config)]
+        config = tuple(config)
+        try:
+            return self._index[self._pack(*config)]
+        except (KeyError, struct.error):
+            pass
+        key = tuple(float(v) for v in config)
+        if len(key) == len(self.options):
+            i = self._index.get(self._pack(*(v + 0.0 for v in key)))
+            if i is not None:
+                return i
+        raise KeyError(key)
 
     def candidates(self, indices: Iterable[int] | None = None) -> Pool:
         """Pool of row id -> option values, the format the optimizers take.
@@ -523,7 +545,7 @@ class TableOracle:
             i = self._dataset.lookup(config)
         except KeyError:
             raise MeasureError(f"configuration {tuple(config)!r} is not in the dataset") from None
-        return tuple(self._dataset.values[i])
+        return tuple(self._dataset.values[i].tolist())
 
 
 class CommandOracle:

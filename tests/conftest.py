@@ -52,6 +52,21 @@ def two_bool_dataset():
 
 # --- the GP before multi-column fits and gathered distances --------------------
 
+def reference_factor(K, noise):
+    """`gp._factor` as it was before it called LAPACK directly: `cho_factor`
+    with escalating jitter."""
+    n = K.shape[0]
+    scale = float(np.trace(K)) / n if n else 1.0
+    jitter = 0.0
+    while True:
+        try:
+            return gp.linalg().cho_factor(K + (noise + jitter) * np.eye(n), lower=True)
+        except np.linalg.LinAlgError:
+            jitter = max(jitter * 10.0, 1e-12 * scale)
+            if jitter > 1e-3 * scale:
+                raise gp.GpError("kernel matrix is not positive definite") from None
+
+
 def reference_gp_fit(xs, ys, params):
     """One objective's GP fit as it was before `gp_fit` took (n, m) targets
     and `d2`: own distances, one factor per grid scale per objective."""
@@ -65,7 +80,7 @@ def reference_gp_fit(xs, ys, params):
     d2 = gp._sq_dists(X, X)
     best = None
     for cand in candidates:
-        chol = gp._factor(gp._kernel(d2, cand), cand.noise_variance)
+        chol = reference_factor(gp._kernel(d2, cand), cand.noise_variance)
         alpha = gp.linalg().cho_solve(chol, yc)
         lml = float(
             -0.5 * yc @ alpha

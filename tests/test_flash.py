@@ -370,6 +370,7 @@ def test_runs_leave_no_reference_cycles():
     try:
         cart.predict_batch(tree, X)
         cart.predict_batch(tree, X, memo={})
+        cart.dump_tree(tree)
         flash_single(ds.candidates(), TableOracle(ds), params)
         flash_multi(ds.candidates(), TableOracle(ds), params, ds.directions)
         progressive_sampling(train, hold, val, TableOracle(ds), seed=4)

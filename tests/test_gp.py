@@ -6,7 +6,7 @@ import pytest
 from flashtune import gp as gp_module
 from flashtune.gp import GpParams, gp_fit, gp_predict, gp_predict_batch
 
-from conftest import reference_gp_fit, reference_gp_predict_batch
+from conftest import reference_factor, reference_gp_fit, reference_gp_predict_batch
 
 
 def naive_posterior(X, y, query, params):
@@ -189,12 +189,57 @@ def test_multi_column_predict_solves_once_per_factor(monkeypatch):
     Y = np.column_stack([rng.normal(size=12)] * 3)  # equal columns choose equal scales
     gps = gp_fit(X, Y, GpParams(refine=True))
     solves = []
-    real = gp_module.linalg().solve_triangular
-    monkeypatch.setattr(gp_module.linalg(), "solve_triangular",
+    real = gp_module.linalg().lapack.dtrtrs
+    monkeypatch.setattr(gp_module.linalg().lapack, "dtrtrs",
                         lambda *a, **k: solves.append(1) or real(*a, **k))
     mu, sigma = gp_predict_batch(gps, rng.random((5, 3)))
     assert len(solves) == 1
     assert same_bits(mu[:, 0], mu[:, 2]) and same_bits(sigma[:, 0], sigma[:, 1])
+
+
+def test_jitter_escalation_matches_the_cho_factor_loop(monkeypatch):
+    """Kernels of repeated inputs with no noise are singular: `_factor`
+    retries `dpotrf` with growing jitter and ends at the factor the
+    `cho_factor` loop gives, bit for bit."""
+    rng = np.random.default_rng(23)
+    calls = []
+    real = gp_module.linalg().lapack.dpotrf
+    monkeypatch.setattr(gp_module.linalg().lapack, "dpotrf",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    escalated = 0
+    for case in range(40):
+        X = rng.random((int(rng.integers(2, 12)), int(rng.integers(1, 4))))
+        X = np.vstack([X, X[:case % 3 + 1]])
+        K = gp_module._kernel(gp_module._sq_dists(X, X), GpParams())
+        calls.clear()
+        c, lower = gp_module._factor(K, 0.0)
+        escalated += len(calls) > 1
+        want, want_lower = reference_factor(K, 0.0)
+        assert lower is want_lower is True
+        assert same_bits(c, want)
+    assert escalated > 20
+    calls.clear()
+    hopeless = np.array([[1.0, 2.0], [2.0, 1.0]])
+    for factor in (gp_module._factor, reference_factor):
+        with pytest.raises(gp_module.GpError):
+            factor(hopeless, 0.0)
+    assert len(calls) > 2
+
+
+def test_raw_lapack_path_rejects_what_the_scipy_wrappers_rejected(monkeypatch):
+    K = np.eye(3)
+    K[0, 1] = np.nan
+    for factor in (gp_module._factor, reference_factor):
+        with pytest.raises(ValueError):
+            factor(K, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        gp_fit([[0.0], [1.0]], [0.0, np.nan])
+    gp = gp_fit([[0.0], [1.0]], [0.0, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        gp_predict_batch(gp, [[np.nan]])
+    monkeypatch.setattr(gp_module.linalg().lapack, "dpotrf", lambda a, **k: (a, -1))
+    with pytest.raises(ValueError, match="illegal value in argument 1"):
+        gp_module._factor(np.eye(2), 0.0)
 
 
 def test_validation():

@@ -507,6 +507,27 @@ def setdefault_index(X, rows):
     return index, None
 
 
+def tuple_lookup(index, config):
+    """`Dataset.lookup` before the byte-keyed index, over `setdefault_index`."""
+    return index[tuple(float(v) for v in config)]
+
+
+def lookup_outcome(lookup, config):
+    try:
+        return "found", lookup(config)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared
+        return type(exc).__name__, repr(exc.args)
+
+
+def spellings(value: float):
+    """Ways a caller may write one option value."""
+    out = [value, -value, np.float64(value), np.float32(value), int(value),
+           np.int64(value), repr(value)]
+    if value in (0.0, 1.0):
+        out += [bool(value), np.bool_(value)]
+    return out
+
+
 @settings(max_examples=300)
 @given(st.data())
 def test_index_matches_setdefault_loop(data):
@@ -522,10 +543,22 @@ def test_index_matches_setdefault_loop(data):
                      row_numbers=rows)
     except RowError as exc:
         assert str(exc) == expected
-    else:
-        assert expected is None
-        assert ds._index == index
-        assert all(ds.lookup(X[i]) == i for i in range(n))
+        return
+    assert expected is None
+    queries = [(np.asarray, X[i]) for i in range(n)] + [(tuple, ds.config(i)) for i in range(n)]
+    for _ in range(data.draw(st.integers(0, 6))):
+        # a row or any point of the domain, each value respelled, in some container
+        base = data.draw(st.one_of(st.sampled_from(X.tolist()),
+                                   st.lists(st.sampled_from([0.0, 1.0, 2.0, 0.5]),
+                                            min_size=d, max_size=d)))
+        config = [data.draw(st.sampled_from(spellings(v))) for v in base]
+        if data.draw(st.booleans()):  # a wrong length, or not
+            config = config[:data.draw(st.integers(0, d))]
+            config += data.draw(st.lists(st.sampled_from([0.0, 1.0]), max_size=2))
+        queries.append((data.draw(st.sampled_from([tuple, list, iter, np.array])), config))
+    for wrap, config in queries:
+        assert lookup_outcome(ds.lookup, wrap(config)) == lookup_outcome(
+            lambda c: tuple_lookup(index, c), wrap(config))
 
 
 def test_load_counts_file_rows_for_every_row_error(tmp_path):
