@@ -210,12 +210,6 @@ def _max_option_index(tree: TreeNode) -> int:
     )
 
 
-def _width_error(tree: TreeNode, width: int) -> ValueError:
-    return ValueError(
-        f"configurations have {width} options, tree splits on index {_max_option_index(tree)}"
-    )
-
-
 def predict(tree: TreeNode, config: Sequence[float]) -> float:
     """Descend by threshold comparisons to a leaf and return its prediction."""
     node = tree
@@ -241,11 +235,12 @@ def predict_batch(tree: TreeNode, configs, *, memo: dict | None = None) -> np.nd
         return np.zeros(0, dtype=float)
     if X.ndim != 2:
         raise ValueError("configs must be a 2-D array of configuration rows")
-    width = X.shape[1]
+    if X.shape[1] <= _max_option_index(tree):
+        raise ValueError(
+            f"configurations have {X.shape[1]} options, tree splits on index {_max_option_index(tree)}"
+        )
     kept = memo is not None
     if kept and X.flags.writeable:
-        if _max_option_index(tree) >= width:
-            raise _width_error(tree, width)
         raise ValueError("a predict memo needs a read-only matrix")
     memo = {} if memo is None else memo
     if memo.get("X") is not X:
@@ -264,11 +259,6 @@ def predict_batch(tree: TreeNode, configs, *, memo: dict | None = None) -> np.nd
         if isinstance(node, Leaf):
             out[rows] = node.prediction
             continue
-        # a carried subtree was checked by the call that stored it; one that
-        # no row reaches is not walked, so it is checked whole
-        if node.option_index >= width or (rows.size == 0 and _max_option_index(node) >= width):
-            memo.clear()
-            raise _width_error(tree, width)
         if rows.size == 0:
             continue
         j, thr = node.option_index, node.threshold

@@ -174,9 +174,8 @@ class Dataset:
     `lookup` finds a row through an index keyed by bytes: the row's option
     values plus 0.0, so that -0.0 and 0.0 share a key, packed as native
     doubles.  The values are finite, so two rows share a key exactly when
-    their float tuples compare equal.  A query is packed as it comes; when
-    that misses, or the values do not pack, each value goes through
-    `float(v) + 0.0` and the length is checked before one more try.  So any
+    their float tuples compare equal.  A query of the right length is
+    packed the same way, each value through `float(v) + 0.0`, so any
     spelling of a configuration that `float` reads finds its row.
     """
 
@@ -227,7 +226,8 @@ class Dataset:
         n, d = X.shape
         self._pack = struct.Struct(f"{d}d").pack
         # a void view reads each row's bytes as one scalar; it needs a width
-        keys = (X + 0.0).view(f"V{8 * d}").ravel().tolist() if d else [b""] * n
+        # and C order, whatever the layout of the array passed in
+        keys = np.add(X, 0.0, order="C").view(f"V{8 * d}").ravel().tolist() if d else [b""] * n
         self._index: dict[bytes, int] = dict(zip(keys, range(n)))
         if len(self._index) < n:
             # a duplicate: find the first one in row order, and where it was first seen
@@ -264,14 +264,9 @@ class Dataset:
 
     def lookup(self, config: Sequence[float]) -> int:
         """Row index of a configuration; KeyError if absent."""
-        config = tuple(config)
-        try:
-            return self._index[self._pack(*config)]
-        except (KeyError, struct.error):
-            pass
-        key = tuple(float(v) for v in config)
+        key = tuple(map(float, config))
         if len(key) == len(self.options):
-            i = self._index.get(self._pack(*(v + 0.0 for v in key)))
+            i = self._index.get(self._pack(*[v + 0.0 for v in key]))
             if i is not None:
                 return i
         raise KeyError(key)

@@ -167,6 +167,25 @@ def test_dataset_reports_duplicate_with_first_row():
         make_dataset([(0,), (1,), (2,), (1,)], [1.0, 2.0, 3.0, 4.0])
 
 
+def test_dataset_takes_configs_in_any_memory_layout():
+    """The index reads each row's bytes, so it must not depend on the
+    caller's array being C-ordered or contiguous."""
+    X = np.array([[0.0, 1.0, 2.0], [-0.0, 2.0, 1.0], [2.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+    options = [OptionSchema(f"o{j}", "integer", 0, 2) for j in range(3)]
+    objectives = [ObjectiveSchema("y", "minimize")]
+    wide = np.zeros((4, 6))
+    wide[:, ::2] = X
+    for layout in (np.asfortranarray(X), X.T.copy().T, wide[:, ::2]):
+        ds = Dataset(options, objectives, layout, np.ones((4, 1)))
+        assert [ds.lookup(row) for row in X.tolist()] == [0, 1, 2, 3]
+        assert ds.lookup((0, 2, 1)) == 1
+        with pytest.raises(KeyError):
+            ds.lookup((2.0, 2.0, 2.0))
+    dup = np.asfortranarray(np.vstack([X, [[0.0, 2.0, 1.0]]]))
+    with pytest.raises(RowError, match=r"^row 5: duplicate configuration \(first seen at row 2\)$"):
+        Dataset(options, objectives, dup, np.ones((5, 1)))
+
+
 def test_dataset_reports_given_row_numbers():
     options = [OptionSchema("a", "integer", 0, 3)]
     objectives = [ObjectiveSchema("y", "minimize")]
