@@ -78,6 +78,9 @@ def _lives_loop(
         raise ValueError("train pool, holdout, and validation must be non-empty")
     if np.intersect1d(parts[0].ids, parts[1].ids).size:
         raise ValueError("holdout must be disjoint from the train pool")
+    # the answer is measured at the end, so a validation id measured before would be measured twice
+    if np.intersect1d(parts[2].ids, np.union1d(parts[0].ids, parts[1].ids)).size:
+        raise ValueError("validation must be disjoint from the train pool and the holdout")
     trace = Trace(Pool.union(*parts), oracle)
     train_pos, hold_pos, val_pos = (np.searchsorted(trace.ids, p.ids) for p in parts)
     rng = np.random.default_rng(seed)

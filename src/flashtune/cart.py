@@ -37,10 +37,21 @@ rest is compared and written.  As `fit`'s memo hands back unchanged subtree
 objects, a refit that adds one row rewrites little more than the rows along
 that row's path.  The memo is tied to one read-only matrix object: a writeable
 one is refused and another one starts it over.
+
+Picking the best-ranked row needs no prediction per row.  `argmin_row` walks
+the tree once for its leaves, orders them by prediction, and partitions the
+matrix only along the paths of the leaves it inspects, best first, until a
+leaf holds a row the caller has not skipped; among tied leaves it inspects
+them all and takes the lowest such position.  That is the row `np.argmin`
+finds over the predictions of the rows not skipped, found without writing or
+scanning one value per row.  Its memo keeps, per path, the row positions that
+reach it, under the predict memo's rules: one read-only matrix, only the
+current tree's paths.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -271,6 +282,89 @@ def predict_batch(tree: TreeNode, configs, *, memo: dict | None = None) -> np.nd
         stack.append((left_path, node.left, rows_left))
     memo["paths"] = new
     return out.copy() if kept else out
+
+
+def argmin_row(tree: TreeNode, configs, skip, sign: float = 1.0, *,
+               memo: dict | None = None) -> int:
+    """The position `np.argmin` picks over `predict_batch(tree, configs) * sign`
+    when only the rows where `skip` is False are considered.
+
+    Leaves are ranked by `prediction * sign`, a NaN first as `np.argmin` ranks
+    it, and only the rows of the leaves inspected are found (see the module
+    docstring).  Raises ValueError when every row is skipped.  `memo`, a dict
+    that starts empty, keeps the rows of the paths found over one read-only
+    matrix for the next call; the result is the same with or without it.
+    """
+    X = np.asarray(configs, dtype=float)
+    skip = np.asarray(skip, dtype=bool)
+    if X.ndim != 2:
+        raise ValueError("configs must be a 2-D array of configuration rows")
+    if skip.shape != X.shape[:1]:
+        raise ValueError("skip must be a 1-D mask aligned with configs")
+    if memo is not None and X.flags.writeable:
+        raise ValueError("a pick memo needs a read-only matrix")
+    memo = {} if memo is None else memo
+    if memo.get("X") is not X:
+        memo.clear()
+        memo.update(X=X, paths={})
+    old = memo["paths"]
+    paths: dict = {}
+    leaves: list = []
+    widest = -1
+    stack: list = [((), tree)]
+    while stack:
+        path, node = stack.pop()
+        rows = old.get(path)
+        if rows is not None:
+            paths[path] = rows
+        if isinstance(node, Leaf):
+            leaves.append((node.prediction * sign, path))
+            continue
+        widest = max(widest, node.option_index)
+        step = (node.option_index, node.threshold)
+        stack.append((path + (step + (1,),), node.right))
+        stack.append((path + (step + (0,),), node.left))
+    if X.shape[1] <= widest:
+        raise ValueError(f"configurations have {X.shape[1]} options, tree splits on index {widest}")
+    memo["paths"] = paths
+    leaves.sort(key=_rank)
+    for _, tied in itertools.groupby(leaves, key=_rank):
+        best = -1
+        for _, path in tied:
+            rows = _rows_at(X, path, paths)
+            if rows.size:
+                first = rows[int(np.argmin(skip[rows]))]
+                if not skip[first] and (best < 0 or first < best):
+                    best = int(first)
+        if best >= 0:
+            return best
+    raise ValueError("every row is skipped")
+
+
+def _rank(leaf: tuple) -> tuple:
+    """Sort key of a (score, path) leaf: NaN first, as `np.argmin` ranks it,
+    then ascending score, with -0.0 and 0.0 equal."""
+    score = leaf[0]
+    return (1, score) if score == score else (0, 0.0)
+
+
+def _rows_at(X: np.ndarray, path: tuple, paths: dict) -> np.ndarray:
+    """The positions of the rows of `X` that reach `path`, partitioned down
+    from its deepest prefix in `paths`; every path met is stored there."""
+    k = len(path)
+    while k and path[:k] not in paths:
+        k -= 1
+    rows = paths.get(path[:k])
+    if rows is None:
+        rows = paths[()] = np.arange(X.shape[0])
+    for j, thr, side in path[k:]:
+        prefix = path[:k]
+        k += 1
+        left, right = _partition(X, rows, j, thr)
+        paths[prefix + ((j, thr, 0),)] = left
+        paths[prefix + ((j, thr, 1),)] = right
+        rows = right if side else left
+    return rows
 
 
 def _partition(X: np.ndarray, rows: np.ndarray, j: int, thr: float):

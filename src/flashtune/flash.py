@@ -1,10 +1,11 @@
 """Sequential model-based search with a CART surrogate.
 
 After a random warm-up sample, each step fits one regression tree per
-objective on everything measured so far, predicts the rest of the pool, and
-measures the candidate the acquisition rule likes best: plain best-predicted
-value for one objective, the random-projection mean-weight rule for several.
-Acquired candidates leave the pool, so nothing is measured twice.
+objective on everything measured so far and measures the candidate the
+acquisition rule likes best: plain best-predicted value for one objective,
+found from the tree's leaves (`cart.argmin_row`), and for several the
+random-projection mean-weight rule over the pool's predictions.  Acquired
+candidates leave the pool, so nothing is measured twice.
 """
 
 from __future__ import annotations
@@ -86,10 +87,10 @@ def _run(
     columns = [objective] if len(directions) == 1 else range(len(directions))
     rng = np.random.default_rng(params.seed)
     # per objective, one fit memo (each refit reuses the subtrees the new row
-    # missed) and one predict memo (rows whose path did not change keep their
-    # prediction)
+    # missed) and one memo over the pool (rows whose path did not change keep
+    # their leaf)
     fit_memos = {j: {} for j in columns}
-    predict_memos = {j: {} for j in columns}
+    pool_memos = {j: {} for j in columns}
 
     for pos in rng.choice(n, size=params.size, replace=False):
         trace.take(int(pos))
@@ -115,17 +116,17 @@ def _run(
             break
         Xe = trace.X[taken]
         Ye = trace.Y[taken]
-        # predict every row, measured ones too: the memo keeps the rows a refit did not move
-        preds = [
-            cart.predict_batch(cart.fit(Xe, Ye[:, j], cart_params, memo=fit_memos[j]),
-                               trace.X, memo=predict_memos[j])
-            for j in columns
-        ]
         if len(directions) == 1:
-            scores = preds[0] * signs[0]
-            scores[taken] = np.inf
-            pick = int(np.argmin(scores))
+            tree = cart.fit(Xe, Ye[:, objective], cart_params, memo=fit_memos[objective])
+            pick = cart.argmin_row(tree, trace.X, trace.measured, float(signs[0]),
+                                   memo=pool_memos[objective])
         else:
+            # predict every row, measured ones too: the memo keeps the rows a refit did not move
+            preds = [
+                cart.predict_batch(cart.fit(Xe, Ye[:, j], cart_params, memo=fit_memos[j]),
+                                   trace.X, memo=pool_memos[j])
+                for j in columns
+            ]
             # bazza_select normalizes over the candidates, so it sees only the pool
             pool = trace.pool()
             pick = int(pool[bazza_select(

@@ -18,7 +18,7 @@ from flashtune.baselines import (
 from flashtune.flash import FlashParams, flash_single
 from flashtune.gp import GpParams
 from flashtune.runs import Trace
-from flashtune.space import SplitSpec, TableOracle, direction_signs, split
+from flashtune.space import Pool, SplitSpec, TableOracle, direction_signs, split
 from flashtune.synth import generate_synthetic
 
 from conftest import make_dataset, reference_gp_fit, reference_gp_predict_batch
@@ -128,6 +128,22 @@ def test_lives_loop_validation():
         progressive_sampling({}, hold, val, TableOracle(ds))
     with pytest.raises(ValueError):
         LivesParams(lives=0)
+
+
+@pytest.mark.parametrize("as_pool", [Pool.of, dict], ids=["pool", "dict"])
+@pytest.mark.parametrize("shares", ["train", "holdout"])
+def test_lives_loop_rejects_a_validation_pool_sharing_ids(shares, as_pool):
+    """The answer is measured after the train pool and the holdout, so a
+    validation id in either could be measured twice."""
+    ds = generate_synthetic("single-peak", 6, seed=1)
+    train, hold, val = split(ds, SplitSpec(seed=3))
+    shared = np.concatenate([val, (train if shares == "train" else hold)[::3]])
+    pools = [as_pool(ds.candidates(part)) for part in (train, hold, shared)]
+    for fn in (progressive_sampling, rank_based):
+        oracle = TableOracle(ds)
+        with pytest.raises(ValueError, match="^validation must be disjoint from the train pool"):
+            fn(*pools, oracle, seed=4)
+        assert oracle.count == 0
 
 
 def test_progressive_needs_more_measurements_than_flash():

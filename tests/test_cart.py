@@ -8,6 +8,7 @@ from flashtune.cart import (
     Leaf,
     Split,
     TreeNode,
+    argmin_row,
     dump_tree,
     fit,
     predict,
@@ -463,6 +464,182 @@ def test_predict_memo_refuses_a_writeable_matrix():
     assert predict_batch(tree, np.array(X)).tobytes() == predict_batch(tree, X).tobytes()
 
 
+# --- picking the best-ranked row from the leaves -------------------------------
+
+def argmin_oracle(tree, X, skip, sign):
+    """The pick as a whole prediction vector gives it: `np.argmin` over the
+    predictions of the rows not skipped, or None when every row is skipped."""
+    pool = np.flatnonzero(~skip)
+    if pool.size == 0:
+        return None
+    scores = predict_batch(tree, X) * sign
+    return int(pool[np.argmin(scores[pool])])
+
+
+def node_rows(tree, X):
+    """Brute force: every path of the tree, as the pick memo names it, mapped
+    to the positions of the rows of X that reach it."""
+    found = {}
+    for i, row in enumerate(X):
+        node, path = tree, ()
+        found.setdefault(path, []).append(i)
+        while isinstance(node, Split):
+            side = int(row[node.option_index] > node.threshold)
+            path += ((node.option_index, node.threshold, side),)
+            node = node.right if side else node.left
+            found.setdefault(path, []).append(i)
+    stack = [((), tree)]
+    while stack:
+        path, node = stack.pop()
+        found.setdefault(path, [])
+        if isinstance(node, Split):
+            step = (node.option_index, node.threshold)
+            stack += [(path + (step + (0,),), node.left), (path + (step + (1,),), node.right)]
+    return {path: np.array(rows, dtype=np.intp) for path, rows in found.items()}
+
+
+def check_pick(tree, X, skip, sign, memo):
+    """The pick equals the oracle's, or both find every row skipped; the memo
+    holds only paths of this tree, each with the rows that reach it."""
+    want = argmin_oracle(tree, X, skip, sign)
+    if want is None:
+        with pytest.raises(ValueError, match="every row is skipped"):
+            argmin_row(tree, X, skip, sign, memo=memo)
+    else:
+        got = argmin_row(tree, X, skip, sign, memo=memo)
+        assert type(got) is int and got == want
+        assert argmin_row(tree, X, skip, sign) == want
+    truth = node_rows(tree, X)
+    assert memo["X"] is X and () in memo["paths"]
+    for path, rows in memo["paths"].items():
+        assert rows.tolist() == truth[path].tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(fit_cases(), st.data())
+def test_argmin_row_matches_the_argmin_over_predictions(case, data):
+    """The refits of `test_predict_memo_matches_fresh_predictions`, each
+    picking over a fixed matrix through one memo, in either direction, with
+    integer or signed-zero targets (tied leaves) and skip masks that may cover
+    whole leaves.  The matrix may lack some of the fitted rows, so that some
+    leaves hold none of its rows."""
+    X, y, params = case
+    n = y.size
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    targets = data.draw(st.sampled_from(["drawn", "integer", "signed zeros"]))
+    if targets == "integer":
+        y = rng.integers(-2, 3, n).astype(float)
+    elif targets == "signed zeros":
+        y = rng.choice([-0.0, 0.0, 1.0], n)
+    if data.draw(st.booleans()):
+        Z = read_only(X[np.sort(rng.choice(n, size=data.draw(st.integers(1, n)), replace=False))])
+    else:
+        Z = read_only(X)
+    sign = data.draw(st.sampled_from([1.0, -1.0]))
+    rows = list(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)))
+    fit_memo: dict = {}
+    pick_memo: dict = {}
+    for step in range(data.draw(st.integers(1, 12))):
+        if step:
+            rows.insert(data.draw(st.integers(0, len(rows))), data.draw(st.integers(0, n - 1)))
+        tree = fit(X[rows], y[rows], params, memo=fit_memo)
+        skip = rng.random(Z.shape[0]) < data.draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+        if data.draw(st.booleans()):
+            # every row of the leaves the oracle would pick from
+            best = argmin_oracle(tree, Z, np.zeros(Z.shape[0], dtype=bool), sign)
+            for group in leaf_assignments(tree, Z).values():
+                if best in group:
+                    skip[group] = True
+        check_pick(tree, Z, skip, sign, pick_memo)
+
+
+@st.composite
+def drawn_trees(draw, d, depth=0):
+    """Trees whose leaves hold ±0.0, ±inf or NaN, split at thresholds that
+    some integer rows in [0, 3] never reach."""
+    if depth == 4 or draw(st.booleans()):
+        return Leaf(draw(st.sampled_from([-0.0, 0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])), 1)
+    return Split(draw(st.integers(0, d - 1)), draw(st.sampled_from([-0.5, 0.5, 1.5, 3.5])),
+                 draw(drawn_trees(d, depth + 1)), draw(drawn_trees(d, depth + 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_argmin_row_ranks_signed_zeros_infinities_and_nan_as_argmin_does(data):
+    d = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(0, 40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    X = read_only(rng.integers(0, 4, size=(n, d)))
+    memo: dict = {}
+    for _ in range(data.draw(st.integers(1, 5))):
+        tree = data.draw(drawn_trees(d))
+        skip = rng.random(n) < data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        check_pick(tree, X, skip, data.draw(st.sampled_from([1.0, -1.0])), memo)
+
+
+def test_pick_memo_partitions_fewer_rows_when_the_root_split_stays(monkeypatch):
+    from flashtune import cart
+
+    X, y = stable_root_case()
+    compared = []
+    partition = cart._partition
+
+    def counting(X, rows, j, thr):
+        compared.append(rows.size)
+        return partition(X, rows, j, thr)
+
+    monkeypatch.setattr(cart, "_partition", counting)
+    skip = np.zeros(X.shape[0], dtype=bool)
+    fit_memo: dict = {}
+    pick_memo: dict = {}
+    rows = list(range(0, 80, 2))
+    before = fit(X[rows], y[rows], LOOSE, memo=fit_memo)
+    argmin_row(before, X, skip, memo=pick_memo)
+    rows.insert(5, 9)
+    after = fit(X[rows], y[rows], LOOSE, memo=fit_memo)
+    assert (after.option_index, after.threshold) == (before.option_index, before.threshold)
+    compared.clear()
+    got = argmin_row(after, X, skip, memo=pick_memo)
+    assert sum(compared) < X.shape[0]
+    compared.clear()
+    assert argmin_row(after, X, skip) == got
+    assert sum(compared) >= X.shape[0]
+    assert got == argmin_oracle(after, X, skip, 1.0)
+
+
+def test_pick_memo_switched_to_another_matrix_starts_over():
+    X, y = stable_root_case()
+    other = read_only(X[::-1][:700])
+    memo: dict = {}
+    for rows, Z in [(range(40), X), (range(41), other), (range(42), X), (range(42), other)]:
+        tree = fit(X[list(rows)], y[list(rows)], LOOSE)
+        skip = np.zeros(Z.shape[0], dtype=bool)
+        skip[::3] = True
+        check_pick(tree, Z, skip, -1.0, memo)
+
+
+def test_pick_memo_refuses_a_writeable_matrix():
+    X, y = stable_root_case()
+    tree = fit(X[:40], y[:40], LOOSE)
+    skip = np.zeros(X.shape[0], dtype=bool)
+    with pytest.raises(ValueError, match="read-only"):
+        argmin_row(tree, np.array(X), skip, memo={})
+    with pytest.raises(ValueError, match="read-only"):
+        argmin_row(tree, X.tolist(), skip, memo={})
+    assert argmin_row(tree, np.array(X), skip) == argmin_row(tree, X, skip)
+
+
+def test_argmin_row_validation():
+    X = read_only(np.zeros((3, 2)))
+    tree = Split(1, 0.5, Leaf(1.0, 2), Leaf(2.0, 1))
+    with pytest.raises(ValueError, match="2-D"):
+        argmin_row(tree, np.zeros(3), np.zeros(3, dtype=bool))
+    with pytest.raises(ValueError, match="aligned"):
+        argmin_row(tree, X, np.zeros(2, dtype=bool))
+    with pytest.raises(ValueError, match="every row is skipped"):
+        argmin_row(tree, np.zeros((0, 2)), np.zeros(0, dtype=bool))
+
+
 def test_identical_options_split_on_lower_index():
     rng = np.random.default_rng(4)
     noise = rng.normal(size=8)
@@ -542,6 +719,12 @@ def test_width_check_covers_splits_no_row_reaches():
     with pytest.raises(ValueError, match=r"^configurations have 2 options, tree splits on index 4$"):
         predict_batch(unreached, X, memo=memo)
     assert predict_batch(good, X, memo=memo).tolist() == [1.0, 2.0, 1.0]
+    skip = np.array([True, False, False])
+    pick_memo: dict = {}
+    assert argmin_row(good, X, skip, -1.0, memo=pick_memo) == 1
+    with pytest.raises(ValueError, match=r"^configurations have 2 options, tree splits on index 4$"):
+        argmin_row(unreached, X, skip, memo=pick_memo)
+    assert argmin_row(good, X, skip, memo=pick_memo) == 2
 
 
 def test_dump_tree_format():

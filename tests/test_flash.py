@@ -354,6 +354,30 @@ def test_acquisition_sequence_matches_the_mask_and_pool_step(table, budget, seed
     assert got.stop_reason == ("pool-exhausted" if budget >= 246 else "budget")
 
 
+# --- predictions that overflow -------------------------------------------------
+
+def overflowing_table(m=1):
+    """40 rows whose every target is 1.7e308: leaf means overflow to +inf."""
+    return make_dataset([(i,) for i in range(40)], np.full((40, m), 1.7e308))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_single_never_measures_a_row_twice_when_every_prediction_is_infinite():
+    ds = overflowing_table()
+    run = flash_single(ds.candidates(), TableOracle(ds), FlashParams(size=4, budget=5, seed=0))
+    assert run.measurements_used == 9
+    assert len(set(run.evaluated_ids)) == 9
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_multi_refuses_infinite_predictions_instead_of_measuring_twice():
+    ds = overflowing_table(m=2)
+    oracle = TableOracle(ds)
+    with pytest.raises(ValueError, match="finite"):
+        flash_multi(ds.candidates(), oracle, FlashParams(size=4, budget=5, seed=0), ds.directions)
+    assert oracle.count == 4
+
+
 # --- no reference cycles ------------------------------------------------------
 
 def test_runs_leave_no_reference_cycles():
@@ -371,6 +395,8 @@ def test_runs_leave_no_reference_cycles():
         cart.predict_batch(tree, X)
         cart.predict_batch(tree, X, memo={})
         cart.dump_tree(tree)
+        cart.argmin_row(tree, X, np.zeros(X.shape[0], dtype=bool))
+        cart.argmin_row(tree, X, np.zeros(X.shape[0], dtype=bool), -1.0, memo={})
         flash_single(ds.candidates(), TableOracle(ds), params)
         flash_multi(ds.candidates(), TableOracle(ds), params, ds.directions)
         progressive_sampling(train, hold, val, TableOracle(ds), seed=4)

@@ -1,7 +1,5 @@
 import pytest
 
-import numpy as np
-
 from flashtune.baselines import (
     EpalParams,
     epal,
@@ -112,11 +110,9 @@ def _run_fields(result):
     return run.evaluated, run.best, run.front, run.stop_reason
 
 
-def _lives(fn, shared=False):
+def _lives(fn):
     def call(ds, as_pool):
         train, hold, val = split(ds, SplitSpec(seed=3))
-        if shared:
-            val = np.concatenate([val, train[::3]])
         pools = [ds.candidates(part) for part in (train, hold, val)]
         return fn(*[as_pool(p) for p in pools], TableOracle(ds), seed=4)
     return call
@@ -131,9 +127,8 @@ def _lives(fn, shared=False):
     lambda ds, p: random_search(p(ds.candidates()), TableOracle(ds), 12, ("minimize",), seed=2),
     _lives(progressive_sampling),
     _lives(rank_based),
-    _lives(progressive_sampling, shared=True),
 ], ids=["flash_single", "flash_multi", "epal", "random_search", "progressive_sampling",
-        "rank_based", "lives_validation_shares_train_ids"])
+        "rank_based"])
 def test_pool_and_dict_give_the_same_run(optimizer):
     ds = generate_synthetic("bi-objective-tradeoff", 6, seed=1)
     from_pool = _run_fields(optimizer(ds, lambda pool: pool))
