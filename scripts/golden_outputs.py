@@ -7,7 +7,7 @@ and one maximized objective that it writes itself, and a messy copy of that
 table as a spreadsheet might export it), then runs
 `tune`, `tune-mo`, `baseline` with every method, `eval` (also on front files
 that spell zero as `-0` or `-0.0`, or name a configuration the table lacks),
-single- and multi-objective `experiment`, three failing commands and the
+single- and multi-objective `experiment`, six failing commands and the
 synthetic rig script on them.  Each command gets its own directory holding `command.txt`,
 `stdout.txt`, `stderr.txt`, `exit_code.txt` and every file the command
 wrote.  Commands run from inside the seed's directory with relative paths,
@@ -176,6 +176,12 @@ def commands(seed: int) -> list[tuple[str, list[str]]]:
                                         "--repeats", "2", "--size", "15", "--budget", "10",
                                         "--seed", s]),
         ("fail-tune-mo-single", cli + ["tune-mo", *table("single-peak"), "--seed", s]),
+        ("fail-tune-objective", cli + ["tune", *table("int"), "--objective", "nosuch",
+                                       "--seed", s]),
+        ("fail-baseline-epal-single", cli + ["baseline", *table("single-peak"), "--method",
+                                             "epal", "--seed", s]),
+        ("fail-baseline-epal-objective", cli + ["baseline", *table("int"), "--method", "epal",
+                                                "--objective", "0", "--seed", s]),
         ("fail-eval-foreign", cli + ["eval", *table("int"), "--true-front", "tables/int/front.csv",
                                      "--approx-front", "tables/bi-objective-tradeoff/data.csv"]),
         ("fail-eval-absent", cli + ["eval", *table("int"), "--true-front", "tables/int/front.csv",

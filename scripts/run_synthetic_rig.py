@@ -15,24 +15,12 @@ import sys
 from pathlib import Path
 
 from flashtune.flash import FlashParams
-from flashtune.harness import (
-    ExperimentSpec,
-    MethodSpec,
-    emit_plot_data,
-    render_report,
-    run_experiment,
-    write_raw_results,
-)
+from flashtune.harness import ExperimentSpec, MethodSpec, run_experiment, write_report
 from flashtune.stats import SkParams
 
 
 def run(spec: ExperimentSpec, out_dir: Path, title: str, timing: bool) -> None:
-    report = run_experiment(spec)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    text = render_report(report, include_timing=timing)
-    (out_dir / "report.txt").write_text(text, encoding="utf-8")
-    write_raw_results(report, out_dir / "results.csv", include_timing=timing)
-    emit_plot_data(report, out_dir, include_timing=timing)
+    text = write_report(run_experiment(spec), out_dir, timing)
     print(f"=== {title} ===")
     print(text)
 

@@ -22,28 +22,19 @@ import numpy as np
 from . import metrics
 from .baselines import LivesParams
 from .cart import CartParams, dump_tree, fit as cart_fit
-from .flash import FlashParams, flash_multi, flash_single
+from .flash import FlashParams
 from .harness import (
+    WHOLE_TABLE,
     ExperimentSpec,
     MethodSpec,
-    emit_plot_data,
     load_experiment_dataset,
-    render_report,
     repeat_pools,
     run_experiment,
     run_method,
-    write_raw_results,
+    write_report,
 )
 from .runs import write_trace_csv
-from .space import (
-    Dataset,
-    DatasetError,
-    MeasureError,
-    TableOracle,
-    direction_signs,
-    load_dataset,
-    save_dataset,
-)
+from .space import Dataset, DatasetError, direction_signs, load_dataset, save_dataset
 from .stats import SkParams
 from .synth import KINDS, generate_synthetic
 
@@ -90,8 +81,36 @@ def _resolve_objective(dataset: Dataset, objective: str) -> int:
     return idx
 
 
-def _write_summary(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _spec(methods, seed, cart_min_split, cart_min_leaf, size, budget,
+          projections=FlashParams.n_projections, lives=LivesParams.lives, cart_first=False,
+          **fields) -> ExperimentSpec:
+    """The experiment a command's options describe; `fields` are passed on as
+    they are.  `tune` and `tune-mo` check the tree options before the search
+    options (`cart_first`), `baseline` and `experiment` after them."""
+    if cart_first:
+        CartParams(min_samples_split=cart_min_split, min_samples_leaf=cart_min_leaf)
+    return ExperimentSpec(
+        methods=tuple(methods),
+        seed=seed,
+        flash=FlashParams(size=size, budget=budget, n_projections=projections, seed=seed),
+        cart=CartParams(min_samples_split=cart_min_split, min_samples_leaf=cart_min_leaf),
+        lives=LivesParams(lives=lives),
+        sk=SkParams(seed=seed),
+        **fields,
+    )
+
+
+def _write_run(out, run, dataset: Dataset, summary: list[str]) -> Path:
+    """Write one run's `trace.csv`, then `summary.txt`: the command's own
+    `summary` lines and the run's cost and stop reason."""
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_trace_csv(run, out_dir / "trace.csv", dataset.candidates(),
+                    dataset.option_names, dataset.objective_names)
+    summary = [*summary, f"measurements used: {run.measurements_used}",
+               f"stop reason: {run.stop_reason}"]
+    (out_dir / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
+    return out_dir
 
 
 @cli.command()
@@ -102,38 +121,26 @@ def _write_summary(path: Path, lines: list[str]) -> None:
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(file_okay=False), required=True)
 @click.option("--dump-tree", "dump_tree_flag", is_flag=True, help="Also write the final surrogate tree.")
-def tune(manifest, data, cart_min_split, cart_min_leaf, size, budget, objective, seed, out, dump_tree_flag):
+def tune(manifest, data, objective, seed, out, dump_tree_flag, **search):
     """Single-objective model-based search over the whole dataset."""
     dataset = load_dataset(manifest, data)
     obj = _resolve_objective(dataset, objective)
-    direction = dataset.objectives[obj].direction
-    cart_params = CartParams(min_samples_split=cart_min_split, min_samples_leaf=cart_min_leaf)
-    oracle = TableOracle(dataset)
-    run = flash_single(
-        dataset.candidates(), oracle,
-        FlashParams(size=size, budget=budget, seed=seed),
-        direction, cart_params, obj,
-    )
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_trace_csv(run, out_dir / "trace.csv", dataset.candidates(),
-                    dataset.option_names, dataset.objective_names)
+    spec = _spec([MethodSpec("flash")], seed, cart_first=True, manifest=manifest, data=data,
+                 **search)
+    run = run_method(spec.methods[0], dataset, (obj,), WHOLE_TABLE, seed, spec)
     rd = metrics.rank_difference(run.best, dataset, obj)
-    best_cfg = dataset.config(run.best)
-    _write_summary(out_dir / "summary.txt", [
-        f"objective: {dataset.objective_names[obj]} ({direction})",
+    out_dir = _write_run(out, run, dataset, [
+        f"objective: {dataset.objective_names[obj]} ({dataset.objectives[obj].direction})",
         f"best id: {run.best}",
         "best configuration: " + ", ".join(
-            f"{n}={v:g}" for n, v in zip(dataset.option_names, best_cfg)),
+            f"{n}={v:g}" for n, v in zip(dataset.option_names, dataset.config(run.best))),
         f"best measured value: {dataset.values[run.best, obj]!r}",
         f"rank difference: {rd}",
-        f"measurements used: {run.measurements_used}",
-        f"stop reason: {run.stop_reason}",
     ])
     if dump_tree_flag:
         Xe = np.array([dataset.config(i) for i, _ in run.evaluated])
         ye = np.array([v[obj] for _, v in run.evaluated])
-        tree = cart_fit(Xe, ye, cart_params)
+        tree = cart_fit(Xe, ye, spec.cart)
         (out_dir / "tree.txt").write_text(dump_tree(tree, dataset.option_names), encoding="utf-8")
     click.echo(f"best id {run.best}, rank difference {rd}, "
                f"{run.measurements_used} measurements -> {out_dir}")
@@ -147,32 +154,23 @@ def tune(manifest, data, cart_min_split, cart_min_leaf, size, budget, objective,
               help="Random weight vectors per acquisition step.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(file_okay=False), required=True)
-def tune_mo(manifest, data, cart_min_split, cart_min_leaf, size, budget, projections, seed, out):
+def tune_mo(manifest, data, seed, out, **search):
     """Multi-objective model-based search; writes the measured front."""
     dataset = load_dataset(manifest, data)
     if len(dataset.objectives) < 2:
         raise DatasetError("tune-mo needs a dataset with at least two objectives")
-    cart_params = CartParams(min_samples_split=cart_min_split, min_samples_leaf=cart_min_leaf)
-    oracle = TableOracle(dataset)
-    run = flash_multi(
-        dataset.candidates(), oracle,
-        FlashParams(size=size, budget=budget, n_projections=projections, seed=seed),
-        dataset.directions, cart_params,
-    )
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_trace_csv(run, out_dir / "trace.csv", dataset.candidates(),
-                    dataset.option_names, dataset.objective_names)
-    _write_front_csv(out_dir / "front.csv", dataset, run.front)
-    gd, igd = metrics.front_quality(dataset, run.front, range(len(dataset.objectives)))
-    _write_summary(out_dir / "summary.txt", [
+    spec = _spec([MethodSpec("flash")], seed, cart_first=True, manifest=manifest, data=data,
+                 **search)
+    objectives = tuple(range(len(dataset.objectives)))
+    run = run_method(spec.methods[0], dataset, objectives, WHOLE_TABLE, seed, spec)
+    gd, igd = metrics.front_quality(dataset, run.front, objectives)
+    out_dir = _write_run(out, run, dataset, [
         f"objectives: {', '.join(dataset.objective_names)}",
         f"front size: {len(run.front)}",
         f"gd: {gd!r}",
         f"igd: {igd!r}",
-        f"measurements used: {run.measurements_used}",
-        f"stop reason: {run.stop_reason}",
     ])
+    _write_front_csv(out_dir / "front.csv", dataset, run.front)
     click.echo(f"front of {len(run.front)} configurations, "
                f"{run.measurements_used} measurements -> {out_dir}")
 
@@ -206,25 +204,12 @@ def _write_front_csv(path: Path, dataset: Dataset, ids) -> None:
               help="Abort epal with partial results after this many seconds.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(file_okay=False), required=True)
-def baseline(manifest, data, cart_min_split, cart_min_leaf, size, budget, method, objective,
-             lives, epsilon, with_replacement, max_wall_time, seed, out):
+def baseline(manifest, data, method, objective, seed, out, **options):
     """Run one method once, on the same pools the experiment rig uses."""
     if method == "epal" and objective is not None:
         raise click.UsageError("--objective does not apply to epal, which searches every objective")
     dataset = load_dataset(manifest, data)
-    spec = ExperimentSpec(
-        methods=(MethodSpec(method),),
-        manifest=manifest,
-        data=data,
-        repeats=1,
-        seed=seed,
-        flash=FlashParams(size=size, budget=budget, seed=seed),
-        cart=CartParams(min_samples_split=cart_min_split, min_samples_leaf=cart_min_leaf),
-        lives=LivesParams(lives=lives),
-        epsilon=epsilon,
-        max_wall_time=max_wall_time,
-        with_replacement=with_replacement,
-    )
+    spec = _spec([MethodSpec(method)], seed, manifest=manifest, data=data, **options)
     pools = repeat_pools(dataset, spec, seed)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -244,11 +229,7 @@ def baseline(manifest, data, cart_min_split, cart_min_leaf, size, budget, method
         summary.append(f"rank difference: {metrics.rank_difference(run.best, dataset, obj)}")
     else:
         summary.append(f"front size: {len(run.front)}")
-    summary.append(f"measurements used: {run.measurements_used}")
-    summary.append(f"stop reason: {run.stop_reason}")
-    write_trace_csv(run, out_dir / "trace.csv", dataset.candidates(),
-                    dataset.option_names, dataset.objective_names)
-    _write_summary(out_dir / "summary.txt", summary)
+    _write_run(out_dir, run, dataset, summary)
     click.echo(f"{method}: {run.measurements_used} measurements -> {out_dir}")
 
 
@@ -332,9 +313,7 @@ def _read_front_ids(dataset: Dataset, path: Path) -> list[int]:
 @click.option("--emit-timing", is_flag=True,
               help="Also write wall-time data; those files vary run to run.")
 @click.option("--out", type=click.Path(file_okay=False), required=True)
-def experiment(manifest, data, kind, n_options, methods, objectives, repeats, seed,
-               cart_min_split, cart_min_leaf, size, budget, projections, lives, epsilon,
-               with_replacement, max_wall_time, emit_timing, out):
+def experiment(kind, n_options, methods, objectives, emit_timing, out, **options):
     """Repeat every method over seeded splits and rank the results."""
     method_specs = []
     for token in [t.strip() for t in methods.split(",") if t.strip()]:
@@ -353,34 +332,14 @@ def experiment(manifest, data, kind, n_options, methods, objectives, repeats, se
             label = f"{kind_name}_{arg}"
         method_specs.append(MethodSpec(kind_name, label, options_map))
 
-    spec = ExperimentSpec(
-        methods=tuple(method_specs),
-        manifest=manifest,
-        data=data,
-        synthetic=(kind, n_options) if kind else None,
-        repeats=repeats,
-        seed=seed,
-        flash=FlashParams(size=size, budget=budget, n_projections=projections, seed=seed),
-        cart=CartParams(min_samples_split=cart_min_split, min_samples_leaf=cart_min_leaf),
-        lives=LivesParams(lives=lives),
-        epsilon=epsilon,
-        max_wall_time=max_wall_time,
-        with_replacement=with_replacement,
-        sk=SkParams(seed=seed),
-    )
+    spec = _spec(method_specs, synthetic=(kind, n_options) if kind else None, **options)
     dataset, label = load_experiment_dataset(spec)
     if objectives:
         idx = tuple(_resolve_objective(dataset, o.strip()) for o in objectives.split(","))
         spec = replace(spec, objectives=idx)
     report = run_experiment(spec, dataset, label)
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.txt").write_text(render_report(report, include_timing=emit_timing),
-                                        encoding="utf-8")
-    write_raw_results(report, out_dir / "results.csv", include_timing=emit_timing)
-    emit_plot_data(report, out_dir, include_timing=emit_timing)
-    click.echo(render_report(report, include_timing=emit_timing))
-    click.echo(f"report files -> {out_dir}")
+    click.echo(write_report(report, out, include_timing=emit_timing))
+    click.echo(f"report files -> {Path(out)}")
 
 
 @cli.command()
@@ -410,21 +369,13 @@ def main(argv=None) -> int:
     """Entry point with the documented exit-code mapping."""
     try:
         cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
-    except click.UsageError as exc:
+    except click.ClickException as exc:  # usage errors too
         click.echo(f"error: {exc.format_message()}", err=True)
         return 1
-    except (DatasetError, ValueError) as exc:
+    except ValueError as exc:  # DatasetError too
         click.echo(f"validation error: {exc}", err=True)
         return 1
-    except click.ClickException as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return 1
-    except MeasureError as exc:
-        click.echo(f"runtime failure: {exc}", err=True)
-        return 2
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
+    except Exception as exc:  # noqa: BLE001 - CLI boundary; MeasureError too
         click.echo(f"runtime failure: {exc}", err=True)
         return 2
     return 0

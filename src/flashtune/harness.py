@@ -6,6 +6,12 @@ that sample from a training pool (progressive, rank-based) use the
 train/holdout/validation partition; pool searchers (flash, random, epal) get
 the train and validation pools merged.  A method failure inside one repeat is
 recorded as an "X" row instead of aborting the experiment.
+
+`run_method` is the one dispatch from a method to its optimizer: the rig
+calls it per repeat, and the `tune`, `tune-mo` and `baseline` commands call
+it for their single run (`tune` and `tune-mo` on `WHOLE_TABLE`).
+`write_report` writes an experiment's report files for both the
+`experiment` command and `scripts/run_synthetic_rig.py`.
 """
 
 from __future__ import annotations
@@ -155,6 +161,10 @@ def repeat_pools(dataset: Dataset, spec: ExperimentSpec, seed: int) -> tuple[np.
     return train_ids, hold_ids, val_ids, np.sort(np.concatenate([train_ids, val_ids]))
 
 
+# Pools that make `run_method`'s pool searchers search every row of the table.
+WHOLE_TABLE = (None, None, None, None)
+
+
 def run_method(
     method: MethodSpec,
     dataset: Dataset,
@@ -163,7 +173,11 @@ def run_method(
     seed: int,
     spec: ExperimentSpec,
 ) -> OptimizationRun:
-    """One method's run on one repeat's pools, through its own fresh oracle."""
+    """One method's run on one repeat's pools, through its own fresh oracle.
+
+    `pools` is (train, holdout, validation, merged) as `repeat_pools` gives
+    them; a pool given as None is the whole table.
+    """
     train_ids, hold_ids, val_ids, merged = pools
     directions = tuple(dataset.objectives[j].direction for j in objectives)
     single = len(objectives) == 1
@@ -412,3 +426,15 @@ def emit_plot_data(report: QualityReport, out_dir: str | Path, include_timing: b
                          for v in values])
         written.append(_write_csv(out / name, report.methods, rows))
     return written
+
+
+def write_report(report: QualityReport, out_dir: str | Path, include_timing: bool = False) -> str:
+    """Write `report.txt`, `results.csv` and the plot data into `out_dir`;
+    returns the report text."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    text = render_report(report, include_timing=include_timing)
+    (out / "report.txt").write_text(text, encoding="utf-8")
+    write_raw_results(report, out / "results.csv", include_timing=include_timing)
+    emit_plot_data(report, out, include_timing=include_timing)
+    return text

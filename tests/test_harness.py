@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -454,3 +457,43 @@ wall time (median seconds per repeat)
 failures (recorded as X):
       epal_0.3  repeat 1
 """
+
+
+def load_rig_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_synthetic_rig.py"
+    spec = importlib.util.spec_from_file_location("run_synthetic_rig", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("timing", [False, True])
+def test_rig_script_writes_each_report_as_the_three_report_calls_do(tmp_path, capsys, timing):
+    rig = load_rig_script()
+    reports = []
+
+    def kept(spec):
+        reports.append(run_experiment(spec))
+        return reports[-1]
+
+    rig.run_experiment = kept
+    argv = ["--out", str(tmp_path / "rig"), "--repeats", "1", "--options", "4"]
+    assert rig.main(argv + ["--timing"] * timing) == 0
+    printed = capsys.readouterr().out
+
+    kinds = ("single-peak", "interaction", "bi-objective-tradeoff")
+    assert sorted(p.name for p in (tmp_path / "rig").iterdir()) == sorted(kinds)
+    for kind, report in zip(kinds, reports):
+        expected = tmp_path / "expected" / kind
+        expected.mkdir(parents=True)
+        text = render_report(report, include_timing=timing)
+        (expected / "report.txt").write_text(text, encoding="utf-8")
+        report_files(report, expected, timing)
+        names = {"report.txt", "results.csv", "measurement_ratio.csv",
+                 "rank_difference.csv" if report.single_objective else "quality_indicators.csv"}
+        if timing:
+            names.add("time_gain.csv")
+        assert {p.name for p in expected.iterdir()} == names
+        got = {p.name: p.read_bytes() for p in (tmp_path / "rig" / kind).iterdir()}
+        assert got == {p.name: p.read_bytes() for p in expected.iterdir()}
+        assert text in printed
