@@ -24,29 +24,22 @@ stored.  The key is the content itself, not a name the caller gives the rows,
 so a memo shared by unrelated fits never returns a wrong tree.  After the fit
 `m` holds only this fit's nodes, so it stays the size of one tree.
 
-A prediction over the same matrix can likewise keep the rows a refit did not
-move.  `predict_batch` walks the tree with an explicit stack, naming each node
-by its path: the tuple of (option index, threshold, side) steps from the
-root.  Over a fixed matrix the rows that reach a path depend on the path
-alone, so `predict_batch(..., memo=m)` stores, per path, the node found there
-and the row positions that reach it, plus the whole last output.  On the next
-call a node that `is` the one stored at its path is a subtree whose rows keep
-their predictions, and it is carried over whole; a split whose two child paths
-are both stored hands them their stored rows without a comparison.  Only the
-rest is compared and written.  As `fit`'s memo hands back unchanged subtree
-objects, a refit that adds one row rewrites little more than the rows along
-that row's path.  The memo is tied to one read-only matrix object: a writeable
-one is refused and another one starts it over.
-
-Picking the best-ranked row needs no prediction per row.  `argmin_row` walks
-the tree once for its leaves, orders them by prediction, and partitions the
-matrix only along the paths of the leaves it inspects, best first, until a
-leaf holds a row the caller has not skipped; among tied leaves it inspects
-them all and takes the lowest such position.  That is the row `np.argmin`
-finds over the predictions of the rows not skipped, found without writing or
-scanning one value per row.  Its memo keeps, per path, the row positions that
-reach it, under the predict memo's rules: one read-only matrix, only the
-current tree's paths.
+Predictions and picks over one matrix share a memo.  Both walk the tree
+with an explicit stack, naming each node by its path: the tuple of (option
+index, threshold, side) steps from the root.  Over a fixed matrix the rows
+that reach a path depend on the path alone, so a memo `m` keeps, per path,
+the positions of the rows that reach it, each partitioned down from its
+deepest stored prefix, and a call keeps only the current tree's paths.  A
+refit that adds one row keeps most splits and hence most paths, so only the
+rows along the changed ones are compared again.  `predict_batch` writes each
+leaf's prediction into the rows at its path.  `argmin_row` needs no
+prediction per row: it orders the leaves by prediction and finds the rows of
+the leaves it inspects, best first, until a leaf holds a row the caller has
+not skipped; among tied leaves it inspects them all and takes the lowest
+such position.  That is the row `np.argmin` finds over the predictions of
+the rows not skipped, found without writing or scanning one value per row.
+The memo is tied to one read-only matrix object, which both functions may
+share: a writeable one is refused and another one starts it over.
 """
 
 from __future__ import annotations
@@ -211,16 +204,6 @@ def fit(xs, ys, params: CartParams = CartParams(), *, memo: dict | None = None) 
     return _grow(XT, y, np.arange(y.size), order, 0, params, old, memo)[0]
 
 
-def _max_option_index(tree: TreeNode) -> int:
-    if isinstance(tree, Leaf):
-        return -1
-    return max(
-        tree.option_index,
-        _max_option_index(tree.left),
-        _max_option_index(tree.right),
-    )
-
-
 def predict(tree: TreeNode, config: Sequence[float]) -> float:
     """Descend by threshold comparisons to a leaf and return its prediction."""
     node = tree
@@ -236,52 +219,21 @@ def predict(tree: TreeNode, config: Sequence[float]) -> float:
 def predict_batch(tree: TreeNode, configs, *, memo: dict | None = None) -> np.ndarray:
     """Elementwise predict over many configurations; order preserved.
 
-    `memo`, a dict that starts empty, lets a sequence of calls on one
-    read-only matrix rewrite only the rows whose path through the tree
-    changed (see the module docstring); the result is the same with or
-    without it.  Keep one memo per sequence of refits.
+    `memo`, a dict that starts empty, keeps the rows of the paths found over
+    one read-only matrix for the next call (see the module docstring); the
+    result is the same with or without it.  Keep one memo per sequence of
+    refits.
     """
     X = np.asarray(configs, dtype=float)
-    if X.size == 0:
-        return np.zeros(0, dtype=float)
-    if X.ndim != 2:
+    if X.ndim != 2 or not X.shape[0]:
+        if X.size == 0:
+            return np.zeros(0, dtype=float)
         raise ValueError("configs must be a 2-D array of configuration rows")
-    if X.shape[1] <= _max_option_index(tree):
-        raise ValueError(
-            f"configurations have {X.shape[1]} options, tree splits on index {_max_option_index(tree)}"
-        )
-    kept = memo is not None
-    if kept and X.flags.writeable:
-        raise ValueError("a predict memo needs a read-only matrix")
-    memo = {} if memo is None else memo
-    if memo.get("X") is not X:
-        memo.clear()
-        memo.update(X=X, out=np.empty(X.shape[0], dtype=float), paths={})
-    old, out = memo["paths"], memo["out"]
-    new: dict = {}
-    stack: list = [((), tree, np.arange(X.shape[0]))]
-    while stack:
-        path, node, rows = stack.pop()
-        entry = old.get(path)
-        if entry is not None and entry[0] is node:
-            _carry(path, node, old, new)
-            continue
-        new[path] = (node, rows)
-        if isinstance(node, Leaf):
-            out[rows] = node.prediction
-            continue
-        if rows.size == 0:
-            continue
-        j, thr = node.option_index, node.threshold
-        left_path, right_path = path + ((j, thr, 0),), path + ((j, thr, 1),)
-        if left_path in old and right_path in old:
-            rows_left, rows_right = old[left_path][1], old[right_path][1]
-        else:
-            rows_left, rows_right = _partition(X, rows, j, thr)
-        stack.append((right_path, node.right, rows_right))
-        stack.append((left_path, node.left, rows_left))
-    memo["paths"] = new
-    return out.copy() if kept else out
+    leaves, paths = _leaves(tree, X, memo, "predict")
+    out = np.empty(X.shape[0], dtype=float)
+    for prediction, path in leaves:
+        out[_rows_at(X, path, paths)] = prediction
+    return out
 
 
 def argmin_row(tree: TreeNode, configs, skip, sign: float = 1.0, *,
@@ -291,9 +243,8 @@ def argmin_row(tree: TreeNode, configs, skip, sign: float = 1.0, *,
 
     Leaves are ranked by `prediction * sign`, a NaN first as `np.argmin` ranks
     it, and only the rows of the leaves inspected are found (see the module
-    docstring).  Raises ValueError when every row is skipped.  `memo`, a dict
-    that starts empty, keeps the rows of the paths found over one read-only
-    matrix for the next call; the result is the same with or without it.
+    docstring).  Raises ValueError when every row is skipped.  `memo` is
+    `predict_batch`'s; the result is the same with or without it.
     """
     X = np.asarray(configs, dtype=float)
     skip = np.asarray(skip, dtype=bool)
@@ -301,9 +252,33 @@ def argmin_row(tree: TreeNode, configs, skip, sign: float = 1.0, *,
         raise ValueError("configs must be a 2-D array of configuration rows")
     if skip.shape != X.shape[:1]:
         raise ValueError("skip must be a 1-D mask aligned with configs")
-    if memo is not None and X.flags.writeable:
-        raise ValueError("a pick memo needs a read-only matrix")
-    memo = {} if memo is None else memo
+    leaves, paths = _leaves(tree, X, memo, "pick")
+    ranked = sorted(((prediction * sign, path) for prediction, path in leaves), key=_rank)
+    for _, tied in itertools.groupby(ranked, key=_rank):
+        best = -1
+        for _, path in tied:
+            rows = _rows_at(X, path, paths)
+            if rows.size:
+                first = rows[int(np.argmin(skip[rows]))]
+                if not skip[first] and (best < 0 or first < best):
+                    best = int(first)
+        if best >= 0:
+            return best
+    raise ValueError("every row is skipped")
+
+
+def _leaves(tree: TreeNode, X: np.ndarray, memo: dict | None, kind: str):
+    """The (prediction, path) leaves of `tree`, left to right, and the
+    path->rows dict of `memo` over `X`, pruned to this tree's paths.
+
+    A memo over a writeable `X` is refused, one over another matrix starts
+    over, and a split on an option `X` lacks is refused even where no row
+    goes.
+    """
+    if memo is None:
+        memo = {}
+    elif X.flags.writeable:
+        raise ValueError(f"a {kind} memo needs a read-only matrix")
     if memo.get("X") is not X:
         memo.clear()
         memo.update(X=X, paths={})
@@ -318,7 +293,7 @@ def argmin_row(tree: TreeNode, configs, skip, sign: float = 1.0, *,
         if rows is not None:
             paths[path] = rows
         if isinstance(node, Leaf):
-            leaves.append((node.prediction * sign, path))
+            leaves.append((node.prediction, path))
             continue
         widest = max(widest, node.option_index)
         step = (node.option_index, node.threshold)
@@ -327,18 +302,7 @@ def argmin_row(tree: TreeNode, configs, skip, sign: float = 1.0, *,
     if X.shape[1] <= widest:
         raise ValueError(f"configurations have {X.shape[1]} options, tree splits on index {widest}")
     memo["paths"] = paths
-    leaves.sort(key=_rank)
-    for _, tied in itertools.groupby(leaves, key=_rank):
-        best = -1
-        for _, path in tied:
-            rows = _rows_at(X, path, paths)
-            if rows.size:
-                first = rows[int(np.argmin(skip[rows]))]
-                if not skip[first] and (best < 0 or first < best):
-                    best = int(first)
-        if best >= 0:
-            return best
-    raise ValueError("every row is skipped")
+    return leaves, paths
 
 
 def _rank(leaf: tuple) -> tuple:
@@ -371,20 +335,6 @@ def _partition(X: np.ndarray, rows: np.ndarray, j: int, thr: float):
     """The positions in `rows` whose option `j` is at most `thr`, and the rest."""
     mask = X[rows, j] <= thr
     return rows[mask], rows[~mask]
-
-
-def _carry(path: tuple, node: TreeNode, old: dict, new: dict) -> None:
-    """Carry a reused subtree's path entries from `old` to `new`."""
-    stack = [(path, node)]
-    while stack:
-        path, node = stack.pop()
-        if path not in old:
-            continue
-        new[path] = old[path]
-        if isinstance(node, Split):
-            step = (node.option_index, node.threshold)
-            stack.append((path + (step + (0,),), node.left))
-            stack.append((path + (step + (1,),), node.right))
 
 
 def dump_tree(tree: TreeNode, option_names: Sequence[str] | None = None) -> str:

@@ -34,7 +34,7 @@ from .harness import (
     write_report,
 )
 from .runs import write_trace_csv
-from .space import Dataset, DatasetError, direction_signs, load_dataset, save_dataset
+from .space import Dataset, DatasetError, _write_csv, direction_signs, load_dataset, save_dataset
 from .stats import SkParams
 from .synth import KINDS, generate_synthetic
 
@@ -176,15 +176,10 @@ def tune_mo(manifest, data, seed, out, **search):
 
 
 def _write_front_csv(path: Path, dataset: Dataset, ids) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", *dataset.option_names, *dataset.objective_names])
-        for i in ids:
-            writer.writerow(
-                [i]
-                + [repr(float(v)) for v in dataset.configs[i]]
-                + [repr(float(v)) for v in dataset.values[i]]
-            )
+    _write_csv(path, ["id", *dataset.option_names, *dataset.objective_names], (
+        [i, *(repr(float(v)) for v in dataset.configs[i]),
+         *(repr(float(v)) for v in dataset.values[i])]
+        for i in ids))
 
 
 @cli.command()
@@ -353,15 +348,11 @@ def synth(kind, n_options, seed, out):
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_dataset(dataset, out_dir / "manifest.txt", out_dir / "data.csv")
-    with open(out_dir / "truth.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["kind", "objective", "id"])
-        for j, name in enumerate(dataset.objective_names):
-            for i in metrics.best_rows(dataset, j):
-                writer.writerow(["best", name, i])
-        if len(dataset.objectives) >= 2:
-            for i in metrics.pareto_front(dataset.values, dataset.directions):
-                writer.writerow(["front", "", i])
+    rows = [["best", name, i] for j, name in enumerate(dataset.objective_names)
+            for i in metrics.best_rows(dataset, j)]
+    if len(dataset.objectives) >= 2:
+        rows += [["front", "", i] for i in metrics.pareto_front(dataset.values, dataset.directions)]
+    _write_csv(out_dir / "truth.csv", ["kind", "objective", "id"], rows)
     click.echo(f"{dataset.n_rows} rows -> {out_dir}")
 
 

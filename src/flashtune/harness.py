@@ -16,7 +16,6 @@ it for their single run (`tune` and `tune-mo` on `WHOLE_TABLE`).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -29,7 +28,7 @@ from .cart import CartParams
 from .flash import FlashParams, flash_multi, flash_single
 from .gp import GpParams
 from .runs import OptimizationRun
-from .space import Dataset, SplitSpec, TableOracle, load_dataset, split
+from .space import Dataset, SplitSpec, TableOracle, _write_csv, load_dataset, split
 from .stats import SkParams, Treatment, quartile_report, scott_knott
 from .synth import generate_synthetic
 
@@ -374,14 +373,6 @@ def _cell(value, field: str = "") -> str:
     if value is None:
         return "X"
     return str(int(value)) if field in _COUNTS else repr(float(value))
-
-
-def _write_csv(path: Path, header: Sequence[str], rows) -> Path:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
 
 
 def write_raw_results(report: QualityReport, path: Path, include_timing: bool = False) -> None:

@@ -9,7 +9,6 @@ builds every method's best answer or Pareto front.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import metrics
-from .space import Pool, direction_signs
+from .space import Pool, _write_csv, direction_signs
 
 STOP_BUDGET = "budget"
 STOP_POOL_EXHAUSTED = "pool-exhausted"
@@ -139,12 +138,6 @@ def write_trace_csv(
     objective_names: Sequence[str],
 ) -> None:
     """Export a run trace as CSV: step, id, configuration values, objectives."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step", "id", *option_names, *objective_names])
-        for step, (cid, values) in enumerate(run.evaluated, start=1):
-            writer.writerow(
-                [step, cid]
-                + [repr(float(v)) for v in candidates[cid]]
-                + [repr(float(v)) for v in values]
-            )
+    _write_csv(path, ["step", "id", *option_names, *objective_names], (
+        [step, cid, *(repr(float(v)) for v in candidates[cid]), *(repr(float(v)) for v in values)]
+        for step, (cid, values) in enumerate(run.evaluated, start=1)))

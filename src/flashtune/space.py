@@ -463,6 +463,15 @@ def _format_value(v: float) -> str:
     return str(int(v)) if float(v).is_integer() else repr(float(v))
 
 
+def _write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> Path:
+    """Write a header row and then `rows` to `path` as UTF-8 CSV with LF line ends."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return Path(path)
+
+
 def save_dataset(dataset: Dataset, manifest_path: str | Path, data_path: str | Path) -> None:
     """Write a dataset back out; load_dataset on the result round-trips."""
     lines = []
@@ -475,13 +484,10 @@ def save_dataset(dataset: Dataset, manifest_path: str | Path, data_path: str | P
         lines.append(f"objective {obj.name} {obj.direction}")
     Path(manifest_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    with open(data_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(dataset.option_names) + list(dataset.objective_names))
-        for i in range(dataset.n_rows):
-            row = [_format_value(v) for v in dataset.configs[i]]
-            row += [repr(float(v)) for v in dataset.values[i]]
-            writer.writerow(row)
+    _write_csv(data_path, [*dataset.option_names, *dataset.objective_names], (
+        [*(_format_value(v) for v in dataset.configs[i]),
+         *(repr(float(v)) for v in dataset.values[i])]
+        for i in range(dataset.n_rows)))
 
 
 @dataclass(frozen=True)

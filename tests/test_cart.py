@@ -179,6 +179,11 @@ def test_predict_batch_matches_predict():
     batch = predict_batch(tree, queries)
     assert batch.tolist() == [predict(tree, q) for q in queries]
     assert predict_batch(tree, np.zeros((0, 4))).tolist() == []
+    assert predict_batch(tree, []).tolist() == []
+    # a matrix of no options still has its rows, and a tree without a split predicts them
+    no_options = fit(np.zeros((5, 0)), [1.0, 2.0, 3.0, 4.0, 5.0])
+    assert predict_batch(no_options, np.zeros((5, 0))).tolist() == [3.0] * 5
+    assert predict(no_options, ()) == 3.0
     assert predict_batch(tree, queries[:1]).tolist() == [predict(tree, queries[0])]
 
 
@@ -363,108 +368,13 @@ def test_memo_keeps_only_the_last_fits_nodes():
     assert memo.keys() == alone.keys()
 
 
-# --- predictions that keep the rows a refit did not move -------------------------
+# --- predictions and picks over one path memo ------------------------------------
 
 def read_only(X):
     X = np.array(X, dtype=float)
     X.flags.writeable = False
     return X
 
-
-@settings(max_examples=150, deadline=None)
-@given(fit_cases(), st.data())
-def test_predict_memo_matches_fresh_predictions(case, data):
-    """The refits of `test_memo_refits_match_fresh_fits`, each predicting the
-    whole fixed matrix through one predict memo: every result is bitwise the
-    fresh `predict_batch` and the per-row `predict`, and the memo holds the
-    paths of the last call only."""
-    X, y, params = case
-    X = read_only(X)
-    n = y.size
-    rows = list(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)))
-    fit_memo: dict = {}
-    predict_memo: dict = {}
-    for step in range(data.draw(st.integers(1, 12))):
-        if step:
-            row = data.draw(st.integers(0, n - 1))
-            at = data.draw(st.one_of(st.just(len(rows)), st.integers(0, len(rows))))
-            rows.insert(at, row)
-        tree = fit(X[rows], y[rows], params, memo=fit_memo)
-        got = predict_batch(tree, X, memo=predict_memo)
-        assert got.tobytes() == predict_batch(tree, X).tobytes()
-        assert got.tobytes() == np.array([predict(tree, r) for r in X]).tobytes()
-        # the memo keeps this call's paths only, as a fresh one would
-        fresh: dict = {}
-        predict_batch(tree, X, memo=fresh)
-        assert predict_memo["paths"].keys() == fresh["paths"].keys()
-
-
-def stable_root_case():
-    """A matrix whose target hangs mostly on option 0, so adding a training
-    row keeps the root split."""
-    rng = np.random.default_rng(21)
-    X = read_only(rng.integers(0, 4, size=(2000, 5)))
-    y = 10.0 * X[:, 0] + X[:, 1] - X[:, 2] + rng.normal(scale=0.1, size=2000)
-    return X, y
-
-
-def test_predict_memo_compares_fewer_rows_when_the_root_split_stays(monkeypatch):
-    from flashtune import cart
-
-    X, y = stable_root_case()
-    compared = []
-    partition = cart._partition
-
-    def counting(X, rows, j, thr):
-        compared.append(rows.size)
-        return partition(X, rows, j, thr)
-
-    monkeypatch.setattr(cart, "_partition", counting)
-    fit_memo: dict = {}
-    predict_memo: dict = {}
-    rows = list(range(0, 80, 2))
-    before = fit(X[rows], y[rows], LOOSE, memo=fit_memo)
-    predict_batch(before, X, memo=predict_memo)
-    rows.insert(5, 9)
-    after = fit(X[rows], y[rows], LOOSE, memo=fit_memo)
-    assert (after.option_index, after.threshold) == (before.option_index, before.threshold)
-    compared.clear()
-    got = predict_batch(after, X, memo=predict_memo)
-    assert sum(compared) < X.shape[0]
-    assert got.tobytes() == predict_batch(after, X).tobytes()
-
-
-def test_predict_memo_switched_to_another_matrix_starts_over():
-    X, y = stable_root_case()
-    other = read_only(X[::-1][:700])
-    memo: dict = {}
-    for rows, Z in [(range(40), X), (range(41), other), (range(42), X), (range(42), other)]:
-        tree = fit(X[list(rows)], y[list(rows)], LOOSE)
-        assert predict_batch(tree, Z, memo=memo).tobytes() == predict_batch(tree, Z).tobytes()
-        assert memo["X"] is Z
-
-
-def test_predict_memo_returns_arrays_it_does_not_keep():
-    X, y = stable_root_case()
-    memo: dict = {}
-    tree = fit(X[:40], y[:40], LOOSE)
-    first = predict_batch(tree, X, memo=memo)
-    expected = first.copy()
-    first[:] = -1.0
-    assert predict_batch(tree, X, memo=memo).tobytes() == expected.tobytes()
-
-
-def test_predict_memo_refuses_a_writeable_matrix():
-    X, y = stable_root_case()
-    tree = fit(X[:40], y[:40], LOOSE)
-    with pytest.raises(ValueError, match="read-only"):
-        predict_batch(tree, np.array(X), memo={})
-    with pytest.raises(ValueError, match="read-only"):
-        predict_batch(tree, X.tolist(), memo={})
-    assert predict_batch(tree, np.array(X)).tobytes() == predict_batch(tree, X).tobytes()
-
-
-# --- picking the best-ranked row from the leaves -------------------------------
 
 def argmin_oracle(tree, X, skip, sign):
     """The pick as a whole prediction vector gives it: `np.argmin` over the
@@ -477,8 +387,8 @@ def argmin_oracle(tree, X, skip, sign):
 
 
 def node_rows(tree, X):
-    """Brute force: every path of the tree, as the pick memo names it, mapped
-    to the positions of the rows of X that reach it."""
+    """Brute force: every path of the tree, as the memo names it, mapped to
+    the positions of the rows of X that reach it."""
     found = {}
     for i, row in enumerate(X):
         node, path = tree, ()
@@ -498,9 +408,18 @@ def node_rows(tree, X):
     return {path: np.array(rows, dtype=np.intp) for path, rows in found.items()}
 
 
+def check_memo(tree, X, memo):
+    """The memo is over X and holds only paths of this tree, each with the
+    rows that reach it."""
+    truth = node_rows(tree, X)
+    assert memo["X"] is X and () in memo["paths"]
+    for path, rows in memo["paths"].items():
+        assert rows.tolist() == truth[path].tolist()
+
+
 def check_pick(tree, X, skip, sign, memo):
     """The pick equals the oracle's, or both find every row skipped; the memo
-    holds only paths of this tree, each with the rows that reach it."""
+    passes `check_memo`."""
     want = argmin_oracle(tree, X, skip, sign)
     if want is None:
         with pytest.raises(ValueError, match="every row is skipped"):
@@ -509,10 +428,36 @@ def check_pick(tree, X, skip, sign, memo):
         got = argmin_row(tree, X, skip, sign, memo=memo)
         assert type(got) is int and got == want
         assert argmin_row(tree, X, skip, sign) == want
-    truth = node_rows(tree, X)
-    assert memo["X"] is X and () in memo["paths"]
-    for path, rows in memo["paths"].items():
-        assert rows.tolist() == truth[path].tolist()
+    check_memo(tree, X, memo)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fit_cases(), st.data())
+def test_predict_memo_matches_fresh_predictions(case, data):
+    """The refits of `test_memo_refits_match_fresh_fits`, each predicting the
+    whole fixed matrix through one memo: every result is bitwise the fresh
+    `predict_batch` and the per-row `predict`, and the memo holds every path
+    of the last tree, each with the rows that reach it, as a fresh one
+    would."""
+    X, y, params = case
+    X = read_only(X)
+    n = y.size
+    rows = list(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)))
+    fit_memo: dict = {}
+    predict_memo: dict = {}
+    for step in range(data.draw(st.integers(1, 12))):
+        if step:
+            row = data.draw(st.integers(0, n - 1))
+            at = data.draw(st.one_of(st.just(len(rows)), st.integers(0, len(rows))))
+            rows.insert(at, row)
+        tree = fit(X[rows], y[rows], params, memo=fit_memo)
+        got = predict_batch(tree, X, memo=predict_memo)
+        assert got.tobytes() == predict_batch(tree, X).tobytes()
+        assert got.tobytes() == np.array([predict(tree, r) for r in X]).tobytes()
+        check_memo(tree, X, predict_memo)
+        fresh: dict = {}
+        predict_batch(tree, X, memo=fresh)
+        assert predict_memo["paths"].keys() == fresh["paths"].keys() == node_rows(tree, X).keys()
 
 
 @settings(max_examples=150, deadline=None)
@@ -577,7 +522,79 @@ def test_argmin_row_ranks_signed_zeros_infinities_and_nan_as_argmin_does(data):
         check_pick(tree, X, skip, data.draw(st.sampled_from([1.0, -1.0])), memo)
 
 
-def test_pick_memo_partitions_fewer_rows_when_the_root_split_stays(monkeypatch):
+@settings(max_examples=60, deadline=None)
+@given(fit_cases(), st.data())
+def test_one_memo_serves_predictions_and_picks_alike(case, data):
+    """The refits of `test_predict_memo_matches_fresh_predictions`, each
+    predicting or picking, as drawn, over one matrix through one memo: every
+    result equals a fresh call's, and the memo passes `check_memo`."""
+    X, y, params = case
+    X = read_only(X)
+    n = y.size
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = list(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)))
+    fit_memo: dict = {}
+    memo: dict = {}
+    for step in range(data.draw(st.integers(2, 12))):
+        if step:
+            rows.insert(data.draw(st.integers(0, len(rows))), data.draw(st.integers(0, n - 1)))
+        tree = fit(X[rows], y[rows], params, memo=fit_memo)
+        # the first two calls use one function each, the rest are drawn
+        if step == 0 or step > 1 and data.draw(st.booleans()):
+            got = predict_batch(tree, X, memo=memo)
+            assert got.tobytes() == predict_batch(tree, X).tobytes()
+        else:
+            skip = rng.random(n) < 0.5
+            sign = data.draw(st.sampled_from([1.0, -1.0]))
+            if skip.all():
+                with pytest.raises(ValueError, match="every row is skipped"):
+                    argmin_row(tree, X, skip, sign, memo=memo)
+            else:
+                assert argmin_row(tree, X, skip, sign, memo=memo) == argmin_row(tree, X, skip, sign)
+        check_memo(tree, X, memo)
+
+
+def stable_root_case():
+    """A matrix whose target hangs mostly on option 0, so adding a training
+    row keeps the root split."""
+    rng = np.random.default_rng(21)
+    X = read_only(rng.integers(0, 4, size=(2000, 5)))
+    y = 10.0 * X[:, 0] + X[:, 1] - X[:, 2] + rng.normal(scale=0.1, size=2000)
+    return X, y
+
+
+class Predict:
+    """`predict_batch` as the memo tests call it, with the per-row oracle."""
+
+    def __call__(self, tree, X, memo=None):
+        return predict_batch(tree, X, memo=memo).tobytes()
+
+    def oracle(self, tree, X):
+        return np.array([predict(tree, r) for r in np.asarray(X, dtype=float)]).tobytes()
+
+
+class Pick:
+    """`argmin_row` as the memo tests call it, skipping every `every`-th row
+    (none when 0), with the oracle of `argmin_oracle`."""
+
+    def __init__(self, sign=1.0, every=0):
+        self.sign, self.every = sign, every
+
+    def skip(self, X):
+        skip = np.zeros(len(X), dtype=bool)
+        if self.every:
+            skip[::self.every] = True
+        return skip
+
+    def __call__(self, tree, X, memo=None):
+        return argmin_row(tree, X, self.skip(X), self.sign, memo=memo)
+
+    def oracle(self, tree, X):
+        return argmin_oracle(tree, np.asarray(X, dtype=float), self.skip(X), self.sign)
+
+
+@pytest.mark.parametrize("call", [Predict(), Pick()], ids=["predict", "pick"])
+def test_memo_compares_fewer_rows_when_the_root_split_stays(monkeypatch, call):
     from flashtune import cart
 
     X, y = stable_root_case()
@@ -589,44 +606,54 @@ def test_pick_memo_partitions_fewer_rows_when_the_root_split_stays(monkeypatch):
         return partition(X, rows, j, thr)
 
     monkeypatch.setattr(cart, "_partition", counting)
-    skip = np.zeros(X.shape[0], dtype=bool)
     fit_memo: dict = {}
-    pick_memo: dict = {}
+    memo: dict = {}
     rows = list(range(0, 80, 2))
     before = fit(X[rows], y[rows], LOOSE, memo=fit_memo)
-    argmin_row(before, X, skip, memo=pick_memo)
+    call(before, X, memo=memo)
     rows.insert(5, 9)
     after = fit(X[rows], y[rows], LOOSE, memo=fit_memo)
     assert (after.option_index, after.threshold) == (before.option_index, before.threshold)
     compared.clear()
-    got = argmin_row(after, X, skip, memo=pick_memo)
+    got = call(after, X, memo=memo)
     assert sum(compared) < X.shape[0]
     compared.clear()
-    assert argmin_row(after, X, skip) == got
+    assert call(after, X) == got
     assert sum(compared) >= X.shape[0]
-    assert got == argmin_oracle(after, X, skip, 1.0)
+    assert got == call.oracle(after, X)
 
 
-def test_pick_memo_switched_to_another_matrix_starts_over():
+@pytest.mark.parametrize("call", [Predict(), Pick(sign=-1.0, every=3)], ids=["predict", "pick"])
+def test_memo_switched_to_another_matrix_starts_over(call):
     X, y = stable_root_case()
     other = read_only(X[::-1][:700])
     memo: dict = {}
     for rows, Z in [(range(40), X), (range(41), other), (range(42), X), (range(42), other)]:
         tree = fit(X[list(rows)], y[list(rows)], LOOSE)
-        skip = np.zeros(Z.shape[0], dtype=bool)
-        skip[::3] = True
-        check_pick(tree, Z, skip, -1.0, memo)
+        got = call(tree, Z, memo=memo)
+        assert got == call(tree, Z) == call.oracle(tree, Z)
+        check_memo(tree, Z, memo)
 
 
-def test_pick_memo_refuses_a_writeable_matrix():
+def test_predict_memo_returns_arrays_it_does_not_keep():
+    X, y = stable_root_case()
+    memo: dict = {}
+    tree = fit(X[:40], y[:40], LOOSE)
+    first = predict_batch(tree, X, memo=memo)
+    expected = first.copy()
+    first[:] = -1.0
+    assert predict_batch(tree, X, memo=memo).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("call", [Predict(), Pick()], ids=["predict", "pick"])
+def test_memo_refuses_a_writeable_matrix(call):
     X, y = stable_root_case()
     tree = fit(X[:40], y[:40], LOOSE)
-    skip = np.zeros(X.shape[0], dtype=bool)
     with pytest.raises(ValueError, match="read-only"):
-        argmin_row(tree, np.array(X), skip, memo={})
+        call(tree, np.array(X), memo={})
     with pytest.raises(ValueError, match="read-only"):
-        argmin_row(tree, X.tolist(), skip, memo={})
-    assert argmin_row(tree, np.array(X), skip) == argmin_row(tree, X, skip)
+        call(tree, X.tolist(), memo={})
+    assert call(tree, np.array(X)) == call(tree, X)
 
 
 def test_argmin_row_validation():
