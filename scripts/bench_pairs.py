@@ -12,10 +12,15 @@ seed `--seed` + i; the base goes first in even pairs and the change in odd
 ones, so a drift in the host's speed does not always favour one side.
 
 For each end-to-end metric of `BENCHMARK.json` the script prints the base
-median with its quartiles, the change median, and in how many pairs the
-change was better, in the direction the metric names.  Each run is waited
-for (and killed with its workers if the script is interrupted), and the
-temporary directory is removed on exit.
+median with its quartiles, the change median and its ratio to the base
+median, and in how many pairs the change was better, in the direction the
+metric names.  Two verdicts follow.  `claim` is yes when the change won at
+least 9 of every 10 pairs and its median is better than the base's by more
+than the base's interquartile range, the rule for claiming a gain.  `beyond
+bound` is yes when the change median is worse than the base median by more
+than the metric's relative `bound` in `BENCHMARK.json`, which the script
+only reads.  Each run is waited for (and killed with its workers if the
+script is interrupted), and the temporary directory is removed on exit.
 """
 
 from __future__ import annotations
@@ -46,11 +51,18 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def summarize(base: list[dict], change: list[dict], end_to_end: list[dict]) -> list[dict]:
     """One row per end-to-end metric: the base median and quartiles, the
-    change median, and the pairs in which the change was strictly better.
+    change median and its ratio to the base median, the pairs in which the
+    change was strictly better, and two verdicts.
+
+    `claim`: the change won at least nine tenths of the pairs (ties count for
+    neither side) and its median is better than the base's by more than the
+    base's interquartile range.  `beyond_bound`: the change median is worse
+    than the base median by more than the metric's relative `bound`, or None
+    for a metric without one.
 
     `base[i]` and `change[i]` are pair i's `metrics` objects, each metric a
     `{"value": ...}`; `end_to_end` is `BENCHMARK.json`'s list of metrics,
-    each with a `name` and `better` ("lower" or "higher")."""
+    each with a `name`, `better` ("lower" or "higher") and optional `bound`."""
     if len(base) != len(change) or not base:
         raise ValueError("need one base and one change run per pair, and at least one pair")
     rows = []
@@ -59,20 +71,31 @@ def summarize(base: list[dict], change: list[dict], end_to_end: list[dict]) -> l
         b = [run[name]["value"] for run in base]
         c = [run[name]["value"] for run in change]
         q1, median, q3 = quartiles(b)
+        change_median = statistics.median(c)
         wins = sum((y < x) if lower else (y > x) for x, y in zip(b, c))
+        gain = median - change_median if lower else change_median - median
+        bound = metric.get("bound")
         rows.append({"name": name, "better": metric["better"], "base_median": median,
-                     "base_q1": q1, "base_q3": q3, "change_median": statistics.median(c),
-                     "wins": wins, "pairs": len(b)})
+                     "base_q1": q1, "base_q3": q3, "change_median": change_median,
+                     "ratio": change_median / median if median else None,
+                     "wins": wins, "pairs": len(b),
+                     "claim": 10 * wins >= 9 * len(b) and gain > q3 - q1,
+                     "beyond_bound": None if bound is None else -gain > bound * abs(median)})
     return rows
 
 
 def format_rows(rows: list[dict]) -> str:
+    def verdict(flag):
+        return "-" if flag is None else "yes" if flag else "no"
+
     lines = [f"{'metric':<12} {'better':<7} {'base median [q1, q3]':<28} "
-             f"{'change median':<14} change wins"]
+             f"{'change median':<14} {'ratio':<7} {'wins':<6} {'claim':<6} beyond bound"]
     for r in rows:
         base = f"{r['base_median']:.4g} [{r['base_q1']:.4g}, {r['base_q3']:.4g}]"
+        ratio = "-" if r["ratio"] is None else f"{r['ratio']:.3f}"
         lines.append(f"{r['name']:<12} {r['better']:<7} {base:<28} "
-                     f"{r['change_median']:<14.4g} {r['wins']}/{r['pairs']}")
+                     f"{r['change_median']:<14.4g} {ratio:<7} {r['wins']}/{r['pairs']:<4} "
+                     f"{verdict(r['claim']):<6} {verdict(r['beyond_bound'])}")
     return "\n".join(lines)
 
 

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import cart, metrics
-from .gp import GpParams, _sq_dists, gp_fit, gp_predict_batch, linalg
+from .gp import GpParams, _sq_dists, gp_fit, gp_predict_batch, lapack
 from .runs import (
     OptimizationRun,
     STOP_BUDGET,
@@ -237,7 +237,7 @@ def epal(
     """
     if len(directions) < 2:
         raise ValueError("epal needs at least two objectives")
-    linalg()  # import scipy now, so the run's clock and max_wall_time never count it
+    lapack()  # load LAPACK now, so the run's clock and max_wall_time never count it
     trace = Trace(candidates, oracle)
     X = trace.X
     n = trace.ids.size

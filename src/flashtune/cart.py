@@ -14,15 +14,34 @@ exactly the order a fresh per-node sort would give, and node rows stay in
 ascending original order: sums, gains, thresholds and leaf means do not
 depend on how the order was obtained.
 
+A fit works in units of a power of two.  With e the binary exponent of
+max|y| (`frexp`), the tree is grown on y * 2^-e, whose magnitudes lie
+below 1, and each leaf keeps its mean times 2^e.  Scaling by a power of two
+is exact, so the sums, gains and splits do not depend on the targets' unit:
+`fit(X, y * 2^k)` has the splits of `fit(X, y)` and its leaves times 2^k.
+Sums of squares cannot overflow.  Where the unscaled sums would not
+overflow either, a leaf mean times 2^e is bitwise the unscaled mean, unless
+a target lies so far below max|y| that its scaled value is subnormal.
+
+The split floor of `_best_split`, `eps = 1e-12 * (|base_sse| + 1)`, acts in
+the scaled units too, so its `+ 1` is relative to 4^e, about max|y|^2, not
+an absolute 1 in the targets' own units.  A tree differs from one grown on
+the unscaled targets only where a node's best gain lies between the two
+floors: with max|y| well above 1, a node whose targets vary by less than
+about 1e-6 * max|y| stays a leaf where the unscaled fit would split it;
+with max|y| well below 1, a node whose sum of squares is under about 1e-12
+may split where the unscaled fit would not.
+
 A refit can reuse the subtrees that a new row left alone.  A subtree is a
 pure function of its node's rows (their option values and targets, in node
 order), its depth and the `CartParams`.  So `fit(..., memo=m)` keys each node
 it searches for a split on exactly those: the bytes of the node's X block and
-of its y values, the depth and the params.  A key found in `m` gives back the
-subtree the previous fit on `m` grew for it; every other node is grown and
-stored.  The key is the content itself, not a name the caller gives the rows,
-so a memo shared by unrelated fits never returns a wrong tree.  After the fit
-`m` holds only this fit's nodes, so it stays the size of one tree.
+of its scaled y values, the exponent e, the depth and the params.  A key
+found in `m` gives back the subtree the previous fit on `m` grew for it;
+every other node is grown and stored.  The key is the content itself, not a
+name the caller gives the rows, so a memo shared by unrelated fits never
+returns a wrong tree.  After the fit `m` holds only this fit's nodes, so it
+stays the size of one tree.
 
 Predictions and picks over one matrix share a memo.  Both walk the tree
 with an explicit stack, naming each node by its path: the tuple of (option
@@ -45,6 +64,7 @@ share: a writeable one is refused and another one starts it over.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -130,10 +150,11 @@ def _best_split(
 
 
 def _grow(
-    XT: np.ndarray, y: np.ndarray, rows: np.ndarray, order: np.ndarray, depth: int,
+    XT: np.ndarray, y: np.ndarray, e: int, rows: np.ndarray, order: np.ndarray, depth: int,
     params: CartParams, old: dict, new: dict,
 ) -> tuple[TreeNode, tuple | None]:
-    """The subtree of `rows` and its memo key.
+    """The subtree of `rows` and its memo key, grown on the scaled targets
+    `y`, with leaf means scaled back by 2^e.
 
     `old` is the memo as the previous fit left it and `new` receives this
     fit's entries.  An entry maps a key to (subtree, left child's key, right
@@ -147,22 +168,22 @@ def _grow(
         or (params.max_depth is not None and depth >= params.max_depth)
         or yn.max() == yn.min()
     ):
-        return Leaf(float(yn.mean()), n), None
-    key = (XT[:, rows].tobytes(), yn.tobytes(), depth, params)
+        return Leaf(math.ldexp(yn.mean(), e), n), None
+    key = (XT[:, rows].tobytes(), yn.tobytes(), e, depth, params)
     if key in old:
         _keep(key, old, new)
         return new[key][0], key
     found = _best_split(XT, y, yn, order, params.min_samples_leaf)
     if found is None:
-        node, left_key, right_key = Leaf(float(yn.mean()), n), None, None
+        node, left_key, right_key = Leaf(math.ldexp(yn.mean(), e), n), None, None
     else:
         j, thr = found
         rows_left = XT[j, rows] <= thr
         order_left = XT[j, order] <= thr
         d = order.shape[0]
-        left, left_key = _grow(XT, y, rows[rows_left], order[order_left].reshape(d, -1),
+        left, left_key = _grow(XT, y, e, rows[rows_left], order[order_left].reshape(d, -1),
                                depth + 1, params, old, new)
-        right, right_key = _grow(XT, y, rows[~rows_left], order[~order_left].reshape(d, -1),
+        right, right_key = _grow(XT, y, e, rows[~rows_left], order[~order_left].reshape(d, -1),
                                  depth + 1, params, old, new)
         node = Split(j, thr, left, right)
     new[key] = (node, left_key, right_key)
@@ -198,10 +219,11 @@ def fit(xs, ys, params: CartParams = CartParams(), *, memo: dict | None = None) 
         raise ValueError("targets must be finite")
     XT = np.ascontiguousarray(X.T)
     order = np.argsort(XT, axis=1, kind="stable")
+    e = math.frexp(np.abs(y).max())[1]
     memo = {} if memo is None else memo
     old = dict(memo)
     memo.clear()
-    return _grow(XT, y, np.arange(y.size), order, 0, params, old, memo)[0]
+    return _grow(XT, np.ldexp(y, -e), e, np.arange(y.size), order, 0, params, old, memo)[0]
 
 
 def predict(tree: TreeNode, config: Sequence[float]) -> float:

@@ -21,12 +21,25 @@ figure is the wrappers' bit for bit without their per-call argument checks.
 Of those checks only finiteness can fail here, and it is made on the kernels
 and the targets.
 
-scipy is imported on the first fit or prediction, not with the package: the
-import takes about a third of a second, and only ePAL pays it.
+Those three routines live in one extension module, scipy's
+`linalg/_flapack`, and `lapack()` loads that file alone on the first fit or
+prediction, not with the package.  It runs no scipy code, so ePAL does not
+pay for importing all of `scipy.linalg`, which costs far more time and
+memory than the one file.  The direct load works with scipy's Linux and
+macOS wheels; on a platform where the extension needs set-up that scipy's
+`__init__` does (such as Windows wheels, which add the directory of their
+bundled OpenBLAS), it raises ImportError.  The loader registers the module
+in `sys.modules` under its own name, so a later `import scipy.linalg` in the
+same process reuses it: the functions here are the objects
+`scipy.linalg.lapack` re-exports.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,12 +64,31 @@ class GpParams:
             raise ValueError("noise_variance must be non-negative and finite")
 
 
-def linalg():
-    """The `scipy.linalg` module, imported on the first call.  A caller that
-    times its GP work calls this before its clock starts."""
-    import scipy.linalg
-
-    return scipy.linalg
+@functools.cache
+def lapack():
+    """scipy's `scipy.linalg._flapack` extension module, loaded from its file
+    on the first call.  A caller that times its GP work calls this before
+    its clock starts.  Raises ImportError, naming the path, if the file is
+    not where scipy keeps it or cannot be loaded without scipy's own set-up."""
+    # find_spec on a top-level name locates the package without running it
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("scipy is not installed")
+    unsupported = ("flashtune loads scipy's LAPACK extension directly, which is "
+                   "supported with scipy's Linux and macOS wheels only")
+    stem = os.path.join(spec.submodule_search_locations[0], "linalg", "_flapack")
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    path = next((stem + s for s in suffixes if os.path.isfile(stem + s)), None)
+    if path is None:
+        raise ImportError(f"{unsupported}: no {stem}<suffix> for any suffix in {suffixes}")
+    name = "scipy.linalg._flapack"
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    try:
+        module = loader.create_module(importlib.util.spec_from_loader(name, loader, origin=path))
+    except ImportError as exc:
+        raise ImportError(f"{unsupported}: cannot load {path}: {exc}") from exc
+    loader.exec_module(module)
+    return module
 
 
 def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -90,7 +122,7 @@ def _factor(K: np.ndarray, noise: float):
         raise ValueError("kernel matrix must be finite")
     n = K.shape[0]
     scale = float(np.trace(K)) / n if n else 1.0
-    dpotrf = linalg().lapack.dpotrf
+    dpotrf = lapack().dpotrf
     jitter = 0.0
     while True:
         c, info = dpotrf(K + (noise + jitter) * np.eye(n), lower=1, clean=0)
@@ -131,7 +163,7 @@ def gp_fit(xs, ys, params: GpParams = GpParams(), *, d2=None):
     candidates = [params]
     if params.refine:
         candidates = [replace(params, length_scale=ls) for ls in params.length_scale_grid]
-    dpotrs = linalg().lapack.dpotrs
+    dpotrs = lapack().dpotrs
     best = [None] * len(columns)
     for cand in candidates:
         chol = _factor(_kernel(d2, cand), cand.noise_variance)
@@ -173,7 +205,7 @@ def gp_predict_batch(gp, xs, *, d2=None) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("d2 must be the (U, n) squared distances of queries to inputs")
     mu = np.empty((Xq.shape[0], len(gps)))
     sigma = np.empty_like(mu)
-    dtrtrs = linalg().lapack.dtrtrs
+    dtrtrs = lapack().dtrtrs
     done: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for j, g in enumerate(gps):
         if id(g._chol) not in done:
@@ -190,9 +222,3 @@ def gp_predict_batch(gp, xs, *, d2=None) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(gp, GaussianProcess):
         return mu[:, 0], sigma[:, 0]
     return mu, sigma
-
-
-def gp_predict(gp: GaussianProcess, x) -> tuple[float, float]:
-    """Posterior (mean, std) at a single point."""
-    mu, sigma = gp_predict_batch(gp, np.asarray(x, dtype=float)[None, :])
-    return float(mu[0]), float(sigma[0])

@@ -99,6 +99,7 @@ class MethodResult:
     measurements: int | None = None
     acquisitions: int | None = None
     wall_time: float | None = None
+    error: str | None = None  # a failed run's cause, as "Type: message"
 
 
 @dataclass(frozen=True)
@@ -140,10 +141,6 @@ class _ColumnOracle:
     def measure(self, config):
         values = self._inner.measure(config)
         return tuple(values[j] for j in self._columns)
-
-    @property
-    def count(self) -> int:
-        return self._inner.count
 
 
 def load_experiment_dataset(spec: ExperimentSpec) -> tuple[Dataset, str]:
@@ -300,8 +297,8 @@ def run_experiment(
             try:
                 run = run_method(m, dataset, objectives, pools, seed_r, spec)
                 rows.append(_score(m, dataset, objectives, pools, run, r, true_front))
-            except Exception:
-                rows.append(MethodResult(m.label, r, True))
+            except Exception as exc:
+                rows.append(MethodResult(m.label, r, True, error=f"{type(exc).__name__}: {exc}"))
 
     labels = tuple(m.label for m in spec.methods)
     report = QualityReport(
@@ -350,11 +347,12 @@ def render_report(report: QualityReport, include_timing: bool = False) -> str:
             med = f"{np.median(obs):.3f}" if obs else "X"
             lines.append(f"      {label}  {med}")
         lines.append("")
-    failures = [(r.method, r.repeat) for r in report.rows if r.failed]
+    failures = [r for r in report.rows if r.failed]
     if failures:
         lines.append("failures (recorded as X):")
-        for method, repeat in failures:
-            lines.append(f"      {method}  repeat {repeat}")
+        for r in failures:
+            cause = f"  {r.error}" if r.error else ""
+            lines.append(f"      {r.method}  repeat {r.repeat}{cause}")
         lines.append("")
     return "\n".join(lines)
 

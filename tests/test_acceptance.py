@@ -15,11 +15,12 @@ from flashtune import cart, metrics
 from flashtune.baselines import EpalParams, epal, progressive_sampling, random_search, rank_based
 from flashtune.cli import main as cli_main
 from flashtune.flash import FlashParams, bazza_select, flash_multi, flash_single
-from flashtune.gp import GpParams, gp_fit, gp_predict
+from flashtune.gp import GpParams, gp_fit
 from flashtune.space import SplitSpec, TableOracle, split
 from flashtune.stats import SkParams, Treatment, a12, scott_knott
 from flashtune.synth import KINDS, generate_synthetic
 
+from conftest import gp_predict
 from test_cart import exhaustive_best_gain
 from test_flash import bazza_oracle, drawn_weights
 from test_gp import naive_posterior

@@ -12,7 +12,8 @@ SPEC = importlib.util.spec_from_file_location("bench_pairs", PATH)
 bench_pairs = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(bench_pairs)
 
-METRICS = [{"name": "op_s", "better": "lower"}, {"name": "rate", "better": "higher"}]
+METRICS = [{"name": "op_s", "better": "lower", "bound": 0.25},
+           {"name": "rate", "better": "higher"}]
 
 
 def runs(**columns):
@@ -28,13 +29,47 @@ def test_summary_gives_base_quartiles_change_median_and_strict_wins():
     rows = bench_pairs.summarize(base, change, METRICS)
     assert rows == [
         {"name": "op_s", "better": "lower", "base_median": 2.5, "base_q1": 1.75,
-         "base_q3": 3.25, "change_median": 2.5, "wins": 2, "pairs": 4},
+         "base_q3": 3.25, "change_median": 2.5, "ratio": 1.0, "wins": 2, "pairs": 4,
+         "claim": False, "beyond_bound": False},
         {"name": "rate", "better": "higher", "base_median": 10.0, "base_q1": 10.0,
-         "base_q3": 10.5, "change_median": 10.5, "wins": 2, "pairs": 4},
+         "base_q3": 10.5, "change_median": 10.5, "ratio": 1.05, "wins": 2, "pairs": 4,
+         "claim": False, "beyond_bound": None},
     ]
     text = bench_pairs.format_rows(rows)
-    assert text.splitlines()[1].split() == ["op_s", "lower", "2.5", "[1.75,", "3.25]", "2.5", "2/4"]
-    assert text.splitlines()[2].split() == ["rate", "higher", "10", "[10,", "10.5]", "10.5", "2/4"]
+    assert text.splitlines()[1].split() == [
+        "op_s", "lower", "2.5", "[1.75,", "3.25]", "2.5", "1.000", "2/4", "no", "no"]
+    assert text.splitlines()[2].split() == [
+        "rate", "higher", "10", "[10,", "10.5]", "10.5", "1.050", "2/4", "no", "-"]
+
+
+def claim_and_bound(base, change, better, bound=0.1):
+    row, = bench_pairs.summarize(runs(m=base), runs(m=change),
+                                 [{"name": "m", "better": better, "bound": bound}])
+    return row["claim"], row["beyond_bound"]
+
+
+def test_claim_needs_nine_tenths_of_the_pairs_and_a_gap_wider_than_the_base_iqr():
+    base = [65.0, 65.5, 65.2, 65.6, 65.4, 65.3, 65.5, 65.7, 65.1, 65.4]  # IQR 0.3
+    assert claim_and_bound(base, [48.0] * 10, "lower") == (True, False)
+    assert claim_and_bound(base, [48.0] * 9 + [66.0], "lower") == (True, False)
+    assert claim_and_bound(base, [48.0] * 8 + [66.0] * 2, "lower") == (False, False)
+    assert claim_and_bound(base, [48.0] * 9 + [65.7], "lower") == (True, False)
+    # ties count for neither side: 8 wins and 2 ties are not nine tenths
+    assert claim_and_bound(base, [48.0] * 8 + base[8:], "lower") == (False, False)
+    # every pair won, but by less than the base's spread
+    assert claim_and_bound(base, [b - 0.05 for b in base], "lower") == (False, False)
+    # a higher-is-better metric: the same rule, turned around
+    assert claim_and_bound(base, [80.0] * 10, "higher") == (True, False)
+    assert claim_and_bound(base, [48.0] * 10, "higher") == (False, True)
+
+
+def test_beyond_bound_is_relative_to_the_base_median():
+    base = [10.0, 10.0, 10.0, 10.0]
+    assert claim_and_bound(base, [11.0] * 4, "lower") == (False, False)
+    assert claim_and_bound(base, [11.5] * 4, "lower") == (False, True)
+    assert claim_and_bound(base, [9.0] * 4, "higher") == (False, False)
+    assert claim_and_bound(base, [8.5] * 4, "higher") == (False, True)
+    assert claim_and_bound(base, [30.0] * 4, "lower", None) == (False, None)
 
 
 def test_summary_of_one_pair_and_of_unmatched_runs():
@@ -66,5 +101,8 @@ def test_pairs_alternate_which_side_goes_first(monkeypatch, capsys):
                      ("base", "rig-single", 42, 0), ("change", "rig-single", 42, 0)]
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("rig-single: base HEAD vs working tree, 3 alternating pairs")
-    wins = {line.split()[0]: line.split()[-1] for line in out[2:]}
-    assert wins == {"setup_s": "0/3", "op_s.tail": "0/3", "runs_per_s": "3/3", "peak_rss_mb": "0/3"}
+    verdicts = {line.split()[0]: line.split()[-4:] for line in out[2:]}
+    assert verdicts == {"setup_s": ["2.000", "0/3", "no", "yes"],
+                        "op_s.tail": ["2.000", "0/3", "no", "yes"],
+                        "runs_per_s": ["2.000", "3/3", "yes", "no"],
+                        "peak_rss_mb": ["2.000", "0/3", "no", "yes"]}

@@ -276,6 +276,66 @@ def test_fit_matches_per_node_sort_reference(case):
     assert fit(X, y, params) == reference_fit(X, y, params)
 
 
+# --- targets in any power-of-two unit ---------------------------------------------
+
+SCALES = [*range(-60, 61), -520, -500, 500, 510, 520]
+
+
+def scaled(tree: TreeNode, k: int) -> TreeNode:
+    """`tree` with every leaf prediction times 2^k, splits untouched."""
+    if isinstance(tree, Leaf):
+        return Leaf(float(np.ldexp(tree.prediction, k)), tree.count)
+    return Split(tree.option_index, tree.threshold, scaled(tree.left, k), scaled(tree.right, k))
+
+
+@settings(max_examples=25, deadline=None)
+@given(fit_cases())
+def test_targets_times_a_power_of_two_scale_only_the_leaves(case):
+    """y -> y * 2^k is exact in binary floating point, so it must move no
+    split and scale every leaf by exactly 2^k: at k = -25 the targets used
+    to fall under the split search's absolute floor, and above k = 509
+    their squares overflowed."""
+    X, y, params = case
+    tree = fit(X, y, params)
+    for k in SCALES:
+        assert fit(X, np.ldexp(y, k), params) == scaled(tree, k)
+
+
+def test_targets_near_the_float_limit_give_finite_leaves():
+    """Sums of these targets overflow, but their means are finite: mixed
+    signs used to give a NaN leaf and a constant table a +inf one."""
+    assert fit(np.zeros((8, 1)), [1.7e308, 1.7e308, -1.7e308, -1.7e308, 0, 0, 0, 0]) == Leaf(0.0, 8)
+    assert fit(np.zeros((40, 1)), np.full(40, 1.7e308)) == Leaf(1.7e308, 40)
+    top = np.nextafter(np.inf, 0.0)
+    X = np.arange(6.0)[:, None]
+    assert fit(X, [top, top, top, -top, -top, -top], LOOSE) == Split(
+        0, 2.5, Leaf(top, 3), Leaf(-top, 3))
+
+
+def test_split_floor_is_relative_to_the_largest_target():
+    """The split search's floor, 1e-12 in scaled units, is about
+    1e-12 * max|y|^2 in the targets' own units.  Beside targets of 2^20, a
+    node whose targets differ by 1e-3 stays a leaf; beside targets of 1 it
+    splits; and two targets 1e-7 apart, alone, split too."""
+    X = np.arange(4.0)[:, None]
+    assert fit(X, [0.0, 1e-3, 2.0**20, 2.0**20], LOOSE) == Split(
+        0, 1.5, Leaf(1e-3 / 2, 2), Leaf(2.0**20, 2))
+    assert fit(X, [0.0, 1e-3, 1.0, 1.0], LOOSE) == Split(
+        0, 1.5, Split(0, 0.5, Leaf(0.0, 1), Leaf(1e-3, 1)), Leaf(1.0, 2))
+    assert fit(X[:2], [0.0, 1e-7], LOOSE) == Split(0, 0.5, Leaf(0.0, 1), Leaf(1e-7, 1))
+
+
+def test_memo_tells_scales_apart():
+    """Targets and their doubles scale to the same bytes; the exponent in
+    the key keeps their subtrees apart."""
+    rng = np.random.default_rng(12)
+    X = rng.integers(0, 3, size=(30, 3)).astype(float)
+    y = rng.normal(size=30)
+    memo: dict = {}
+    assert fit(X, y, memo=memo) == fit(X, y)
+    assert fit(X, 2.0 * y, memo=memo) == scaled(fit(X, y), 1)
+
+
 # --- refits that reuse subtrees through a memo -----------------------------------
 
 @settings(max_examples=150, deadline=None)

@@ -1,12 +1,15 @@
+import contextlib
+import importlib.machinery
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from flashtune import gp as gp_module
-from flashtune.gp import GpParams, gp_fit, gp_predict, gp_predict_batch
+from flashtune.gp import GpParams, gp_fit, gp_predict_batch
 
-from conftest import reference_factor, reference_gp_fit, reference_gp_predict_batch
+from conftest import gp_predict, reference_factor, reference_gp_fit, reference_gp_predict_batch
 
 
 def naive_posterior(X, y, query, params):
@@ -183,16 +186,25 @@ def test_multi_column_fit_and_predict_match_one_dimensional_calls():
     assert same_scale > 20 and different_scale > 20
 
 
+@contextlib.contextmanager
+def counting(monkeypatch, name, calls):
+    """Count the calls `gp` makes to one routine of `gp.lapack()` inside the
+    block.  The patch is undone on leaving it, so a scipy wrapper called
+    outside the block never sees it (nor caches it in `get_lapack_funcs`)."""
+    real = getattr(gp_module.lapack(), name)
+    with monkeypatch.context() as m:
+        m.setattr(gp_module.lapack(), name, lambda *a, **k: calls.append(1) or real(*a, **k))
+        yield
+
+
 def test_multi_column_predict_solves_once_per_factor(monkeypatch):
     rng = np.random.default_rng(22)
     X = rng.random((12, 3))
     Y = np.column_stack([rng.normal(size=12)] * 3)  # equal columns choose equal scales
     gps = gp_fit(X, Y, GpParams(refine=True))
     solves = []
-    real = gp_module.linalg().lapack.dtrtrs
-    monkeypatch.setattr(gp_module.linalg().lapack, "dtrtrs",
-                        lambda *a, **k: solves.append(1) or real(*a, **k))
-    mu, sigma = gp_predict_batch(gps, rng.random((5, 3)))
+    with counting(monkeypatch, "dtrtrs", solves):
+        mu, sigma = gp_predict_batch(gps, rng.random((5, 3)))
     assert len(solves) == 1
     assert same_bits(mu[:, 0], mu[:, 2]) and same_bits(sigma[:, 0], sigma[:, 1])
 
@@ -202,28 +214,26 @@ def test_jitter_escalation_matches_the_cho_factor_loop(monkeypatch):
     retries `dpotrf` with growing jitter and ends at the factor the
     `cho_factor` loop gives, bit for bit."""
     rng = np.random.default_rng(23)
-    calls = []
-    real = gp_module.linalg().lapack.dpotrf
-    monkeypatch.setattr(gp_module.linalg().lapack, "dpotrf",
-                        lambda *a, **k: calls.append(1) or real(*a, **k))
     escalated = 0
     for case in range(40):
         X = rng.random((int(rng.integers(2, 12)), int(rng.integers(1, 4))))
         X = np.vstack([X, X[:case % 3 + 1]])
         K = gp_module._kernel(gp_module._sq_dists(X, X), GpParams())
-        calls.clear()
-        c, lower = gp_module._factor(K, 0.0)
+        calls = []
+        with counting(monkeypatch, "dpotrf", calls):
+            c, lower = gp_module._factor(K, 0.0)
         escalated += len(calls) > 1
         want, want_lower = reference_factor(K, 0.0)
         assert lower is want_lower is True
         assert same_bits(c, want)
     assert escalated > 20
-    calls.clear()
     hopeless = np.array([[1.0, 2.0], [2.0, 1.0]])
-    for factor in (gp_module._factor, reference_factor):
-        with pytest.raises(gp_module.GpError):
-            factor(hopeless, 0.0)
-    assert len(calls) > 2
+    calls = []
+    with counting(monkeypatch, "dpotrf", calls), pytest.raises(gp_module.GpError):
+        gp_module._factor(hopeless, 0.0)
+    assert len(calls) > 2  # _factor's own retries, before it gave up
+    with pytest.raises(gp_module.GpError):
+        reference_factor(hopeless, 0.0)
 
 
 def test_raw_lapack_path_rejects_what_the_scipy_wrappers_rejected(monkeypatch):
@@ -237,9 +247,30 @@ def test_raw_lapack_path_rejects_what_the_scipy_wrappers_rejected(monkeypatch):
     gp = gp_fit([[0.0], [1.0]], [0.0, 1.0])
     with pytest.raises(ValueError, match="finite"):
         gp_predict_batch(gp, [[np.nan]])
-    monkeypatch.setattr(gp_module.linalg().lapack, "dpotrf", lambda a, **k: (a, -1))
-    with pytest.raises(ValueError, match="illegal value in argument 1"):
-        gp_module._factor(np.eye(2), 0.0)
+    with monkeypatch.context() as m:
+        m.setattr(gp_module.lapack(), "dpotrf", lambda a, **k: (a, -1))
+        with pytest.raises(ValueError, match="illegal value in argument 1"):
+            gp_module._factor(np.eye(2), 0.0)
+
+
+def test_lapack_is_the_extension_scipy_linalg_uses():
+    """The routines `lapack()` loads are the objects `scipy.linalg.lapack`
+    re-exports, so the GP's figures are the scipy wrappers' by construction.
+    This fails if scipy moves the extension file."""
+    for name in ("dpotrf", "dpotrs", "dtrtrs"):
+        assert getattr(gp_module.lapack(), name) is getattr(scipy.linalg.lapack, name)
+    assert gp_module.lapack() is gp_module.lapack()
+
+
+def test_a_missing_lapack_extension_raises_with_its_path(monkeypatch):
+    loaded = gp_module.lapack()
+    with monkeypatch.context() as m:
+        m.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".nosuch.so"])
+        gp_module.lapack.cache_clear()
+        with pytest.raises(ImportError, match=r"Linux and macOS wheels only: no .*linalg.?_flapack"
+                                              r"<suffix> for any suffix in \['.nosuch.so'\]"):
+            gp_module.lapack()
+    assert gp_module.lapack() is loaded  # the failure is not cached; a reload finds the same module
 
 
 def test_validation():

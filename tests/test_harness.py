@@ -117,6 +117,35 @@ def test_method_failure_recorded_as_x():
     assert "X" in text
 
 
+def test_a_failed_method_names_its_cause_in_the_report(tmp_path):
+    """The 16-row table's 13-row merged pool cannot hold a flash sample of
+    30 or 50 random picks: each failed row keeps the exception's type and
+    message, and the report prints it after the repeat."""
+    spec = spec_for(
+        [MethodSpec("flash"), MethodSpec("random", options={"n": 50}), MethodSpec("rank")],
+        repeats=1,
+        synthetic=("interaction", 4),
+        flash=FlashParams(size=30, budget=20),
+    )
+    report = run_experiment(spec)
+    errors = {r.method: r.error for r in report.rows}
+    assert errors == {
+        "flash": "ValueError: candidate pool has 13 configurations, need at least size=30",
+        "random": "ValueError: n must lie in [1, 13]",
+        "rank": None,
+    }
+    text = render_report(report)
+    failures = text[text.index("failures (recorded as X):"):].splitlines()
+    assert failures[1:3] == [
+        "      flash  repeat 0  ValueError: candidate pool has 13 configurations, "
+        "need at least size=30",
+        "      random  repeat 0  ValueError: n must lie in [1, 13]",
+    ]
+    write_raw_results(report, tmp_path / "results.csv")
+    assert (tmp_path / "results.csv").read_text().splitlines()[0] == (
+        "method,repeat,status,rd,pool_rd,gd,igd,measurements,acquisitions")
+
+
 def test_mode_method_compatibility():
     with pytest.raises(ValueError, match="single objective"):
         run_experiment(spec_for([MethodSpec("progressive")],

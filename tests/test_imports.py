@@ -1,6 +1,7 @@
-"""What the package loads: scipy stays out until ePAL runs, and ePAL loads it
-before its run's clock starts.  Each check runs in a fresh interpreter,
-because this one has long imported scipy through other tests."""
+"""What the package loads: scipy stays out until ePAL runs, and ePAL then
+loads only scipy's LAPACK extension, before its run's clock starts.  Each
+check runs in a fresh interpreter, because this one has long imported scipy
+through other tests."""
 
 import os
 import subprocess
@@ -44,23 +45,31 @@ print({SCIPY_MODULES})
     assert run_python(code) == "[]"
 
 
-def test_epal_loads_scipy_before_its_clock_starts():
+def test_epal_loads_lapack_before_its_clock_starts():
+    """ePAL loads scipy's LAPACK extension before its `Trace` starts, and
+    nothing else of scipy: after the run that extension is the only scipy
+    module loaded.  A later `import scipy.linalg` reuses it."""
     code = f"""
 import sys
-from flashtune import baselines, runs, space, synth
+from flashtune import baselines, gp, runs, space, synth
 
 before = {SCIPY_MODULES}
 at_start = []
 init = runs.Trace.__init__
 
 def traced_init(self, *args, **kwargs):
-    at_start.append("scipy.linalg" in sys.modules)
+    at_start.append({SCIPY_MODULES})
     init(self, *args, **kwargs)
 
 runs.Trace.__init__ = traced_init
 ds = synth.generate_synthetic("bi-objective-tradeoff", 4, 0)
 run = baselines.epal(ds.candidates(), space.TableOracle(ds),
                      baselines.EpalParams(epsilon=0.3, init_size=5), ds.directions)
-print(before, at_start, run.measurements_used >= 5)
+after = {SCIPY_MODULES}
+import scipy.linalg
+shared = [getattr(scipy.linalg.lapack, f) is getattr(gp.lapack(), f)
+          for f in ("dpotrf", "dpotrs", "dtrtrs")]
+print(before, at_start, after, run.measurements_used >= 5, shared)
 """
-    assert run_python(code) == "[] [True] True"
+    flapack = "['scipy.linalg._flapack']"
+    assert run_python(code) == f"[] [{flapack}] {flapack} True [True, True, True]"
