@@ -14,7 +14,7 @@ from .baselines import (
     random_search,
     rank_based,
 )
-from .cart import CartParams, Leaf, Split, TreeNode, dump_tree, fit, predict, predict_batch
+from .cart import CartParams, Leaf, Split, TreeNode, dump_tree, fit, predict_batch
 from .flash import FlashParams, bazza_select, flash_multi, flash_single
 from .gp import GaussianProcess, GpParams, gp_fit, gp_predict_batch
 from .harness import (
@@ -29,7 +29,6 @@ from .harness import (
 from .metrics import (
     FrontComparison,
     best_rows,
-    dominates,
     front_comparison,
     front_quality,
     gd,

@@ -53,6 +53,8 @@ class EpalParams:
             raise ValueError("epsilon must be >= 0 and not NaN")
         if self.init_size < 1:
             raise ValueError("init_size must be >= 1")
+        if self.max_wall_time is not None and not self.max_wall_time >= 0:
+            raise ValueError("max_wall_time must be >= 0 and not NaN")
 
 
 def _lives_loop(
@@ -125,8 +127,9 @@ def _lives_loop(
             break
 
     # the model's answer: best predicted configuration in the validation pool
-    val_preds = cart.predict_batch(tree, trace.X[val_pos]) * direction_signs((direction,))
-    best_pos = int(val_pos[int(np.argmin(val_preds))])
+    sign = float(direction_signs((direction,))[0])
+    pick = cart.argmin_row(tree, trace.X[val_pos], np.zeros(val_pos.size, bool), sign)
+    best_pos = int(val_pos[pick])
     trace.take(best_pos)
     run = trace.finish(stop, (direction,), objective, initial_sample=hold_pos.size,
                        best=int(trace.ids[best_pos]))

@@ -226,18 +226,6 @@ def fit(xs, ys, params: CartParams = CartParams(), *, memo: dict | None = None) 
     return _grow(XT, np.ldexp(y, -e), e, np.arange(y.size), order, 0, params, old, memo)[0]
 
 
-def predict(tree: TreeNode, config: Sequence[float]) -> float:
-    """Descend by threshold comparisons to a leaf and return its prediction."""
-    node = tree
-    while isinstance(node, Split):
-        if node.option_index >= len(config):
-            raise ValueError(
-                f"configuration has {len(config)} options, tree splits on index {node.option_index}"
-            )
-        node = node.left if config[node.option_index] <= node.threshold else node.right
-    return node.prediction
-
-
 def predict_batch(tree: TreeNode, configs, *, memo: dict | None = None) -> np.ndarray:
     """Elementwise predict over many configurations; order preserved.
 

@@ -24,6 +24,7 @@ from .baselines import LivesParams
 from .cart import CartParams, dump_tree, fit as cart_fit
 from .flash import FlashParams
 from .harness import (
+    OVERRIDES,
     WHOLE_TABLE,
     ExperimentSpec,
     MethodSpec,
@@ -285,6 +286,10 @@ def _read_front_ids(dataset: Dataset, path: Path) -> list[int]:
     return ids
 
 
+# The `MethodSpec` override each `--methods` colon suffix sets, per method kind.
+SUFFIX_KEYS = {"flash": "budget", "epal": "epsilon", "random": "n"}
+
+
 @cli.command()
 @click.option("--manifest", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--data", type=click.Path(exists=True, dir_okay=False), default=None)
@@ -294,7 +299,8 @@ def _read_front_ids(dataset: Dataset, path: Path) -> list[int]:
               help="Boolean options for the synthetic dataset.")
 @click.option("--methods", default="flash,random", show_default=True,
               help="Comma list; epal takes a colon suffix for epsilon, random for its budget "
-                   "(e.g. 'flash,epal:0.01,epal:0.3' or 'flash,random:50').")
+                   "and flash for its model-guided budget "
+                   "(e.g. 'flash,epal:0.01,epal:0.3' or 'flash:20,random:50').")
 @click.option("--objectives", default="", help="Comma list of objective names or indices; default all.")
 @click.option("--repeats", type=int, default=20, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -316,14 +322,10 @@ def experiment(kind, n_options, methods, objectives, emit_timing, out, **options
         options_map = {}
         label = kind_name
         if arg:
-            if kind_name == "epal":
-                options_map["epsilon"] = float(arg)
-            elif kind_name == "random":
-                options_map["n"] = int(arg)
-            elif kind_name == "flash":
-                options_map["budget"] = int(arg)
-            else:
+            if kind_name not in SUFFIX_KEYS:
                 raise DatasetError(f"method {kind_name!r} takes no parameter suffix")
+            key = SUFFIX_KEYS[kind_name]
+            options_map[key] = OVERRIDES[kind_name][key](arg)
             label = f"{kind_name}_{arg}"
         method_specs.append(MethodSpec(kind_name, label, options_map))
 

@@ -26,20 +26,40 @@ from . import metrics
 from .baselines import EpalParams, LivesParams, epal, progressive_sampling, random_search, rank_based
 from .cart import CartParams
 from .flash import FlashParams, flash_multi, flash_single
-from .gp import GpParams
 from .runs import OptimizationRun
 from .space import Dataset, SplitSpec, TableOracle, _write_csv, load_dataset, split
 from .stats import SkParams, Treatment, quartile_report, scott_knott
 from .synth import generate_synthetic
 
-METHOD_KINDS = ("flash", "progressive", "rank", "epal", "random")
+# The overrides `MethodSpec.options` may hold, per method kind, each with the
+# type its value is read as.
+OVERRIDES = {
+    "flash": {"size": int, "budget": int},
+    "progressive": {},
+    "rank": {},
+    "epal": {"epsilon": float},
+    "random": {"n": int},
+}
+METHOD_KINDS = tuple(OVERRIDES)
 SINGLE_ONLY = ("progressive", "rank")
 MULTI_ONLY = ("epal",)
 
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One competitor: a label, a method kind, and per-method overrides."""
+    """One competitor: a label, a method kind, and per-method overrides.
+
+    `options` holds only keys its kind accepts (`OVERRIDES`); each replaces
+    one `ExperimentSpec` setting for this method, and any other key is
+    refused.  `experiment --methods` sets some of them with a colon suffix:
+
+    - flash: `size` (no suffix) and `budget` (`flash:N`) replace
+      `flash.size` and `flash.budget`;
+    - random: `n` (`random:N`), the number of measurements, by default
+      `flash.size + flash.budget`;
+    - epal: `epsilon` (`epal:E`) replaces `epsilon`;
+    - progressive and rank accept none.
+    """
 
     kind: str
     label: str = ""
@@ -48,8 +68,17 @@ class MethodSpec:
     def __post_init__(self):
         if self.kind not in METHOD_KINDS:
             raise ValueError(f"unknown method kind {self.kind!r}; choose from {METHOD_KINDS}")
+        unknown = sorted(set(self.options) - set(OVERRIDES[self.kind]))
+        if unknown:
+            accepted = ", ".join(OVERRIDES[self.kind]) or "none"
+            raise ValueError(f"method {self.kind!r} takes no option {unknown[0]!r}; "
+                             f"accepted: {accepted}")
         if not self.label:
             object.__setattr__(self, "label", self.kind)
+
+    def option(self, key: str, default):
+        """The override `key`, or `default` when unset, as `OVERRIDES` types it."""
+        return OVERRIDES[self.kind][key](self.options.get(key, default))
 
 
 @dataclass(frozen=True)
@@ -178,7 +207,6 @@ def run_method(
     directions = tuple(dataset.objectives[j].direction for j in objectives)
     single = len(objectives) == 1
     oracle = TableOracle(dataset)
-    opt = method.options
 
     if single:
         run_oracle = oracle
@@ -187,53 +215,40 @@ def run_method(
         run_oracle = _ColumnOracle(oracle, objectives)
         objective_col = 0
 
-    fp = FlashParams(
-        size=int(opt.get("size", spec.flash.size)),
-        budget=int(opt.get("budget", spec.flash.budget)),
-        n_projections=int(opt.get("projections", spec.flash.n_projections)),
-        seed=seed,
-    )
-
     if method.kind == "flash":
+        fp = replace(spec.flash, seed=seed, size=method.option("size", spec.flash.size),
+                     budget=method.option("budget", spec.flash.budget))
         cands = dataset.candidates(merged)
         if single:
             run = flash_single(cands, run_oracle, fp, directions[0], spec.cart, objective_col)
         else:
             run = flash_multi(cands, run_oracle, fp, directions, spec.cart)
     elif method.kind == "random":
-        n = int(opt.get("n", fp.size + fp.budget))
+        n = method.option("n", spec.flash.size + spec.flash.budget)
         run = random_search(dataset.candidates(merged), run_oracle, n, directions, seed,
                             objective_col)
     elif method.kind in ("progressive", "rank"):
         if not single:
             raise ValueError(f"{method.kind} handles a single objective only")
-        lives = LivesParams(
-            lives=int(opt.get("lives", spec.lives.lives)),
-            step=int(opt.get("step", spec.lives.step)),
-        )
         fn = progressive_sampling if method.kind == "progressive" else rank_based
         _, run = fn(
             dataset.candidates(train_ids),
             dataset.candidates(hold_ids),
             dataset.candidates(val_ids),
             run_oracle,
-            lives,
+            spec.lives,
             spec.cart,
             direction=directions[0],
             objective=objective_col,
             seed=seed,
-            with_replacement=bool(opt.get("with_replacement", spec.with_replacement)),
+            with_replacement=spec.with_replacement,
         )
     elif method.kind == "epal":
         if single:
             raise ValueError("epal handles multi-objective problems only")
-        ep = EpalParams(
-            epsilon=float(opt.get("epsilon", spec.epsilon)),
-            init_size=int(opt.get("init_size", 20)),
-            max_wall_time=opt.get("max_wall_time", spec.max_wall_time),
-        )
-        run = epal(dataset.candidates(merged), run_oracle, ep, directions, seed,
-                   gp_params=opt.get("gp", GpParams(refine=True)))
+        ep = EpalParams(epsilon=method.option("epsilon", spec.epsilon),
+                        max_wall_time=spec.max_wall_time)
+        run = epal(dataset.candidates(merged), run_oracle, ep, directions, seed)
     else:  # pragma: no cover - guarded by MethodSpec validation
         raise ValueError(method.kind)
 

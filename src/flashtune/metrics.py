@@ -84,15 +84,6 @@ def rank_difference(best: int, dataset: Dataset, objective: int = 0, rows=None) 
     return int(np.sum(pool < v[best]))
 
 
-def dominates(a: Sequence[float], b: Sequence[float], directions: Sequence[str]) -> bool:
-    """True iff `a` is no worse than `b` everywhere and strictly better somewhere."""
-    av = _as_min(a, directions)
-    bv = _as_min(b, directions)
-    if av.shape != bv.shape:
-        raise ValueError("objective vectors must have the same shape")
-    return bool(np.all(av <= bv) and np.any(av < bv))
-
-
 # Largest (rows of P) x (rows of Q) x objectives cube the m != 2 path builds.
 _BLOCK_ELEMS = 1 << 20
 

@@ -91,9 +91,6 @@ class OptionSchema:
         if self.lo > self.hi:
             raise SchemaError(f"option {self.name!r}: min {self.lo} > max {self.hi}")
 
-    def contains(self, value: float) -> bool:
-        return float(value).is_integer() and self.lo <= value <= self.hi
-
 
 @dataclass(frozen=True)
 class ObjectiveSchema:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from flashtune import gp
+from flashtune import cart, gp, metrics
 from flashtune.space import (
     BOOLEAN,
     INTEGER,
@@ -49,6 +49,31 @@ def two_bool_dataset():
     configs = [(0, 0), (0, 1), (1, 0), (1, 1)]
     values = [3.0, 2.0, 4.0, 1.0]
     return make_dataset(configs, values, kinds=[BOOLEAN, BOOLEAN])
+
+
+# --- per-row oracles for the array paths -------------------------------------
+
+def predict(tree, config):
+    """Descend by threshold comparisons to a leaf and return its prediction:
+    one row of `cart.predict_batch`."""
+    node = tree
+    while isinstance(node, cart.Split):
+        if node.option_index >= len(config):
+            raise ValueError(
+                f"configuration has {len(config)} options, tree splits on index {node.option_index}"
+            )
+        node = node.left if config[node.option_index] <= node.threshold else node.right
+    return node.prediction
+
+
+def dominates(a, b, directions):
+    """True iff `a` is no worse than `b` everywhere and strictly better
+    somewhere: one pair of `metrics.pareto_front`'s sweep."""
+    av = metrics._as_min(a, directions)
+    bv = metrics._as_min(b, directions)
+    if av.shape != bv.shape:
+        raise ValueError("objective vectors must have the same shape")
+    return bool(np.all(av <= bv) and np.any(av < bv))
 
 
 # --- the GP before multi-column fits and gathered distances --------------------

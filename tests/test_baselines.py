@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from flashtune.runs import Trace
 from flashtune.space import Pool, SplitSpec, TableOracle, direction_signs, split
 from flashtune.synth import generate_synthetic
 
-from conftest import make_dataset, reference_gp_fit, reference_gp_predict_batch
+from conftest import make_dataset, predict, reference_gp_fit, reference_gp_predict_batch
 
 MIN2 = ("minimize", "minimize")
 
@@ -31,8 +33,8 @@ def pools_for(ds, seed=0):
     return ds.candidates(train), ds.candidates(hold), ds.candidates(val)
 
 
-def constant_dataset(n=40, value=7.0):
-    return make_dataset([(i,) for i in range(n)], [value] * n)
+def constant_dataset(n=40, value=7.0, direction="minimize"):
+    return make_dataset([(i,) for i in range(n)], [value] * n, directions=[direction])
 
 
 # --- progressive / rank-based ------------------------------------------------
@@ -128,6 +130,46 @@ def test_lives_loop_validation():
         progressive_sampling({}, hold, val, TableOracle(ds))
     with pytest.raises(ValueError):
         LivesParams(lives=0)
+
+
+def oracle_answer(tree, validation, direction):
+    """The validation id with the lowest `predict(tree, x) * sign`, the
+    lowest id (the lowest trace position) winning a tie."""
+    sign = direction_signs((direction,))[0]
+    return min(sorted(validation), key=lambda i: predict(tree, validation[i]) * sign)
+
+
+@st.composite
+def lives_tables(draw):
+    """A small integer table whose few distinct values tie many predictions."""
+    d = draw(st.integers(3, 4))
+    configs = list(itertools.product(range(draw(st.integers(2, 3))), repeat=d))
+    values = draw(st.lists(st.sampled_from([1.0, 2.0, 3.0, 5.0]),
+                           min_size=len(configs), max_size=len(configs)))
+    direction = draw(st.sampled_from(["minimize", "maximize"]))
+    return make_dataset(configs, values, directions=[direction]), direction
+
+
+@pytest.mark.parametrize("method", [progressive_sampling, rank_based])
+@settings(max_examples=60, deadline=None)
+@given(case=lives_tables(), seed=st.integers(0, 50), loose=st.booleans())
+def test_lives_answer_is_the_validation_id_the_per_row_oracle_ranks_best(method, case, seed, loose):
+    ds, direction = case
+    train, hold, val = pools_for(ds, seed=seed)
+    params = cart.CartParams(min_samples_split=2, min_samples_leaf=1) if loose else cart.CartParams()
+    tree, run = method(train, hold, val, TableOracle(ds), cart_params=params,
+                       direction=direction, seed=seed)
+    assert run.best == oracle_answer(tree, val, direction)
+    assert run.evaluated[-1][0] == run.best
+
+
+@pytest.mark.parametrize("direction", ["minimize", "maximize"])
+def test_lives_answer_on_a_flat_table_is_the_smallest_validation_id(direction):
+    ds = constant_dataset(direction=direction)
+    train, hold, val = pools_for(ds)
+    for method in (progressive_sampling, rank_based):
+        tree, run = method(train, hold, val, TableOracle(ds), direction=direction, seed=1)
+        assert run.best == min(val) == oracle_answer(tree, val, direction)
 
 
 @pytest.mark.parametrize("as_pool", [Pool.of, dict], ids=["pool", "dict"])
@@ -479,6 +521,12 @@ def test_epal_validation():
     with pytest.raises(ValueError, match="NaN"):
         EpalParams(epsilon=float("nan"))
     assert EpalParams(epsilon=float("inf")).epsilon == float("inf")
+    # a negative limit stopped the run after its warm-up, and NaN switched the limit off
+    for limit in (-3.0, -1e-9, float("nan"), float("-inf")):
+        with pytest.raises(ValueError, match="max_wall_time must be >= 0 and not NaN"):
+            EpalParams(max_wall_time=limit)
+    for limit in (None, 0.0, 2.5, float("inf")):
+        assert EpalParams(max_wall_time=limit).max_wall_time == limit
 
 
 def test_epal_deterministic():

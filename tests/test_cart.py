@@ -11,9 +11,10 @@ from flashtune.cart import (
     argmin_row,
     dump_tree,
     fit,
-    predict,
     predict_batch,
 )
+
+from conftest import predict
 
 LOOSE = CartParams(min_samples_split=2, min_samples_leaf=1)
 

@@ -93,6 +93,18 @@ def test_baseline_epal_rejects_single_objective(tmp_path):
                    "--data", data, "--out", tmp_path / "x") == 1
 
 
+def test_baseline_epal_rejects_a_negative_or_nan_wall_time(tmp_path, capsys):
+    manifest, data, _ = synth_files(tmp_path, kind="bi-objective-tradeoff", options=6)
+    for limit in ("-3", "nan"):
+        assert run_cli("baseline", "--method", "epal", "--manifest", manifest, "--data", data,
+                       "--max-wall-time", limit, "--out", tmp_path / f"epal{limit}") == 1
+        assert "max_wall_time must be >= 0 and not NaN" in capsys.readouterr().err
+        assert not (tmp_path / f"epal{limit}" / "summary.txt").exists()
+    assert run_cli("baseline", "--method", "epal", "--manifest", manifest, "--data", data,
+                   "--max-wall-time", 0, "--out", tmp_path / "epal0") == 0
+    assert "stop reason: wall-time" in (tmp_path / "epal0" / "summary.txt").read_text()
+
+
 def test_baseline_random_searches_the_given_objective(tmp_path):
     manifest, data, _ = synth_files(tmp_path, kind="bi-objective-tradeoff", options=6)
     outs = {}

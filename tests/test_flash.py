@@ -13,7 +13,7 @@ from flashtune.runs import STOP_BUDGET, STOP_POOL_EXHAUSTED, Trace
 from flashtune.space import SplitSpec, TableOracle, direction_signs, split
 from flashtune.synth import generate_synthetic
 
-from conftest import make_dataset
+from conftest import dominates, make_dataset
 
 MIN2 = ("minimize", "minimize")
 
@@ -248,8 +248,6 @@ def test_multi_needs_two_objectives():
 
 
 def test_front_is_mutually_non_dominated():
-    from flashtune.metrics import dominates
-
     ds = generate_synthetic("bi-objective-tradeoff", 6, seed=2)
     run = flash_multi(ds.candidates(), TableOracle(ds),
                       FlashParams(size=10, budget=15, seed=4), ds.directions)

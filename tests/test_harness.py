@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from flashtune.baselines import random_search
+from flashtune.cli import SUFFIX_KEYS
 from flashtune.flash import FlashParams
 from flashtune.harness import (
+    OVERRIDES,
+    WHOLE_TABLE,
     ExperimentSpec,
     MethodResult,
     MethodSpec,
@@ -14,6 +17,7 @@ from flashtune.harness import (
     emit_plot_data,
     render_report,
     run_experiment,
+    run_method,
     write_raw_results,
 )
 from flashtune.metrics import rank_difference
@@ -163,6 +167,52 @@ def test_spec_validation():
         ExperimentSpec(methods=(MethodSpec("flash"),))
     with pytest.raises(ValueError):
         MethodSpec("gradient-descent")
+
+
+def test_method_spec_refuses_options_its_kind_never_reads():
+    # a misspelt key used to run quietly on the spec's settings
+    with pytest.raises(ValueError, match=r"^method 'flash' takes no option 'sise'; "
+                                         r"accepted: size, budget$"):
+        MethodSpec("flash", options={"sise": 10})
+    refused = {"flash": "projections", "progressive": "lives", "rank": "with_replacement",
+               "epal": "max_wall_time", "random": "size"}
+    for kind, key in refused.items():
+        with pytest.raises(ValueError, match=f"^method '{kind}' takes no option '{key}'"):
+            MethodSpec(kind, options={key: 1})
+    with pytest.raises(ValueError, match="accepted: none$"):
+        MethodSpec("rank", options={"step": 2})
+    for kind, keys in OVERRIDES.items():
+        assert MethodSpec(kind, options=dict.fromkeys(keys, 3)).options == dict.fromkeys(keys, 3)
+
+
+def test_method_overrides_replace_the_spec_settings():
+    ds = generate_synthetic("bi-objective-tradeoff", 6, seed=0)
+    spec = spec_for([MethodSpec("flash")], flash=FlashParams(size=20, budget=10), epsilon=0.01)
+
+    def run(kind, objectives=(0,), **options):
+        return run_method(MethodSpec(kind, options=options), ds, objectives, WHOLE_TABLE, 0, spec)
+
+    for options, sizes in (({}, (20, 30)), ({"size": 12, "budget": 3}, (12, 15))):
+        flash = run("flash", **options)
+        assert (flash.initial_sample, flash.measurements_used) == sizes
+    assert run("random").measurements_used == 30
+    assert run("random", n=7).measurements_used == 7
+    both = (0, 1)
+    assert run("epal", both, epsilon=0.01).evaluated == run("epal", both).evaluated
+    assert run("epal", both, epsilon=10.0).measurements_used < run("epal", both).measurements_used
+
+
+def test_docs_list_every_override_and_its_suffix():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rig = readme[readme.index("## Experiment rig"):]
+    rig = rig[:rig.index("\n## ")]
+    for doc in (MethodSpec.__doc__, rig):
+        for keys in OVERRIDES.values():
+            for key in keys:
+                assert f"`{key}`" in doc
+        for kind, key in SUFFIX_KEYS.items():
+            assert key in OVERRIDES[kind]
+            assert f"`{kind}:" in doc
 
 
 def test_report_is_seed_reproducible():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from flashtune.metrics import (
     average_ranks,
     best_rows,
-    dominates,
     front_comparison,
     front_quality,
     gd,
@@ -20,7 +19,7 @@ from flashtune.metrics import (
     rank_difference,
 )
 
-from conftest import make_dataset
+from conftest import dominates, make_dataset
 
 MIN2 = ("minimize", "minimize")
 

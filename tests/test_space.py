@@ -202,7 +202,7 @@ def loop_domain_error(options, X):
     by column, then by row."""
     for j, opt in enumerate(options):
         for i, v in enumerate(X[:, j]):
-            if not opt.contains(v):
+            if not (float(v).is_integer() and opt.lo <= v <= opt.hi):
                 return f"row {i + 1}: value {float(v)!r} outside domain of option {opt.name!r}"
     return None
 
@@ -312,9 +312,9 @@ def test_pool_leaves_callers_arrays_writable():
 # --- loader error rows ---------------------------------------------------------
 
 def reference_load(manifest_path, data_path):
-    """The loader before `Dataset` took over its domain test: one
-    `OptionSchema.contains` call per option cell.  Its duplicate-row error,
-    which `Dataset` numbered by data row, is mapped to file rows."""
+    """The loader before `Dataset` took over its domain test: one domain
+    test per option cell.  Its duplicate-row error, which `Dataset` numbered
+    by data row, is mapped to file rows."""
     options, objectives = _parse_manifest(Path(manifest_path))
     wanted = [o.name for o in options] + [o.name for o in objectives]
 
@@ -345,7 +345,7 @@ def reference_load(manifest_path, data_path):
             cfg = []
             for opt in options:
                 v = cell(opt.name)
-                if not opt.contains(v):
+                if not (v.is_integer() and opt.lo <= v <= opt.hi):
                     raise RowError(rowno, f"value {v!r} outside domain of option {opt.name!r}")
                 cfg.append(v)
             configs.append(cfg)
