@@ -14,12 +14,13 @@ ones, so a drift in the host's speed does not always favour one side.
 For each end-to-end metric of `BENCHMARK.json` the script prints the base
 median with its quartiles, the change median and its ratio to the base
 median, and in how many pairs the change was better, in the direction the
-metric names.  Two verdicts follow.  `claim` is yes when the change won at
-least 9 of every 10 pairs and its median is better than the base's by more
-than the base's interquartile range, the rule for claiming a gain.  `beyond
-bound` is yes when the change median is worse than the base median by more
-than the metric's relative `bound` in `BENCHMARK.json`, which the script
-only reads.  Each run is waited for (and killed with its workers if the
+metric names.  Three verdicts follow.  `claim` is yes when the change won
+at least 9 of every 10 pairs and its median is better than the base's by
+more than the base's interquartile range, the rule for claiming a gain.
+`beyond bound` is yes when the change median is worse than the base median
+by more than the metric's relative `bound` in `BENCHMARK.json`, which the
+script only reads, and `clears bound` is yes when it is better by more than
+that bound.  Each run is waited for (and killed with its workers if the
 script is interrupted), and the temporary directory is removed on exit.
 """
 
@@ -52,13 +53,14 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def summarize(base: list[dict], change: list[dict], end_to_end: list[dict]) -> list[dict]:
     """One row per end-to-end metric: the base median and quartiles, the
     change median and its ratio to the base median, the pairs in which the
-    change was strictly better, and two verdicts.
+    change was strictly better, and three verdicts.
 
     `claim`: the change won at least nine tenths of the pairs (ties count for
     neither side) and its median is better than the base's by more than the
     base's interquartile range.  `beyond_bound`: the change median is worse
     than the base median by more than the metric's relative `bound`, or None
-    for a metric without one.
+    for a metric without one.  `clears_bound`: the change median is better
+    than the base median by more than that bound, or None likewise.
 
     `base[i]` and `change[i]` are pair i's `metrics` objects, each metric a
     `{"value": ...}`; `end_to_end` is `BENCHMARK.json`'s list of metrics,
@@ -80,7 +82,8 @@ def summarize(base: list[dict], change: list[dict], end_to_end: list[dict]) -> l
                      "ratio": change_median / median if median else None,
                      "wins": wins, "pairs": len(b),
                      "claim": 10 * wins >= 9 * len(b) and gain > q3 - q1,
-                     "beyond_bound": None if bound is None else -gain > bound * abs(median)})
+                     "beyond_bound": None if bound is None else -gain > bound * abs(median),
+                     "clears_bound": None if bound is None else gain > bound * abs(median)})
     return rows
 
 
@@ -89,13 +92,15 @@ def format_rows(rows: list[dict]) -> str:
         return "-" if flag is None else "yes" if flag else "no"
 
     lines = [f"{'metric':<12} {'better':<7} {'base median [q1, q3]':<28} "
-             f"{'change median':<14} {'ratio':<7} {'wins':<6} {'claim':<6} beyond bound"]
+             f"{'change median':<14} {'ratio':<7} {'wins':<6} {'claim':<6} "
+             f"{'beyond bound':<13} clears bound"]
     for r in rows:
         base = f"{r['base_median']:.4g} [{r['base_q1']:.4g}, {r['base_q3']:.4g}]"
         ratio = "-" if r["ratio"] is None else f"{r['ratio']:.3f}"
         lines.append(f"{r['name']:<12} {r['better']:<7} {base:<28} "
                      f"{r['change_median']:<14.4g} {ratio:<7} {r['wins']}/{r['pairs']:<4} "
-                     f"{verdict(r['claim']):<6} {verdict(r['beyond_bound'])}")
+                     f"{verdict(r['claim']):<6} {verdict(r['beyond_bound']):<13} "
+                     f"{verdict(r['clears_bound'])}")
     return "\n".join(lines)
 
 

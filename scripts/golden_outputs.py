@@ -178,6 +178,7 @@ def commands(seed: int) -> list[tuple[str, list[str]]]:
         ("fail-tune-mo-single", cli + ["tune-mo", *table("single-peak"), "--seed", s]),
         ("fail-tune-objective", cli + ["tune", *table("int"), "--objective", "nosuch",
                                        "--seed", s]),
+        # refused before the run, so it leaves no out/ directory
         ("fail-baseline-epal-single", cli + ["baseline", *table("single-peak"), "--method",
                                              "epal", "--seed", s]),
         ("fail-baseline-epal-objective", cli + ["baseline", *table("int"), "--method", "epal",

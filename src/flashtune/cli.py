@@ -207,8 +207,6 @@ def baseline(manifest, data, method, objective, seed, out, **options):
     dataset = load_dataset(manifest, data)
     spec = _spec([MethodSpec(method)], seed, manifest=manifest, data=data, **options)
     pools = repeat_pools(dataset, spec, seed)
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if method == "epal" and len(dataset.objectives) < 2:
         raise DatasetError("epal needs a dataset with at least two objectives")
@@ -225,7 +223,7 @@ def baseline(manifest, data, method, objective, seed, out, **options):
         summary.append(f"rank difference: {metrics.rank_difference(run.best, dataset, obj)}")
     else:
         summary.append(f"front size: {len(run.front)}")
-    _write_run(out_dir, run, dataset, summary)
+    out_dir = _write_run(out, run, dataset, summary)
     click.echo(f"{method}: {run.measurements_used} measurements -> {out_dir}")
 
 

@@ -112,6 +112,15 @@ class ExperimentSpec:
         has_files = self.manifest is not None and self.data is not None
         if has_files == (self.synthetic is not None):
             raise ValueError("provide either manifest+data paths or a synthetic spec")
+        for method in self.methods:
+            if method.kind == "epal":
+                self.epal_params(method)
+
+    def epal_params(self, method: MethodSpec) -> EpalParams:
+        """ePAL's settings for `method`; checked when the spec is built, so a
+        bad value fails before any repeat runs."""
+        return EpalParams(epsilon=method.option("epsilon", self.epsilon),
+                          max_wall_time=self.max_wall_time)
 
 
 @dataclass(frozen=True)
@@ -246,9 +255,8 @@ def run_method(
     elif method.kind == "epal":
         if single:
             raise ValueError("epal handles multi-objective problems only")
-        ep = EpalParams(epsilon=method.option("epsilon", spec.epsilon),
-                        max_wall_time=spec.max_wall_time)
-        run = epal(dataset.candidates(merged), run_oracle, ep, directions, seed)
+        run = epal(dataset.candidates(merged), run_oracle, spec.epal_params(method),
+                   directions, seed)
     else:  # pragma: no cover - guarded by MethodSpec validation
         raise ValueError(method.kind)
 

@@ -168,12 +168,14 @@ class Dataset:
 
     Safe for concurrent reads; the backing arrays are marked read-only.
 
-    `lookup` finds a row through an index keyed by bytes: the row's option
-    values plus 0.0, so that -0.0 and 0.0 share a key, packed as native
-    doubles.  The values are finite, so two rows share a key exactly when
-    their float tuples compare equal.  A query of the right length is
-    packed the same way, each value through `float(v) + 0.0`, so any
-    spelling of a configuration that `float` reads finds its row.
+    `lookup` finds a row by its key: the row's option values plus 0.0, so
+    that -0.0 and 0.0 share a key, packed as native doubles.  The values
+    are finite, so two rows share a key exactly when their float tuples
+    compare equal.  The index is two arrays and no Python object per row:
+    the keys, one `np.void` scalar per row, and the stable `argsort` of
+    them, which a query is binary-searched through.  A query of the right
+    length is packed the same way, each value through `float(v) + 0.0`, so
+    any spelling of a configuration that `float` reads finds its row.
     """
 
     def __init__(
@@ -223,17 +225,15 @@ class Dataset:
         n, d = X.shape
         self._pack = struct.Struct(f"{d}d").pack
         # a void view reads each row's bytes as one scalar; it needs a width
-        # and C order, whatever the layout of the array passed in
-        keys = np.add(X, 0.0, order="C").view(f"V{8 * d}").ravel().tolist() if d else [b""] * n
-        self._index: dict[bytes, int] = dict(zip(keys, range(n)))
-        if len(self._index) < n:
-            # a duplicate: find the first one in row order, and where it was first seen
-            seen: dict[bytes, int] = {}
-            for i, key in enumerate(keys):
-                first = seen.setdefault(key, i)
-                if first != i:
-                    raise RowError(rows[i],
-                                   f"duplicate configuration (first seen at row {rows[first]})")
+        # and C order, whatever the layout of the array passed in.  Rows of
+        # no options all read as one zero byte: they are all equal.
+        C = np.add(X, 0.0, order="C")
+        self._keys = (C.view(f"V{8 * d}") if d else np.zeros((n, 1), "V1")).ravel()
+        self._order = np.argsort(self._keys, kind="stable")
+        dup = _first_duplicate(C, self._order)
+        if dup is not None:
+            first = int(self._order[self._keys.searchsorted(self._keys[dup], sorter=self._order)])
+            raise RowError(rows[dup], f"duplicate configuration (first seen at row {rows[first]})")
 
         X.setflags(write=False)
         Y.setflags(write=False)
@@ -263,9 +263,12 @@ class Dataset:
         """Row index of a configuration; KeyError if absent."""
         key = tuple(map(float, config))
         if len(key) == len(self.options):
-            i = self._index.get(self._pack(*[v + 0.0 for v in key]))
-            if i is not None:
-                return i
+            packed = self._pack(*[v + 0.0 for v in key])
+            pos = int(self._keys.searchsorted(np.void(packed), sorter=self._order))
+            if pos < self._order.size:
+                i = self._order.item(pos)
+                if self._keys.item(i) == packed:
+                    return i
         raise KeyError(key)
 
     def candidates(self, indices: Iterable[int] | None = None) -> Pool:
@@ -295,6 +298,29 @@ class Dataset:
             f"Dataset({self.n_rows} rows, {len(self.options)} options, "
             f"{len(self.objectives)} objectives)"
         )
+
+
+# rows per block of the duplicate check: 8192 rows of 8 options are 512 KiB
+_DUPLICATE_BLOCK = 8192
+
+
+def _first_duplicate(C: np.ndarray, order: np.ndarray) -> int | None:
+    """The first row of `C`, in row order, equal to an earlier row, or None.
+
+    `order` sorts the rows so that equal rows are neighbours, each run of
+    them in row order (a stable sort).  Neighbours are compared a block of
+    `_DUPLICATE_BLOCK` rows at a time, so the check gathers no second copy
+    of the table.
+    """
+    n = order.size
+    dup = n
+    for start in range(0, n - 1, _DUPLICATE_BLOCK):
+        at = order[start:start + _DUPLICATE_BLOCK + 1]
+        block = C[at]
+        later = at[1:][(block[1:] == block[:-1]).all(axis=1)]
+        if later.size:
+            dup = min(dup, int(later.min()))
+    return dup if dup < n else None
 
 
 def _parse_manifest(path: Path) -> tuple[list[OptionSchema], list[ObjectiveSchema]]:

@@ -30,16 +30,16 @@ def test_summary_gives_base_quartiles_change_median_and_strict_wins():
     assert rows == [
         {"name": "op_s", "better": "lower", "base_median": 2.5, "base_q1": 1.75,
          "base_q3": 3.25, "change_median": 2.5, "ratio": 1.0, "wins": 2, "pairs": 4,
-         "claim": False, "beyond_bound": False},
+         "claim": False, "beyond_bound": False, "clears_bound": False},
         {"name": "rate", "better": "higher", "base_median": 10.0, "base_q1": 10.0,
          "base_q3": 10.5, "change_median": 10.5, "ratio": 1.05, "wins": 2, "pairs": 4,
-         "claim": False, "beyond_bound": None},
+         "claim": False, "beyond_bound": None, "clears_bound": None},
     ]
     text = bench_pairs.format_rows(rows)
     assert text.splitlines()[1].split() == [
-        "op_s", "lower", "2.5", "[1.75,", "3.25]", "2.5", "1.000", "2/4", "no", "no"]
+        "op_s", "lower", "2.5", "[1.75,", "3.25]", "2.5", "1.000", "2/4", "no", "no", "no"]
     assert text.splitlines()[2].split() == [
-        "rate", "higher", "10", "[10,", "10.5]", "10.5", "1.050", "2/4", "no", "-"]
+        "rate", "higher", "10", "[10,", "10.5]", "10.5", "1.050", "2/4", "no", "-", "-"]
 
 
 def claim_and_bound(base, change, better, bound=0.1):
@@ -72,6 +72,24 @@ def test_beyond_bound_is_relative_to_the_base_median():
     assert claim_and_bound(base, [30.0] * 4, "lower", None) == (False, None)
 
 
+def test_clears_bound_when_the_gain_exceeds_the_bound_of_the_base_median():
+    def clears(base, change, better, bound=0.1):
+        row, = bench_pairs.summarize(runs(m=base), runs(m=change),
+                                     [{"name": "m", "better": better, "bound": bound}])
+        return row["clears_bound"]
+
+    base = [63.0, 63.4, 63.4, 63.5]
+    assert clears(base, [53.7] * 4, "lower") is True       # -15.3%
+    assert clears(base, [57.5] * 4, "lower") is False      # -9.4%, a claim but not beyond 10%
+    assert clears(base, [70.0] * 4, "lower") is False
+    assert clears([10.0] * 4, [11.5] * 4, "higher") is True
+    assert clears([10.0] * 4, [10.5] * 4, "higher") is False
+    assert clears([10.0] * 4, [9.0] * 4, "higher") is False
+    # exactly the bound is not beyond it
+    assert clears([10.0] * 4, [9.0] * 4, "lower", 0.1) is False
+    assert clears(base, [1.0] * 4, "lower", None) is None
+
+
 def test_summary_of_one_pair_and_of_unmatched_runs():
     rows = bench_pairs.summarize(runs(op_s=[2.0], rate=[1.0]), runs(op_s=[1.0], rate=[1.0]), METRICS)
     assert [(r["base_q1"], r["base_median"], r["base_q3"], r["wins"]) for r in rows] == [
@@ -101,8 +119,8 @@ def test_pairs_alternate_which_side_goes_first(monkeypatch, capsys):
                      ("base", "rig-single", 42, 0), ("change", "rig-single", 42, 0)]
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("rig-single: base HEAD vs working tree, 3 alternating pairs")
-    verdicts = {line.split()[0]: line.split()[-4:] for line in out[2:]}
-    assert verdicts == {"setup_s": ["2.000", "0/3", "no", "yes"],
-                        "op_s.tail": ["2.000", "0/3", "no", "yes"],
-                        "runs_per_s": ["2.000", "3/3", "yes", "no"],
-                        "peak_rss_mb": ["2.000", "0/3", "no", "yes"]}
+    verdicts = {line.split()[0]: line.split()[-5:] for line in out[2:]}
+    assert verdicts == {"setup_s": ["2.000", "0/3", "no", "yes", "no"],
+                        "op_s.tail": ["2.000", "0/3", "no", "yes", "no"],
+                        "runs_per_s": ["2.000", "3/3", "yes", "no", "yes"],
+                        "peak_rss_mb": ["2.000", "0/3", "no", "yes", "no"]}

@@ -89,8 +89,10 @@ def test_baseline_epal_on_bi_objective(tmp_path):
 
 def test_baseline_epal_rejects_single_objective(tmp_path):
     manifest, data, _ = synth_files(tmp_path)
+    out = tmp_path / "x"
     assert run_cli("baseline", "--method", "epal", "--manifest", manifest,
-                   "--data", data, "--out", tmp_path / "x") == 1
+                   "--data", data, "--out", out) == 1
+    assert not out.exists()
 
 
 def test_baseline_epal_rejects_a_negative_or_nan_wall_time(tmp_path, capsys):
@@ -99,7 +101,7 @@ def test_baseline_epal_rejects_a_negative_or_nan_wall_time(tmp_path, capsys):
         assert run_cli("baseline", "--method", "epal", "--manifest", manifest, "--data", data,
                        "--max-wall-time", limit, "--out", tmp_path / f"epal{limit}") == 1
         assert "max_wall_time must be >= 0 and not NaN" in capsys.readouterr().err
-        assert not (tmp_path / f"epal{limit}" / "summary.txt").exists()
+        assert not (tmp_path / f"epal{limit}").exists()
     assert run_cli("baseline", "--method", "epal", "--manifest", manifest, "--data", data,
                    "--max-wall-time", 0, "--out", tmp_path / "epal0") == 0
     assert "stop reason: wall-time" in (tmp_path / "epal0" / "summary.txt").read_text()
@@ -238,6 +240,23 @@ def test_exit_code_validation_errors(tmp_path):
     assert run_cli("tune", "--frobnicate") == 1
     assert run_cli("experiment", "--methods", "flash",
                    "--out", tmp_path / "o2") == 1  # neither files nor --kind
+
+
+def test_experiment_refuses_bad_epal_settings_before_any_repeat(tmp_path, capsys):
+    # these used to exit 0 with every epal repeat an X row
+    common = ("--kind", "bi-objective-tradeoff", "--options", 5, "--repeats", 1)
+    for bad, message in ((("--methods", "flash,epal", "--max-wall-time", -3),
+                          "max_wall_time must be >= 0 and not NaN"),
+                         (("--methods", "flash,epal", "--epsilon", -0.5),
+                          "epsilon must be >= 0 and not NaN"),
+                         (("--methods", "flash,epal:-1"), "epsilon must be >= 0 and not NaN")):
+        out = tmp_path / "report"
+        assert run_cli("experiment", *common, *bad, "--out", out) == 1
+        assert f"validation error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+    # without an epal method the epal settings are not read
+    assert run_cli("experiment", *common, "--methods", "flash", "--size", 8, "--budget", 4,
+                   "--max-wall-time", -3, "--out", tmp_path / "flash") == 0
 
 
 def test_exit_code_runtime_failure(tmp_path):

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flashtune.baselines import random_search
+from flashtune.baselines import EpalParams, random_search
 from flashtune.cli import SUFFIX_KEYS
 from flashtune.flash import FlashParams
 from flashtune.harness import (
@@ -167,6 +167,23 @@ def test_spec_validation():
         ExperimentSpec(methods=(MethodSpec("flash"),))
     with pytest.raises(ValueError):
         MethodSpec("gradient-descent")
+
+
+def test_spec_checks_epal_settings_for_each_epal_method():
+    multi = ("bi-objective-tradeoff", 5)
+    with pytest.raises(ValueError, match="max_wall_time must be >= 0"):
+        spec_for([MethodSpec("flash"), MethodSpec("epal")], synthetic=multi, max_wall_time=-3.0)
+    with pytest.raises(ValueError, match="epsilon must be >= 0"):
+        spec_for([MethodSpec("epal")], synthetic=multi, epsilon=float("nan"))
+    # a method's own epsilon replaces the spec's, in the check too
+    with pytest.raises(ValueError, match="epsilon must be >= 0"):
+        spec_for([MethodSpec("epal", "good"), MethodSpec("epal", "bad", {"epsilon": -1.0})],
+                 synthetic=multi)
+    spec = spec_for([MethodSpec("epal", options={"epsilon": 0.3})], synthetic=multi,
+                    epsilon=-1.0, max_wall_time=2.0)
+    assert spec.epal_params(spec.methods[0]) == EpalParams(epsilon=0.3, max_wall_time=2.0)
+    # the epal settings are not read without an epal method
+    spec_for([MethodSpec("flash")], epsilon=-1.0, max_wall_time=-3.0)
 
 
 def test_method_spec_refuses_options_its_kind_never_reads():

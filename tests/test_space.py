@@ -1,12 +1,14 @@
 import csv
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flashtune import space
 from flashtune.space import (
     CommandOracle,
     Dataset,
@@ -165,6 +167,9 @@ def test_dataset_validation():
 def test_dataset_reports_duplicate_with_first_row():
     with pytest.raises(RowError, match=r"^row 4: duplicate configuration \(first seen at row 2\)$"):
         make_dataset([(0,), (1,), (2,), (1,)], [1.0, 2.0, 3.0, 4.0])
+    # rows of no options are all equal
+    with pytest.raises(RowError, match=r"^row 2: duplicate configuration \(first seen at row 1\)$"):
+        Dataset([], [ObjectiveSchema("y", "minimize")], np.zeros((3, 0)), np.ones((3, 1)))
 
 
 def test_dataset_takes_configs_in_any_memory_layout():
@@ -557,9 +562,12 @@ def test_index_matches_setdefault_loop(data):
     rows = data.draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n, unique=True))
     options = [OptionSchema(f"o{j}", "integer", 0, 2) for j in range(d)]
     index, expected = setdefault_index(X, rows)
+    # blocks of the duplicate check small enough that runs of equal rows straddle them
+    block = data.draw(st.sampled_from([1, 2, 3, space._DUPLICATE_BLOCK]))
     try:
-        ds = Dataset(options, [ObjectiveSchema("y", "minimize")], X, np.ones((n, 1)),
-                     row_numbers=rows)
+        with mock.patch.object(space, "_DUPLICATE_BLOCK", block):
+            ds = Dataset(options, [ObjectiveSchema("y", "minimize")], X, np.ones((n, 1)),
+                         row_numbers=rows)
     except RowError as exc:
         assert str(exc) == expected
         return
@@ -578,6 +586,55 @@ def test_index_matches_setdefault_loop(data):
     for wrap, config in queries:
         assert lookup_outcome(ds.lookup, wrap(config)) == lookup_outcome(
             lambda c: tuple_lookup(index, c), wrap(config))
+
+
+def grid_table(levels=8, d=5, seed=0):
+    """Every point of a `levels`**d integer grid, rows shuffled, zeros
+    spelled -0.0 in a few cells: 8**5 = 2**15 rows by default."""
+    rng = np.random.default_rng(seed)
+    X = np.stack(np.meshgrid(*[np.arange(levels, dtype=float)] * d), axis=-1).reshape(-1, d)
+    X = X[rng.permutation(len(X))]
+    zeros = np.argwhere(X == 0.0)
+    X[tuple(zeros[rng.choice(len(zeros), 100, replace=False)].T)] = -0.0
+    return X, [OptionSchema(f"o{j}", "integer", 0, levels - 1) for j in range(d)]
+
+
+def test_sorted_index_finds_every_row_of_a_large_table():
+    X, options = grid_table()
+    n, d = X.shape
+    assert n >= 2 ** 15
+    index, expected = setdefault_index(X, range(1, n + 1))
+    assert expected is None
+    ds = Dataset(options, [ObjectiveSchema("y", "minimize")], X, np.ones((n, 1)))
+    assert [ds.lookup(row) for row in X.tolist()] == list(range(n))
+    flipped = np.where(X == 0.0, -X, X)  # each zero spelled with the other sign
+    assert all(ds.lookup(row) == index[tuple(row)] for row in flipped.tolist())
+    absent = [(8,) * d, (0.5,) + (0,) * (d - 1), (-1,) * d, (7,) * (d - 1) + (7.5,),
+              X[0][:-1], (*X[0], 0.0), (), (1e300,) * d]
+    for config in absent:
+        outcome = lookup_outcome(ds.lookup, config)
+        assert outcome[0] == "KeyError"
+        assert outcome == lookup_outcome(lambda c: tuple_lookup(index, c), config)
+
+
+@pytest.mark.parametrize("planted", [
+    [(1, 0)],                   # rows 1 and 2
+    [(16384, 77)],              # the middle, after its first sighting
+    [(16384, 30000)],           # the middle, before the later row it equals
+    [(32767, 5)],               # the last row
+    [(32767, 5), (20000, 5), (9000, 31000)],   # the first duplicate in row order wins
+])
+def test_sorted_index_reports_a_planted_duplicate_as_the_setdefault_loop(planted):
+    X, options = grid_table()
+    n = len(X)
+    for at, copy in planted:
+        X[at] = X[copy]
+    rows = range(11, 11 + n)
+    _, expected = setdefault_index(X, rows)
+    assert expected is not None
+    with pytest.raises(RowError) as exc:
+        Dataset(options, [ObjectiveSchema("y", "minimize")], X, np.ones((n, 1)), row_numbers=rows)
+    assert str(exc.value) == expected
 
 
 def test_load_counts_file_rows_for_every_row_error(tmp_path):
