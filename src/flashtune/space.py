@@ -168,14 +168,17 @@ class Dataset:
 
     Safe for concurrent reads; the backing arrays are marked read-only.
 
-    `lookup` finds a row by its key: the row's option values plus 0.0, so
-    that -0.0 and 0.0 share a key, packed as native doubles.  The values
-    are finite, so two rows share a key exactly when their float tuples
-    compare equal.  The index is two arrays and no Python object per row:
-    the keys, one `np.void` scalar per row, and the stable `argsort` of
-    them, which a query is binary-searched through.  A query of the right
-    length is packed the same way, each value through `float(v) + 0.0`, so
-    any spelling of a configuration that `float` reads finds its row.
+    `configs` is the table's own C-ordered copy of the option values, with
+    every zero stored as +0.0 (a -0.0 given is read as 0.0); the caller's
+    array is never written.  `lookup` finds a row by its key: the row's
+    option values packed as native doubles.  The values are finite and no
+    zero is negative, so two rows share a key exactly when their float
+    tuples compare equal.  The index is two arrays and no Python object per
+    row: the keys, a `np.void` view of `configs` with one scalar per row,
+    and the stable `argsort` of them, which a query is binary-searched
+    through.  A query of the right length is packed the same way, each value
+    through `float(v) + 0.0`, so any spelling of a configuration that
+    `float` reads finds its row.
     """
 
     def __init__(
@@ -196,8 +199,10 @@ class Dataset:
         if len(set(names)) != len(names):
             raise SchemaError("option and objective names must be mutually distinct")
 
-        # listing an array row by row would be slow and would flatten an empty one
-        X = np.array(configs if isinstance(configs, np.ndarray) else list(configs), dtype=float)
+        # listing an array row by row would be slow and would flatten an empty one;
+        # `configs` is always copied, so the += below never writes the caller's array
+        X = np.array(configs if isinstance(configs, np.ndarray) else list(configs),
+                     dtype=float, order="C")
         Y = np.array(values if isinstance(values, np.ndarray) else list(values), dtype=float)
         if X.ndim != 2 or X.shape[1] != len(self.options):
             raise DatasetError("configuration rows must match the option count")
@@ -224,19 +229,18 @@ class Dataset:
 
         n, d = X.shape
         self._pack = struct.Struct(f"{d}d").pack
-        # a void view reads each row's bytes as one scalar; it needs a width
-        # and C order, whatever the layout of the array passed in.  Rows of
-        # no options all read as one zero byte: they are all equal.
-        C = np.add(X, 0.0, order="C")
-        self._keys = (C.view(f"V{8 * d}") if d else np.zeros((n, 1), "V1")).ravel()
+        X += 0.0  # -0.0 + 0.0 is +0.0, so equal rows have equal bytes
+        X.setflags(write=False)
+        Y.setflags(write=False)
+        # a void view of the C-ordered rows reads each row's bytes as one
+        # scalar.  Rows of no options all read as one zero byte: they are all equal.
+        self._keys = (X.view(f"V{8 * d}") if d else np.zeros((n, 1), "V1")).ravel()
         self._order = np.argsort(self._keys, kind="stable")
-        dup = _first_duplicate(C, self._order)
+        dup = _first_duplicate(X, self._order)
         if dup is not None:
             first = int(self._order[self._keys.searchsorted(self._keys[dup], sorter=self._order)])
             raise RowError(rows[dup], f"duplicate configuration (first seen at row {rows[first]})")
 
-        X.setflags(write=False)
-        Y.setflags(write=False)
         self.configs = X
         self.values = Y
 
@@ -300,23 +304,23 @@ class Dataset:
         )
 
 
-# rows per block of the duplicate check: 8192 rows of 8 options are 512 KiB
-_DUPLICATE_BLOCK = 8192
+# rows per block of the table-wide checks: 8192 rows of 8 options are 512 KiB
+_BLOCK = 8192
 
 
-def _first_duplicate(C: np.ndarray, order: np.ndarray) -> int | None:
-    """The first row of `C`, in row order, equal to an earlier row, or None.
+def _first_duplicate(X: np.ndarray, order: np.ndarray) -> int | None:
+    """The first row of `X`, in row order, equal to an earlier row, or None.
 
     `order` sorts the rows so that equal rows are neighbours, each run of
     them in row order (a stable sort).  Neighbours are compared a block of
-    `_DUPLICATE_BLOCK` rows at a time, so the check gathers no second copy
-    of the table.
+    `_BLOCK` rows at a time, so the check gathers no second copy of the
+    table.
     """
     n = order.size
     dup = n
-    for start in range(0, n - 1, _DUPLICATE_BLOCK):
-        at = order[start:start + _DUPLICATE_BLOCK + 1]
-        block = C[at]
+    for start in range(0, n - 1, _BLOCK):
+        at = order[start:start + _BLOCK + 1]
+        block = X[at]
         later = at[1:][(block[1:] == block[:-1]).all(axis=1)]
         if later.size:
             dup = min(dup, int(later.min()))
@@ -364,10 +368,15 @@ def _parse_manifest(path: Path) -> tuple[list[OptionSchema], list[ObjectiveSchem
 
 def _outside_domain(options: Sequence[OptionSchema], X: np.ndarray) -> np.ndarray:
     """Mask of the cells of `X` outside their column's option domain: not an
-    integer (NaN and infinities included) or outside [lo, hi]."""
+    integer (NaN and infinities included) or outside [lo, hi].  It is built
+    `_BLOCK` rows at a time, so the only table-sized array is the mask."""
     lo = np.array([o.lo for o in options], dtype=float)
     hi = np.array([o.hi for o in options], dtype=float)
-    return (X != np.floor(X)) | (X < lo) | (X > hi)
+    bad = np.empty(X.shape, dtype=bool)
+    for start in range(0, X.shape[0], _BLOCK):
+        B = X[start:start + _BLOCK]
+        bad[start:start + _BLOCK] = (B != np.floor(B)) | (B < lo) | (B > hi)
+    return bad
 
 
 def _parse_clean(body: str, cols: list[int]) -> np.ndarray | None:
@@ -380,13 +389,16 @@ def _parse_clean(body: str, cols: list[int]) -> np.ndarray | None:
     or a lone ``\r``, or yielding fewer rows than it has lines, is not clean.
     Where loadtxt parses a cell it gives the value `float` gives; a cell it
     cannot parse raises.  loadtxt has no field size limit, so a body with a
-    line longer than `csv.field_size_limit()` is not clean either.
+    line longer than `csv.field_size_limit()` is not clean either.  loadtxt
+    reads the body as UTF-8 bytes: a text stream would hold it at four bytes
+    a character.
     """
     if (not body.strip() or '"' in body or body.count("\r") != body.count("\r\n")
             or _has_line_over(body, csv.field_size_limit())):
         return None
     try:
-        T = np.loadtxt(io.StringIO(body), delimiter=",", usecols=cols, comments=None, ndmin=2)
+        T = np.loadtxt(io.BytesIO(body.encode()), delimiter=",", usecols=cols, comments=None,
+                       ndmin=2, encoding="utf-8")
     except ValueError:
         return None
     lines = body.count("\n") + (not body.endswith("\n"))
@@ -435,6 +447,7 @@ def load_dataset(manifest_path: str | Path, data_path: str | Path) -> Dataset:
     T = _parse_clean(body, cols)
     failure: RowError | None = None
     if T is not None:
+        del body  # the table holds every number the text did
         rows: range | list[int] = range(1, T.shape[0] + 1)
     else:
         # in-domain stand-ins for the cells after one that does not parse
