@@ -53,7 +53,6 @@ from .space import (
     RowError,
     SchemaError,
     SplitError,
-    SplitSpec,
     TableOracle,
     load_dataset,
     save_dataset,

@@ -30,29 +30,27 @@ from .runs import (
 from .space import MINIMIZE, Pool, direction_signs
 
 
+# ePAL's warm-up: the random configurations measured before the first fit.
+EPAL_INIT_SIZE = 20
+
+
 @dataclass(frozen=True)
 class LivesParams:
     lives: int = 3
-    step: int = 1
 
     def __post_init__(self):
         if self.lives < 1:
             raise ValueError("lives must be >= 1")
-        if self.step < 1:
-            raise ValueError("step must be >= 1")
 
 
 @dataclass(frozen=True)
 class EpalParams:
     epsilon: float = 0.01
-    init_size: int = 20
     max_wall_time: float | None = None
 
     def __post_init__(self):
         if not self.epsilon >= 0:
             raise ValueError("epsilon must be >= 0 and not NaN")
-        if self.init_size < 1:
-            raise ValueError("init_size must be >= 1")
         if self.max_wall_time is not None and not self.max_wall_time >= 0:
             raise ValueError("max_wall_time must be >= 0 and not NaN")
 
@@ -109,13 +107,9 @@ def _lives_loop(
     # worst score first, so the first model never costs a life
     last_score = -np.inf
     stop = STOP_POOL_EXHAUSTED
-    cursor = 0
-    while cursor < order.size:
-        chunk = order[cursor:cursor + params.step]
-        cursor += params.step
-        for pos in train_pos[chunk]:
-            train_y.append(trace.take(int(pos))[objective])
-            train_rows.append(int(pos))
+    for pos in train_pos[order].tolist():
+        train_y.append(trace.take(pos)[objective])
+        train_rows.append(pos)
         tree = cart.fit(trace.X[train_rows], np.array(train_y), cart_params, memo=memo)
         preds = cart.predict_batch(tree, hold_X, memo=hold_memo)
         score = scorer(preds, hold_actual)
@@ -244,8 +238,8 @@ def epal(
     trace = Trace(candidates, oracle)
     X = trace.X
     n = trace.ids.size
-    if n < params.init_size:
-        raise ValueError(f"candidate pool has {n} rows, need init_size={params.init_size}")
+    if n < EPAL_INIT_SIZE:
+        raise ValueError(f"candidate pool has {n} rows, need {EPAL_INIT_SIZE} for the warm-up")
     signs = direction_signs(directions)
 
     # normalize inputs per option over the candidate set for the kernel
@@ -256,7 +250,7 @@ def epal(
 
     # squared distances from every pool row to each measured point, one
     # column per point in measurement order: O(measured x n), never n x n
-    store = np.empty((n, min(n, 2 * params.init_size)))
+    store = np.empty((n, min(n, 2 * EPAL_INIT_SIZE)))
     column = np.zeros(n, dtype=np.intp)
     stored = 0
 
@@ -271,7 +265,7 @@ def epal(
 
     rng = np.random.default_rng(seed)
     discarded = np.zeros(n, dtype=bool)
-    for pos in rng.choice(n, size=params.init_size, replace=False):
+    for pos in rng.choice(n, size=EPAL_INIT_SIZE, replace=False):
         take(int(pos))
     trace.check_width(directions)
 
@@ -311,4 +305,4 @@ def epal(
         norms = np.linalg.norm(s_unknown[~discard_now], axis=1)
         take(int(survivors[int(np.argmax(norms))]))
 
-    return trace.finish(stop, directions, initial_sample=params.init_size)
+    return trace.finish(stop, directions, initial_sample=EPAL_INIT_SIZE)

@@ -3,7 +3,7 @@ Breiman, Friedman, Olshen and Stone, 1984).
 
 The tree is the cheap surrogate the optimizer leans on: it only has to rank
 configurations well enough to pick the next one to measure, so there is no
-pruning and no smoothing beyond the leaf-size knobs.
+depth limit, no pruning and no smoothing beyond the leaf-size knobs.
 
 A fit sorts once.  `fit` stably argsorts every option column, giving a
 (d, n) matrix of row indices.  Each node scores all options in one pass over
@@ -32,16 +32,17 @@ about 1e-6 * max|y| stays a leaf where the unscaled fit would split it;
 with max|y| well below 1, a node whose sum of squares is under about 1e-12
 may split where the unscaled fit would not.
 
-A refit can reuse the subtrees that a new row left alone.  A subtree is a
-pure function of its node's rows (their option values and targets, in node
-order), its depth and the `CartParams`.  So `fit(..., memo=m)` keys each node
-it searches for a split on exactly those: the bytes of the node's X block and
-of its scaled y values, the exponent e, the depth and the params.  A key
-found in `m` gives back the subtree the previous fit on `m` grew for it;
-every other node is grown and stored.  The key is the content itself, not a
-name the caller gives the rows, so a memo shared by unrelated fits never
-returns a wrong tree.  After the fit `m` holds only this fit's nodes, so it
-stays the size of one tree.
+A refit can reuse the subtrees that a new row left alone.  The tree has no
+depth limit, so a subtree is a pure function of its node's rows (their
+option values and targets, in node order) and the `CartParams`, wherever in
+the tree the node sits.  So `fit(..., memo=m)` keys each node it searches for
+a split on exactly those: the bytes of the node's X block and of its scaled
+y values, the exponent e and the params.  A key found in `m` gives back the
+subtree the previous fit on `m` grew for it, even where a new root split has
+moved it one level down; every other node is grown and stored.  The key is
+the content itself, not a name the caller gives the rows, so a memo shared
+by unrelated fits never returns a wrong tree.  After the fit `m` holds only
+this fit's nodes, so it stays the size of one tree.
 
 Predictions and picks over one matrix share a memo.  Both walk the tree
 with an explicit stack, naming each node by its path: the tuple of (option
@@ -75,15 +76,12 @@ import numpy as np
 class CartParams:
     min_samples_split: int = 4
     min_samples_leaf: int = 2
-    max_depth: int | None = None
 
     def __post_init__(self):
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
         if self.min_samples_split < 2 * self.min_samples_leaf:
             raise ValueError("min_samples_split must be >= 2 * min_samples_leaf")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1 or None")
 
 
 @dataclass(frozen=True)
@@ -150,7 +148,7 @@ def _best_split(
 
 
 def _grow(
-    XT: np.ndarray, y: np.ndarray, e: int, rows: np.ndarray, order: np.ndarray, depth: int,
+    XT: np.ndarray, y: np.ndarray, e: int, rows: np.ndarray, order: np.ndarray,
     params: CartParams, old: dict, new: dict,
 ) -> tuple[TreeNode, tuple | None]:
     """The subtree of `rows` and its memo key, grown on the scaled targets
@@ -163,13 +161,9 @@ def _grow(
     """
     yn = y[rows]
     n = yn.size
-    if (
-        n < params.min_samples_split
-        or (params.max_depth is not None and depth >= params.max_depth)
-        or yn.max() == yn.min()
-    ):
+    if n < params.min_samples_split or yn.max() == yn.min():
         return Leaf(math.ldexp(yn.mean(), e), n), None
-    key = (XT[:, rows].tobytes(), yn.tobytes(), e, depth, params)
+    key = (XT[:, rows].tobytes(), yn.tobytes(), e, params)
     if key in old:
         _keep(key, old, new)
         return new[key][0], key
@@ -182,9 +176,9 @@ def _grow(
         order_left = XT[j, order] <= thr
         d = order.shape[0]
         left, left_key = _grow(XT, y, e, rows[rows_left], order[order_left].reshape(d, -1),
-                               depth + 1, params, old, new)
+                               params, old, new)
         right, right_key = _grow(XT, y, e, rows[~rows_left], order[~order_left].reshape(d, -1),
-                                 depth + 1, params, old, new)
+                                 params, old, new)
         node = Split(j, thr, left, right)
     new[key] = (node, left_key, right_key)
     return node, key
@@ -223,7 +217,7 @@ def fit(xs, ys, params: CartParams = CartParams(), *, memo: dict | None = None) 
     memo = {} if memo is None else memo
     old = dict(memo)
     memo.clear()
-    return _grow(XT, np.ldexp(y, -e), e, np.arange(y.size), order, 0, params, old, memo)[0]
+    return _grow(XT, np.ldexp(y, -e), e, np.arange(y.size), order, params, old, memo)[0]
 
 
 def predict_batch(tree: TreeNode, configs, *, memo: dict | None = None) -> np.ndarray:

@@ -24,6 +24,7 @@ from .baselines import LivesParams
 from .cart import CartParams, dump_tree, fit as cart_fit
 from .flash import FlashParams
 from .harness import (
+    METHOD_KINDS,
     OVERRIDES,
     WHOLE_TABLE,
     ExperimentSpec,
@@ -187,8 +188,7 @@ def _write_front_csv(path: Path, dataset: Dataset, ids) -> None:
 @_dataset_options
 @_cart_options
 @_search_options
-@click.option("--method", type=click.Choice(["flash", "progressive", "rank", "epal", "random"]),
-              required=True)
+@click.option("--method", type=click.Choice(METHOD_KINDS), required=True)
 @click.option("--objective", default=None,
               help="Objective name or index; by default the first, except that random then "
                    "searches every objective.  epal always searches every objective.")

@@ -27,7 +27,7 @@ from .baselines import EpalParams, LivesParams, epal, progressive_sampling, rand
 from .cart import CartParams
 from .flash import FlashParams, flash_multi, flash_single
 from .runs import OptimizationRun
-from .space import Dataset, SplitSpec, TableOracle, _write_csv, load_dataset, split
+from .space import Dataset, TableOracle, _write_csv, load_dataset, split
 from .stats import SkParams, Treatment, quartile_report, scott_knott
 from .synth import generate_synthetic
 
@@ -83,7 +83,14 @@ class MethodSpec:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything one experiment needs; identical specs yield identical reports."""
+    """Everything one experiment needs; identical specs yield identical reports.
+
+    Each repeat splits the table 40/20/40 with `space.split` and ranks with
+    Scott-Knott at the fixed settings of `stats`; neither is set here.  A
+    method's overrides are checked when the spec is built, so a bad value
+    fails before any repeat runs; only a bound that depends on a repeat's
+    pool (random's `n` above the pool size) is left to the repeat.
+    """
 
     methods: tuple[MethodSpec, ...]
     manifest: str | Path | None = None
@@ -98,7 +105,6 @@ class ExperimentSpec:
     epsilon: float = 0.01
     max_wall_time: float | None = None
     with_replacement: bool = False
-    split: SplitSpec = SplitSpec()
     sk: SkParams = SkParams()
 
     def __post_init__(self):
@@ -113,12 +119,27 @@ class ExperimentSpec:
         if has_files == (self.synthetic is not None):
             raise ValueError("provide either manifest+data paths or a synthetic spec")
         for method in self.methods:
-            if method.kind == "epal":
+            if method.kind == "flash":
+                self.flash_params(method, self.seed)
+            elif method.kind == "random":
+                self.random_n(method)
+            elif method.kind == "epal":
                 self.epal_params(method)
 
+    def flash_params(self, method: MethodSpec, seed: int) -> FlashParams:
+        """flash's settings for `method` in the repeat seeded `seed`."""
+        return replace(self.flash, seed=seed, size=method.option("size", self.flash.size),
+                       budget=method.option("budget", self.flash.budget))
+
+    def random_n(self, method: MethodSpec) -> int:
+        """The number of measurements random search makes for `method`."""
+        n = method.option("n", self.flash.size + self.flash.budget)
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        return n
+
     def epal_params(self, method: MethodSpec) -> EpalParams:
-        """ePAL's settings for `method`; checked when the spec is built, so a
-        bad value fails before any repeat runs."""
+        """ePAL's settings for `method`."""
         return EpalParams(epsilon=method.option("epsilon", self.epsilon),
                           max_wall_time=self.max_wall_time)
 
@@ -191,12 +212,20 @@ def load_experiment_dataset(spec: ExperimentSpec) -> tuple[Dataset, str]:
 def repeat_pools(dataset: Dataset, spec: ExperimentSpec, seed: int) -> tuple[np.ndarray, ...]:
     """(train, holdout, validation, merged train+validation) row ids of the
     repeat seeded `seed`."""
-    train_ids, hold_ids, val_ids = split(dataset, replace(spec.split, seed=seed))
+    train_ids, hold_ids, val_ids = split(dataset, seed)
     return train_ids, hold_ids, val_ids, np.sort(np.concatenate([train_ids, val_ids]))
 
 
 # Pools that make `run_method`'s pool searchers search every row of the table.
 WHOLE_TABLE = (None, None, None, None)
+
+
+def check_objective_count(method: MethodSpec, n_objectives: int) -> None:
+    """Refuse a method that cannot search `n_objectives` objectives."""
+    if n_objectives == 1 and method.kind in MULTI_ONLY:
+        raise ValueError(f"method {method.label!r} needs >= 2 objectives")
+    if n_objectives > 1 and method.kind in SINGLE_ONLY:
+        raise ValueError(f"method {method.label!r} handles a single objective only")
 
 
 def run_method(
@@ -212,6 +241,7 @@ def run_method(
     `pools` is (train, holdout, validation, merged) as `repeat_pools` gives
     them; a pool given as None is the whole table.
     """
+    check_objective_count(method, len(objectives))
     train_ids, hold_ids, val_ids, merged = pools
     directions = tuple(dataset.objectives[j].direction for j in objectives)
     single = len(objectives) == 1
@@ -225,20 +255,16 @@ def run_method(
         objective_col = 0
 
     if method.kind == "flash":
-        fp = replace(spec.flash, seed=seed, size=method.option("size", spec.flash.size),
-                     budget=method.option("budget", spec.flash.budget))
+        fp = spec.flash_params(method, seed)
         cands = dataset.candidates(merged)
         if single:
             run = flash_single(cands, run_oracle, fp, directions[0], spec.cart, objective_col)
         else:
             run = flash_multi(cands, run_oracle, fp, directions, spec.cart)
     elif method.kind == "random":
-        n = method.option("n", spec.flash.size + spec.flash.budget)
-        run = random_search(dataset.candidates(merged), run_oracle, n, directions, seed,
-                            objective_col)
+        run = random_search(dataset.candidates(merged), run_oracle, spec.random_n(method),
+                            directions, seed, objective_col)
     elif method.kind in ("progressive", "rank"):
-        if not single:
-            raise ValueError(f"{method.kind} handles a single objective only")
         fn = progressive_sampling if method.kind == "progressive" else rank_based
         _, run = fn(
             dataset.candidates(train_ids),
@@ -253,8 +279,6 @@ def run_method(
             with_replacement=spec.with_replacement,
         )
     elif method.kind == "epal":
-        if single:
-            raise ValueError("epal handles multi-objective problems only")
         run = epal(dataset.candidates(merged), run_oracle, spec.epal_params(method),
                    directions, seed)
     else:  # pragma: no cover - guarded by MethodSpec validation
@@ -301,12 +325,11 @@ def run_experiment(
     for j in objectives:
         if not (0 <= j < len(dataset.objectives)):
             raise ValueError(f"objective index {j} outside dataset")
+    if len(set(objectives)) != len(objectives):
+        raise ValueError(f"objective indices {list(objectives)} repeat an objective")
     single = len(objectives) == 1
     for m in spec.methods:
-        if single and m.kind in MULTI_ONLY:
-            raise ValueError(f"method {m.label!r} needs >= 2 objectives")
-        if not single and m.kind in SINGLE_ONLY:
-            raise ValueError(f"method {m.label!r} handles a single objective only")
+        check_objective_count(m, len(objectives))
     true_front = None
     if not single:
         directions = tuple(dataset.objectives[j].direction for j in objectives)

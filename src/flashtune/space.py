@@ -526,26 +526,14 @@ def save_dataset(dataset: Dataset, manifest_path: str | Path, data_path: str | P
         for i in range(dataset.n_rows)))
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Fractions for the train pool / holdout / validation pool partition."""
-
-    train_fraction: float = 0.4
-    holdout_fraction: float = 0.2
-    validation_fraction: float = 0.4
-    seed: int = 0
-
-    def __post_init__(self):
-        for f in (self.train_fraction, self.holdout_fraction, self.validation_fraction):
-            if not (0.0 < f < 1.0):
-                raise ValueError("split fractions must lie in (0, 1)")
-        total = self.train_fraction + self.holdout_fraction + self.validation_fraction
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"split fractions sum to {total}, expected 1")
+# The train pool / holdout / validation pool fractions of `split`; the
+# train pool's 0.4 is what the other two leave.
+HOLDOUT_FRACTION = 0.2
+VALIDATION_FRACTION = 0.4
 
 
-def split(dataset: Dataset, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Partition row indices into (train_pool, holdout, validation).
+def split(dataset: Dataset, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Partition row indices 40/20/40 into (train_pool, holdout, validation).
 
     Holdout and validation get floor(fraction * n) rows; the train pool gets
     the rest, so any remainder from flooring lands there.  Deterministic for
@@ -553,12 +541,12 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray, np
     """
     n = dataset.n_rows
     # +1e-9 guards against binary float products like 0.2*10 = 1.9999...
-    n_hold = int(math.floor(spec.holdout_fraction * n + 1e-9))
-    n_val = int(math.floor(spec.validation_fraction * n + 1e-9))
+    n_hold = int(math.floor(HOLDOUT_FRACTION * n + 1e-9))
+    n_val = int(math.floor(VALIDATION_FRACTION * n + 1e-9))
     n_train = n - n_hold - n_val
     if min(n_train, n_hold, n_val) < 1:
-        raise SplitError(f"split {spec} leaves an empty part for {n} rows")
-    perm = np.random.default_rng(spec.seed).permutation(n)
+        raise SplitError(f"a 40/20/40 split leaves an empty part for {n} rows")
+    perm = np.random.default_rng(seed).permutation(n)
     train = np.sort(perm[:n_train])
     hold = np.sort(perm[n_train:n_train + n_hold])
     val = np.sort(perm[n_train + n_hold:])

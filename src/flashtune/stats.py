@@ -2,7 +2,9 @@
 
 A split of the median-sorted treatment list is accepted only when the
 bootstrap hypothesis test and the A12 effect-size test both agree; otherwise
-the whole list shares one rank.  Lower observations are better by default.
+the whole list shares one rank.  Lower observations are better.  The test
+runs at one fixed setting: `CONFIDENCE` 0.99 on `BOOTSTRAP_RESAMPLES` 512
+bootstrap resamples, and an A12 of at least `A12_THRESHOLD` 0.6.
 """
 
 from __future__ import annotations
@@ -11,6 +13,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+CONFIDENCE = 0.99
+A12_THRESHOLD = 0.6
+BOOTSTRAP_RESAMPLES = 512
+# columns of a quartile chart's bar
+CHART_WIDTH = 30
 
 
 @dataclass(frozen=True)
@@ -33,18 +41,9 @@ class Treatment:
 
 @dataclass(frozen=True)
 class SkParams:
-    confidence: float = 0.99
-    a12_threshold: float = 0.6
-    bootstrap_resamples: int = 512
-    seed: int = 0
+    """The seed of the bootstrap resampling."""
 
-    def __post_init__(self):
-        if not (0.0 < self.confidence < 1.0):
-            raise ValueError("confidence must lie in (0, 1)")
-        if not (0.5 <= self.a12_threshold <= 1.0):
-            raise ValueError("a12_threshold must lie in [0.5, 1]")
-        if self.bootstrap_resamples < 1:
-            raise ValueError("bootstrap_resamples must be >= 1")
+    seed: int = 0
 
 
 def a12(x: Sequence[float], y: Sequence[float]) -> float:
@@ -70,12 +69,12 @@ def bootstrap_significant(x: Sequence[float], y: Sequence[float], params: SkPara
     observed = abs(xv.mean() - yv.mean())
     pooled = np.concatenate([xv, yv])
     rng = np.random.default_rng(params.seed)
-    b = params.bootstrap_resamples
+    b = BOOTSTRAP_RESAMPLES
     xs = rng.choice(pooled, size=(b, xv.size), replace=True).mean(axis=1)
     ys = rng.choice(pooled, size=(b, yv.size), replace=True).mean(axis=1)
     count = int(np.sum(np.abs(xs - ys) >= observed))
     p = (count + 1) / (b + 1)
-    return p < 1.0 - params.confidence
+    return p < 1.0 - CONFIDENCE
 
 
 def _split_gain(groups: list[np.ndarray]) -> tuple[float, int]:
@@ -100,16 +99,12 @@ def _split_gain(groups: list[np.ndarray]) -> tuple[float, int]:
     return best_gain, best_k
 
 
-def scott_knott(
-    treatments: Sequence[Treatment],
-    params: SkParams = SkParams(),
-    larger_is_better: bool = False,
-) -> dict[str, int]:
+def scott_knott(treatments: Sequence[Treatment], params: SkParams = SkParams()) -> dict[str, int]:
     """Cluster treatments into statistically distinct rank groups.
 
-    Returns label -> rank with 1 the best.  Treatments that cannot be told
-    apart share a rank.  Input order never matters; sorting is canonical by
-    (median, mean, label).
+    Returns label -> rank with 1 the best; lower observations are better.
+    Treatments that cannot be told apart share a rank.  Input order never
+    matters; sorting is canonical by (median, mean, label).
     """
     if not treatments:
         raise ValueError("scott_knott needs at least one treatment")
@@ -117,24 +112,17 @@ def scott_knott(
     if len(set(labels)) != len(labels):
         raise ValueError("treatment labels must be unique")
 
-    def obs(t: Treatment) -> np.ndarray:
-        v = np.asarray(t.observations, dtype=float)
-        return -v if larger_is_better else v
-
-    ordered = sorted(
-        treatments,
-        key=lambda t: (float(np.median(obs(t))), float(np.mean(obs(t))), t.label),
-    )
+    ordered = sorted(treatments, key=lambda t: (t.median, float(np.mean(t.observations)), t.label))
 
     def cluster(ts: list[Treatment]) -> list[list[Treatment]]:
         if len(ts) == 1:
             return [ts]
-        groups = [obs(t) for t in ts]
+        groups = [np.asarray(t.observations) for t in ts]
         _, k = _split_gain(groups)
         left = np.concatenate(groups[:k])
         right = np.concatenate(groups[k:])
         # right holds the larger medians; demand it is worse with real effect
-        distinct = bootstrap_significant(left, right, params) and a12(right, left) >= params.a12_threshold
+        distinct = bootstrap_significant(left, right, params) and a12(right, left) >= A12_THRESHOLD
         if not distinct:
             return [ts]
         return cluster(ts[:k]) + cluster(ts[k:])
@@ -146,28 +134,23 @@ def scott_knott(
     return ranks
 
 
-def quartile_report(
-    treatments: Sequence[Treatment],
-    ranks: dict[str, int],
-    title: str = "",
-    width: int = 30,
-) -> str:
-    """Text quartile chart: one line per treatment with rank, median, IQR."""
+def quartile_report(treatments: Sequence[Treatment], ranks: dict[str, int]) -> str:
+    """Text quartile chart: one line per treatment with rank, median, IQR and
+    a `CHART_WIDTH`-column bar of its quartiles over the span of all
+    observations."""
     lines = []
-    if title:
-        lines.append(title)
     all_obs = np.concatenate([np.asarray(t.observations) for t in treatments])
     lo, hi = float(all_obs.min()), float(all_obs.max())
     span = hi - lo if hi > lo else 1.0
 
     def pos(v: float) -> int:
-        return min(width - 1, max(0, int(round((v - lo) / span * (width - 1)))))
+        return min(CHART_WIDTH - 1, max(0, int(round((v - lo) / span * (CHART_WIDTH - 1)))))
 
     ordered = sorted(treatments, key=lambda t: (ranks[t.label], t.median, t.label))
     label_w = max(len(t.label) for t in treatments)
     for t in ordered:
         q25, q50, q75 = np.percentile(np.asarray(t.observations), [25, 50, 75])
-        cells = [" "] * width
+        cells = [" "] * CHART_WIDTH
         for c in range(pos(q25), pos(q75) + 1):
             cells[c] = "-"
         cells[pos(q50)] = "o"

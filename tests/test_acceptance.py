@@ -16,7 +16,7 @@ from flashtune.baselines import EpalParams, epal, progressive_sampling, random_s
 from flashtune.cli import main as cli_main
 from flashtune.flash import FlashParams, bazza_select, flash_multi, flash_single
 from flashtune.gp import GpParams, gp_fit
-from flashtune.space import SplitSpec, TableOracle, split
+from flashtune.space import TableOracle, split
 from flashtune.stats import SkParams, Treatment, a12, scott_knott
 from flashtune.synth import KINDS, generate_synthetic
 
@@ -72,7 +72,7 @@ def test_exhaustive_budget_optimality():
 
 def test_flash_beats_random_search():
     start = time.perf_counter()
-    params = SkParams(confidence=0.99, a12_threshold=0.6, seed=0)
+    params = SkParams(seed=0)
     outcome = {}
     for kind in ("single-peak", "interaction"):
         ds = generate_synthetic(kind, 10, seed=0)
@@ -101,7 +101,7 @@ def test_measurement_cost_ordering():
         ds = generate_synthetic(kind, 10, seed=1)
         assert ds.n_rows >= 500
         for seed in range(20):
-            train, hold, val = split(ds, SplitSpec(seed=seed))
+            train, hold, val = split(ds, seed)
             pools = (ds.candidates(train), ds.candidates(hold), ds.candidates(val))
             merged = np.sort(np.concatenate([train, val]))
             frun = flash_single(ds.candidates(merged), TableOracle(ds),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from flashtune import baselines, cart, metrics
 from flashtune import gp as gp_module
 from flashtune.baselines import (
+    EPAL_INIT_SIZE,
     EpalParams,
     LivesParams,
     _lives_loop,
@@ -20,7 +21,7 @@ from flashtune.baselines import (
 from flashtune.flash import FlashParams, flash_single
 from flashtune.gp import GpParams
 from flashtune.runs import Trace
-from flashtune.space import Pool, SplitSpec, TableOracle, direction_signs, split
+from flashtune.space import Pool, TableOracle, direction_signs, split
 from flashtune.synth import generate_synthetic
 
 from conftest import make_dataset, predict, reference_gp_fit, reference_gp_predict_batch
@@ -29,7 +30,7 @@ MIN2 = ("minimize", "minimize")
 
 
 def pools_for(ds, seed=0):
-    train, hold, val = split(ds, SplitSpec(seed=seed))
+    train, hold, val = split(ds, seed)
     return ds.candidates(train), ds.candidates(hold), ds.candidates(val)
 
 
@@ -178,7 +179,7 @@ def test_lives_loop_rejects_a_validation_pool_sharing_ids(shares, as_pool):
     """The answer is measured after the train pool and the holdout, so a
     validation id in either could be measured twice."""
     ds = generate_synthetic("single-peak", 6, seed=1)
-    train, hold, val = split(ds, SplitSpec(seed=3))
+    train, hold, val = split(ds, 3)
     shared = np.concatenate([val, (train if shares == "train" else hold)[::3]])
     pools = [as_pool(ds.candidates(part)) for part in (train, hold, shared)]
     for fn in (progressive_sampling, rank_based):
@@ -360,7 +361,7 @@ def reference_epal(candidates, oracle, params, directions, seed,
     Xn = (X - x_lo) / x_span
     rng = np.random.default_rng(seed)
     discarded = np.zeros(n, dtype=bool)
-    for pos in rng.choice(n, size=params.init_size, replace=False):
+    for pos in rng.choice(n, size=EPAL_INIT_SIZE, replace=False):
         trace.take(int(pos))
     while True:
         measured = trace.measured
@@ -386,7 +387,7 @@ def reference_epal(candidates, oracle, params, directions, seed,
             break
         norms = np.linalg.norm(s_unknown[~discard_now], axis=1)
         trace.take(int(survivors[int(np.argmax(norms))]))
-    return trace.finish("pool-exhausted", directions, initial_sample=params.init_size)
+    return trace.finish("pool-exhausted", directions, initial_sample=EPAL_INIT_SIZE)
 
 
 @pytest.mark.parametrize("epsilon", [0.01, 0.3])
@@ -475,7 +476,7 @@ def test_epal_huge_epsilon_measures_little():
     ds = generate_synthetic("bi-objective-tradeoff", 7, seed=0)
     oracle = TableOracle(ds)
     run = epal(ds.candidates(), oracle, EpalParams(epsilon=1e6), ds.directions, seed=1)
-    assert run.measurements_used <= EpalParams().init_size + 2
+    assert run.measurements_used <= EPAL_INIT_SIZE + 2
     assert run.stop_reason == "pool-exhausted"
     assert oracle.count == run.measurements_used
 
@@ -496,7 +497,7 @@ def test_epal_wall_time_abort_keeps_partial_results():
     run = epal(ds.candidates(), TableOracle(ds),
                EpalParams(epsilon=0.01, max_wall_time=0.0), ds.directions, seed=0)
     assert run.stop_reason == "wall-time"
-    assert run.measurements_used == EpalParams().init_size
+    assert run.measurements_used == EPAL_INIT_SIZE
     assert run.front is not None
 
 
@@ -511,8 +512,8 @@ def test_epal_front_is_non_dominated_subset_of_evaluated():
 
 def test_epal_validation():
     ds = generate_synthetic("bi-objective-tradeoff", 4, seed=0)
-    with pytest.raises(ValueError, match="init_size"):
-        epal(ds.candidates(range(5)), TableOracle(ds), EpalParams(init_size=20), ds.directions)
+    with pytest.raises(ValueError, match="^candidate pool has 5 rows, need 20 for the warm-up$"):
+        epal(ds.candidates(range(5)), TableOracle(ds), EpalParams(), ds.directions)
     with pytest.raises(ValueError, match="two objectives"):
         epal(ds.candidates(), TableOracle(ds), EpalParams(), ("minimize",))
     with pytest.raises(ValueError):

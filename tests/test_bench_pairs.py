@@ -30,16 +30,16 @@ def test_summary_gives_base_quartiles_change_median_and_strict_wins():
     assert rows == [
         {"name": "op_s", "better": "lower", "base_median": 2.5, "base_q1": 1.75,
          "base_q3": 3.25, "change_median": 2.5, "ratio": 1.0, "wins": 2, "pairs": 4,
-         "claim": False, "beyond_bound": False, "clears_bound": False},
+         "claim": False, "beyond_bound": False, "clears_bound": False, "unresolved": True},
         {"name": "rate", "better": "higher", "base_median": 10.0, "base_q1": 10.0,
          "base_q3": 10.5, "change_median": 10.5, "ratio": 1.05, "wins": 2, "pairs": 4,
-         "claim": False, "beyond_bound": None, "clears_bound": None},
+         "claim": False, "beyond_bound": None, "clears_bound": None, "unresolved": None},
     ]
     text = bench_pairs.format_rows(rows)
     assert text.splitlines()[1].split() == [
-        "op_s", "lower", "2.5", "[1.75,", "3.25]", "2.5", "1.000", "2/4", "no", "no", "no"]
+        "op_s", "lower", "2.5", "[1.75,", "3.25]", "2.5", "1.000", "2/4", "no", "no", "no", "yes"]
     assert text.splitlines()[2].split() == [
-        "rate", "higher", "10", "[10,", "10.5]", "10.5", "1.050", "2/4", "no", "-", "-"]
+        "rate", "higher", "10", "[10,", "10.5]", "10.5", "1.050", "2/4", "no", "-", "-", "-"]
 
 
 def claim_and_bound(base, change, better, bound=0.1):
@@ -90,6 +90,30 @@ def test_clears_bound_when_the_gain_exceeds_the_bound_of_the_base_median():
     assert clears(base, [1.0] * 4, "lower", None) is None
 
 
+def test_unresolved_when_the_base_spread_is_wider_than_the_bound():
+    def unresolved(base, change, better="lower", bound=0.25):
+        row, = bench_pairs.summarize(runs(m=base), runs(m=change),
+                                     [{"name": "m", "better": better, "bound": bound}])
+        return row["unresolved"]
+
+    # setup_s-like base runs, single runs from 0.227 to 0.439 s: IQR 34% of the median
+    wide = [0.227, 0.250, 0.2553, 0.270, 0.285, 0.294, 0.330, 0.3666, 0.400, 0.439]
+    assert bench_pairs.quartiles(wide) == pytest.approx((0.258975, 0.2895, 0.35745))
+    assert unresolved(wide, wide) is True
+    assert unresolved(wide, [0.3] * 10) is True
+    # every change run reads better than every base run: resolved, whatever the spread
+    assert unresolved(wide, [0.2] * 10) is False
+    assert unresolved(wide, [0.2] * 9 + [0.227]) is True    # a tie with the best base run
+    assert unresolved(wide, [0.5] * 10, "higher") is False
+    assert unresolved(wide, [0.5] * 9 + [0.439], "higher") is True
+    # a spread within the bound: resolved, whatever the change reads
+    tight = [10.0, 10.1, 10.2, 10.3, 9.9, 9.8]
+    assert unresolved(tight, [14.0] * 6) is False
+    assert unresolved([10.0, 10.0, 13.0, 13.0], [11.0] * 4, bound=0.2) is True   # 3 > 2.3
+    assert unresolved([10.0, 10.0, 11.0, 11.0], [11.0] * 4, bound=0.2) is False  # 1 < 2.1
+    assert unresolved(wide, wide, bound=None) is None
+
+
 def test_summary_of_one_pair_and_of_unmatched_runs():
     rows = bench_pairs.summarize(runs(op_s=[2.0], rate=[1.0]), runs(op_s=[1.0], rate=[1.0]), METRICS)
     assert [(r["base_q1"], r["base_median"], r["base_q3"], r["wins"]) for r in rows] == [
@@ -119,8 +143,8 @@ def test_pairs_alternate_which_side_goes_first(monkeypatch, capsys):
                      ("base", "rig-single", 42, 0), ("change", "rig-single", 42, 0)]
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("rig-single: base HEAD vs working tree, 3 alternating pairs")
-    verdicts = {line.split()[0]: line.split()[-5:] for line in out[2:]}
-    assert verdicts == {"setup_s": ["2.000", "0/3", "no", "yes", "no"],
-                        "op_s.tail": ["2.000", "0/3", "no", "yes", "no"],
-                        "runs_per_s": ["2.000", "3/3", "yes", "no", "yes"],
-                        "peak_rss_mb": ["2.000", "0/3", "no", "yes", "no"]}
+    verdicts = {line.split()[0]: line.split()[-6:] for line in out[2:]}
+    assert verdicts == {"setup_s": ["2.000", "0/3", "no", "yes", "no", "no"],
+                        "op_s.tail": ["2.000", "0/3", "no", "yes", "no", "no"],
+                        "runs_per_s": ["2.000", "3/3", "yes", "no", "yes", "no"],
+                        "peak_rss_mb": ["2.000", "0/3", "no", "yes", "no", "no"]}

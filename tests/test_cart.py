@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flashtune import cart
 from flashtune.cart import (
     CartParams,
     Leaf,
@@ -19,18 +20,21 @@ from conftest import predict
 LOOSE = CartParams(min_samples_split=2, min_samples_leaf=1)
 
 
-def reference_best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
+def reference_best_split(X: np.ndarray, y: np.ndarray, min_leaf: int, unit: float):
     """Oracle for `fit`: the per-option split search that sorts at every node.
 
     Thresholds are midpoints between consecutive distinct sorted values of
     each option within this node.  Ties in gain resolve to the lowest option
-    index, then the lowest threshold.
+    index, then the lowest threshold.  A gain must beat the floor
+    1e-12 * (|base_sse| + unit), where `unit` is 4^e for e the binary
+    exponent of the whole fit's max|y|: `fit`'s floor of 1e-12 * (|sse| + 1)
+    in its units of 2^e, written in the targets' own units.
     """
     n = y.size
     total_sum = y.sum()
     total_sq = (y * y).sum()
     base_sse = total_sq - total_sum * total_sum / n
-    eps = 1e-12 * (abs(base_sse) + 1.0)
+    eps = 1e-12 * (abs(base_sse) + unit)
 
     best_gain = 0.0
     best = None
@@ -62,15 +66,11 @@ def reference_best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
     return best
 
 
-def reference_grow(X: np.ndarray, y: np.ndarray, depth: int, params: CartParams) -> TreeNode:
+def reference_grow(X: np.ndarray, y: np.ndarray, params: CartParams, unit: float) -> TreeNode:
     n = y.size
-    if (
-        n < params.min_samples_split
-        or (params.max_depth is not None and depth >= params.max_depth)
-        or y.max() == y.min()
-    ):
+    if n < params.min_samples_split or y.max() == y.min():
         return Leaf(float(y.mean()), n)
-    found = reference_best_split(X, y, params.min_samples_leaf)
+    found = reference_best_split(X, y, params.min_samples_leaf, unit)
     if found is None:
         return Leaf(float(y.mean()), n)
     _, j, thr = found
@@ -78,14 +78,16 @@ def reference_grow(X: np.ndarray, y: np.ndarray, depth: int, params: CartParams)
     return Split(
         j,
         thr,
-        reference_grow(X[mask], y[mask], depth + 1, params),
-        reference_grow(X[~mask], y[~mask], depth + 1, params),
+        reference_grow(X[mask], y[mask], params, unit),
+        reference_grow(X[~mask], y[~mask], params, unit),
     )
 
 
 def reference_fit(xs, ys, params: CartParams = CartParams()) -> TreeNode:
     """Grow the tree by sorting each option afresh at every node and copying each child."""
-    return reference_grow(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), 0, params)
+    y = np.asarray(ys, dtype=float)
+    unit = 4.0 ** np.frexp(np.abs(y).max())[1]
+    return reference_grow(np.asarray(xs, dtype=float), y, params, unit)
 
 
 def exhaustive_best_gain(X, y, min_leaf=1):
@@ -265,7 +267,6 @@ def fit_cases(draw):
     params = CartParams(
         min_samples_split=draw(st.integers(2 * leaf, 2 * leaf + 3)),
         min_samples_leaf=leaf,
-        max_depth=draw(st.one_of(st.none(), st.integers(1, 6))),
     )
     return X, y, params
 
@@ -317,13 +318,18 @@ def test_split_floor_is_relative_to_the_largest_target():
     """The split search's floor, 1e-12 in scaled units, is about
     1e-12 * max|y|^2 in the targets' own units.  Beside targets of 2^20, a
     node whose targets differ by 1e-3 stays a leaf; beside targets of 1 it
-    splits; and two targets 1e-7 apart, alone, split too."""
+    splits; and two targets 1e-7 apart, alone, split too.  The reference
+    fit has the same floor."""
     X = np.arange(4.0)[:, None]
-    assert fit(X, [0.0, 1e-3, 2.0**20, 2.0**20], LOOSE) == Split(
-        0, 1.5, Leaf(1e-3 / 2, 2), Leaf(2.0**20, 2))
-    assert fit(X, [0.0, 1e-3, 1.0, 1.0], LOOSE) == Split(
-        0, 1.5, Split(0, 0.5, Leaf(0.0, 1), Leaf(1e-3, 1)), Leaf(1.0, 2))
-    assert fit(X[:2], [0.0, 1e-7], LOOSE) == Split(0, 0.5, Leaf(0.0, 1), Leaf(1e-7, 1))
+    cases = [
+        (X, [0.0, 1e-3, 2.0**20, 2.0**20], Split(0, 1.5, Leaf(1e-3 / 2, 2), Leaf(2.0**20, 2))),
+        (X, [0.0, 1e-3, 1.0, 1.0],
+         Split(0, 1.5, Split(0, 0.5, Leaf(0.0, 1), Leaf(1e-3, 1)), Leaf(1.0, 2))),
+        (X[:2], [0.0, 1e-7], Split(0, 0.5, Leaf(0.0, 1), Leaf(1e-7, 1))),
+    ]
+    for xs, ys, tree in cases:
+        assert fit(xs, ys, LOOSE) == tree
+        assert reference_fit(xs, ys, LOOSE) == tree
 
 
 def test_memo_tells_scales_apart():
@@ -376,25 +382,31 @@ def test_memo_shared_by_unrelated_fits_returns_their_own_trees():
     A2 = rng.integers(0, 3, size=(40, 4)).astype(float)
     memo: dict = {}
     for X, y, params in [(A, ya, LOOSE), (B, yb, LOOSE), (A, ya, LOOSE), (A2, ya, LOOSE),
-                         (A, ya, LOOSE), (A, yc, LOOSE), (A, ya, CartParams(max_depth=2)),
+                         (A, ya, LOOSE), (A, yc, LOOSE), (A, ya, CartParams()),
                          (A, ya, LOOSE), (B[:20], yb[:20], LOOSE)]:
         assert fit(X, y, params, memo=memo) == reference_fit(X, y, params)
 
 
-def test_memo_tells_depths_apart_under_max_depth():
-    # an outlier row split off at the root leaves the old rows, unchanged, one
-    # level deeper, where max_depth allows one split fewer
+def test_memo_reuses_a_tree_a_new_root_split_moves_one_level_down(monkeypatch):
+    """An outlier row split off at the root leaves the old rows, with the
+    same targets and the same exponent e, one level deeper.  A subtree
+    depends only on its rows, so the refit searches for a split only at the
+    new root; the one-row leaf beside it needs no search."""
     rng = np.random.default_rng(14)
     X = rng.integers(0, 4, size=(30, 3)).astype(float)
-    y = X @ np.array([2.0, 1.0, -1.0])
-    params = CartParams(min_samples_split=2, min_samples_leaf=1, max_depth=2)
-    memo: dict = {}
-    fit(X, y, params, memo=memo)
+    y = X @ np.array([100.0, 50.0, 25.0]) + 100.0
     X2 = np.vstack([X, [[10.0, 0.0, 0.0]]])
-    y2 = np.append(y, 1000.0)
-    tree = fit(X2, y2, params, memo=memo)
-    assert isinstance(tree, Split) and tree.right == Leaf(1000.0, 1)
-    assert tree == reference_fit(X2, y2, params)
+    y2 = np.append(y, -1000.0)
+    assert np.frexp(np.abs(y).max())[1] == np.frexp(1000.0)[1]
+    memo: dict = {}
+    old = fit(X, y, LOOSE, memo=memo)
+    calls = []
+    best_split = cart._best_split
+    monkeypatch.setattr(cart, "_best_split", lambda *a: calls.append(1) or best_split(*a))
+    tree = fit(X2, y2, LOOSE, memo=memo)
+    assert tree == Split(0, 6.5, old, Leaf(-1000.0, 1))
+    assert tree == reference_fit(X2, y2, LOOSE)
+    assert len(calls) == 1
 
 
 def test_memo_reuses_the_subtrees_a_new_row_misses():
@@ -771,18 +783,6 @@ def test_params_validation():
         CartParams(min_samples_split=3, min_samples_leaf=2)
     with pytest.raises(ValueError):
         CartParams(min_samples_leaf=0)
-    with pytest.raises(ValueError):
-        CartParams(max_depth=0)
-
-
-def test_max_depth_limits_tree():
-    rng = np.random.default_rng(2)
-    X = rng.integers(0, 2, size=(32, 5)).astype(float)
-    y = rng.normal(size=32)
-    tree = fit(X, y, CartParams(min_samples_split=2, min_samples_leaf=1, max_depth=1))
-    assert isinstance(tree, Split)
-    assert isinstance(tree.left, Leaf)
-    assert isinstance(tree.right, Leaf)
 
 
 def test_dimensionality_mismatch():

@@ -259,6 +259,21 @@ def test_experiment_refuses_bad_epal_settings_before_any_repeat(tmp_path, capsys
                    "--max-wall-time", -3, "--out", tmp_path / "flash") == 0
 
 
+def test_experiment_refuses_bad_flash_random_and_objective_settings(tmp_path, capsys):
+    # these used to exit 0 with every repeat an X row
+    manifest, data, _ = synth_files(tmp_path, kind="bi-objective-tradeoff", options=5)
+    files = ("--manifest", manifest, "--data", data, "--repeats", 1)
+    for bad, message in ((("--methods", "flash:-1"), "budget must be >= 0"),
+                         (("--methods", "flash,random:0"), "n must be >= 1, got 0"),
+                         (("--objectives", "perf_a,perf_a"),
+                          "objective indices [0, 0] repeat an objective"),
+                         (("--objectives", "1,1"), "objective indices [1, 1] repeat an objective")):
+        out = tmp_path / "report"
+        assert run_cli("experiment", *files, *bad, "--out", out) == 1
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert not out.exists()
+
+
 def test_exit_code_runtime_failure(tmp_path):
     manifest, data, _ = synth_files(tmp_path)
     blocker = tmp_path / "blocker"

@@ -10,7 +10,7 @@ from flashtune.baselines import progressive_sampling
 from flashtune.flash import FlashParams, bazza_select, flash_multi, flash_single
 from flashtune.metrics import pareto_front, rank_difference
 from flashtune.runs import STOP_BUDGET, STOP_POOL_EXHAUSTED, Trace
-from flashtune.space import SplitSpec, TableOracle, direction_signs, split
+from flashtune.space import TableOracle, direction_signs, split
 from flashtune.synth import generate_synthetic
 
 from conftest import dominates, make_dataset
@@ -386,7 +386,7 @@ def test_runs_leave_no_reference_cycles():
     X = np.array(ds.configs)
     X.flags.writeable = False
     tree = cart.fit(X, ds.values[:, 0])
-    train, hold, val = (ds.candidates(part) for part in split(ds, SplitSpec(seed=2)))
+    train, hold, val = (ds.candidates(part) for part in split(ds, 2))
     params = FlashParams(size=10, budget=10, seed=1)
     gc.collect()
     gc.disable()

@@ -21,7 +21,7 @@ from flashtune.harness import (
     write_raw_results,
 )
 from flashtune.metrics import rank_difference
-from flashtune.space import SplitSpec, TableOracle, split
+from flashtune.space import TableOracle, split
 from flashtune.synth import generate_synthetic
 from conftest import make_dataset
 
@@ -151,11 +151,45 @@ def test_a_failed_method_names_its_cause_in_the_report(tmp_path):
 
 
 def test_mode_method_compatibility():
-    with pytest.raises(ValueError, match="single objective"):
-        run_experiment(spec_for([MethodSpec("progressive")],
-                                synthetic=("bi-objective-tradeoff", 5)))
-    with pytest.raises(ValueError, match=">= 2 objectives"):
-        run_experiment(spec_for([MethodSpec("epal")], synthetic=("single-peak", 5)))
+    multi = generate_synthetic("bi-objective-tradeoff", 5, seed=0)
+    single = generate_synthetic("single-peak", 5, seed=0)
+    # run_experiment checks every method up front, run_method its own, alike
+    for method, ds, objectives, message in (
+            (MethodSpec("progressive", "p"), multi, (0, 1),
+             "^method 'p' handles a single objective only$"),
+            (MethodSpec("rank"), multi, (0, 1), "^method 'rank' handles a single objective only$"),
+            (MethodSpec("epal", "e"), single, (0,), "^method 'e' needs >= 2 objectives$")):
+        spec = spec_for([method], synthetic=None, manifest="m", data="d")
+        with pytest.raises(ValueError, match=message):
+            run_experiment(spec, dataset=ds)
+        with pytest.raises(ValueError, match=message):
+            run_method(method, ds, objectives, WHOLE_TABLE, 0, spec)
+
+
+def test_a_repeated_objective_is_refused():
+    # every repeat of every method used to be an X row, on a front of one column
+    for objectives in ((0, 0), (1, 0, 1)):
+        spec = spec_for([MethodSpec("flash")], synthetic=("bi-objective-tradeoff", 5),
+                        objectives=objectives)
+        with pytest.raises(ValueError, match=r"^objective indices \[[01, ]+\] repeat an objective$"):
+            run_experiment(spec)
+
+
+def test_spec_checks_flash_and_random_overrides_before_any_repeat():
+    # these used to fail inside every repeat, each an X row
+    for method, message in ((MethodSpec("flash", options={"budget": -1}), "budget must be >= 0"),
+                            (MethodSpec("flash", options={"size": 0}), "size must be >= 1"),
+                            (MethodSpec("random", options={"n": 0}), "n must be >= 1, got 0"),
+                            (MethodSpec("random", options={"n": -4}), "n must be >= 1, got -4")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            spec_for([MethodSpec("rank"), method])
+    spec = spec_for([MethodSpec("flash", options={"size": 12, "budget": 3})], seed=5,
+                    flash=FlashParams(size=20, budget=10, n_projections=4))
+    assert spec.flash_params(spec.methods[0], 9) == FlashParams(12, 3, 4, 9)
+    assert spec.random_n(MethodSpec("random")) == 30
+    # n above the pool size depends on the repeat's pool, so the repeat checks it
+    report = run_experiment(spec_for([MethodSpec("random", options={"n": 60})], repeats=1))
+    assert report.rows[0].error == "ValueError: n must lie in [1, 52]"
 
 
 def test_spec_validation():
@@ -343,7 +377,7 @@ def test_random_on_selected_objective_picks_that_column():
                     synthetic=("bi-objective-tradeoff", 6), objectives=(1,))
     report = run_experiment(spec, dataset=ds)
     for row in report.rows:
-        train, _, val = split(ds, SplitSpec(seed=row.repeat))
+        train, _, val = split(ds, row.repeat)
         merged = np.sort(np.concatenate([train, val]))
         full = random_search(ds.candidates(merged), TableOracle(ds), 10, ds.directions,
                              seed=row.repeat)

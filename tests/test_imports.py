@@ -62,14 +62,14 @@ def traced_init(self, *args, **kwargs):
     init(self, *args, **kwargs)
 
 runs.Trace.__init__ = traced_init
-ds = synth.generate_synthetic("bi-objective-tradeoff", 4, 0)
+ds = synth.generate_synthetic("bi-objective-tradeoff", 5, 0)
 run = baselines.epal(ds.candidates(), space.TableOracle(ds),
-                     baselines.EpalParams(epsilon=0.3, init_size=5), ds.directions)
+                     baselines.EpalParams(epsilon=0.3), ds.directions)
 after = {SCIPY_MODULES}
 import scipy.linalg
 shared = [getattr(scipy.linalg.lapack, f) is getattr(gp.lapack(), f)
           for f in ("dpotrf", "dpotrs", "dtrtrs")]
-print(before, at_start, after, run.measurements_used >= 5, shared)
+print(before, at_start, after, run.measurements_used >= 20, shared)
 """
     flapack = "['scipy.linalg._flapack']"
     assert run_python(code) == f"[] [{flapack}] {flapack} True [True, True, True]"

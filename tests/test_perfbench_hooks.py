@@ -11,7 +11,7 @@ import pytest
 
 from flashtune import harness
 from flashtune.flash import FlashParams
-from flashtune.space import SplitSpec, TableOracle, split
+from flashtune.space import TableOracle, split
 from flashtune.synth import generate_synthetic
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -37,7 +37,7 @@ def test_entry_point_resolves(layer, owner, attr):
 @pytest.mark.parametrize("name", ["progressive_sampling", "rank_based"])
 def test_lives_counter_reads_a_real_result(name):
     ds = generate_synthetic("single-peak", 6, seed=0)
-    pools = tuple(ds.candidates(ids) for ids in split(ds, SplitSpec(seed=1)))
+    pools = tuple(ds.candidates(ids) for ids in split(ds, 1))
     args = (*pools, TableOracle(ds))
     result = getattr(harness, name)(*args)
     _, run = result

@@ -9,7 +9,7 @@ from flashtune.baselines import (
 )
 from flashtune.flash import FlashParams, flash_multi, flash_single
 from flashtune.runs import OptimizationRun, Trace, write_trace_csv
-from flashtune.space import SplitSpec, TableOracle, split
+from flashtune.space import TableOracle, split
 from flashtune.synth import generate_synthetic
 
 from conftest import make_dataset
@@ -69,7 +69,7 @@ class WidthChangingOracle:
 
 
 def _pools(ds):
-    train, hold, val = split(ds, SplitSpec(seed=0))
+    train, hold, val = split(ds, 0)
     return ds.candidates(train), ds.candidates(hold), ds.candidates(val)
 
 
@@ -112,7 +112,7 @@ def _run_fields(result):
 
 def _lives(fn):
     def call(ds, as_pool):
-        train, hold, val = split(ds, SplitSpec(seed=3))
+        train, hold, val = split(ds, 3)
         pools = [ds.candidates(part) for part in (train, hold, val)]
         return fn(*[as_pool(p) for p in pools], TableOracle(ds), seed=4)
     return call

@@ -22,7 +22,6 @@ from flashtune.space import (
     RowError,
     SchemaError,
     SplitError,
-    SplitSpec,
     TableOracle,
     _has_line_over,
     _parse_clean,
@@ -778,7 +777,7 @@ def test_direction_signs():
 def test_split_sizes_and_partition(two_bool_dataset):
     configs = [(i,) for i in range(10)]
     ds = make_dataset(configs, list(range(10)))
-    train, hold, val = split(ds, SplitSpec(0.4, 0.2, 0.4, seed=7))
+    train, hold, val = split(ds, 7)
     assert (len(train), len(hold), len(val)) == (4, 2, 4)
     union = set(train) | set(hold) | set(val)
     assert union == set(range(10))
@@ -786,9 +785,8 @@ def test_split_sizes_and_partition(two_bool_dataset):
 
 def test_split_deterministic():
     ds = make_dataset([(i,) for i in range(10)], list(range(10)))
-    spec = SplitSpec(0.4, 0.2, 0.4, seed=7)
-    a = split(ds, spec)
-    b = split(ds, spec)
+    a = split(ds, 7)
+    b = split(ds, 7)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
 
@@ -796,7 +794,7 @@ def test_split_deterministic():
 def test_split_1343_rows_remainder_to_train():
     # floor gives 268 and 537; the leftover row lands in the train pool
     ds = make_dataset([(i,) for i in range(1343)], [float(i) for i in range(1343)])
-    train, hold, val = split(ds, SplitSpec(0.4, 0.2, 0.4, seed=1))
+    train, hold, val = split(ds, 1)
     assert (len(train), len(hold), len(val)) == (538, 268, 537)
     parts = [set(map(int, p)) for p in (train, hold, val)]
     assert parts[0] | parts[1] | parts[2] == set(range(1343))
@@ -807,22 +805,15 @@ def test_split_1343_rows_remainder_to_train():
 
 def test_split_empty_part_rejected():
     ds = make_dataset([(0,), (1,)], [1.0, 2.0])
-    with pytest.raises(SplitError):
-        split(ds, SplitSpec(0.4, 0.2, 0.4, seed=0))
-
-
-def test_split_spec_validation():
-    with pytest.raises(ValueError):
-        SplitSpec(0.5, 0.2, 0.4)
-    with pytest.raises(ValueError):
-        SplitSpec(1.0, 0.2, 0.4)
+    with pytest.raises(SplitError, match="^a 40/20/40 split leaves an empty part for 2 rows$"):
+        split(ds, 0)
 
 
 @settings(max_examples=40)
 @given(n=st.integers(min_value=5, max_value=400), seed=st.integers(0, 2**32 - 1))
 def test_split_is_partition_property(n, seed):
     ds = make_dataset([(i,) for i in range(n)], [float(i) for i in range(n)])
-    train, hold, val = split(ds, SplitSpec(seed=seed))
+    train, hold, val = split(ds, seed)
     ids = sorted(int(i) for part in (train, hold, val) for i in part)
     assert ids == list(range(n))
 
