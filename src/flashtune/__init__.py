@@ -16,7 +16,7 @@ from .baselines import (
 )
 from .cart import CartParams, Leaf, Split, TreeNode, dump_tree, fit, predict_batch
 from .flash import FlashParams, bazza_select, flash_multi, flash_single
-from .gp import GaussianProcess, GpParams, gp_fit, gp_predict_batch
+from .gp import GaussianProcess, gp_fit, gp_predict_batch
 from .harness import (
     ExperimentSpec,
     MethodSpec,

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import cart, metrics
-from .gp import GpParams, _sq_dists, gp_fit, gp_predict_batch, lapack
+from .gp import _sq_dists, gp_fit, gp_predict_batch, lapack
 from .runs import (
     OptimizationRun,
     STOP_BUDGET,
@@ -220,7 +220,6 @@ def epal(
     params: EpalParams = EpalParams(),
     directions: Sequence[str] = (MINIMIZE, MINIMIZE),
     seed: int = 0,
-    gp_params: GpParams = GpParams(refine=True),
 ) -> OptimizationRun:
     """Pareto active learning with a Gaussian process per objective.
 
@@ -284,7 +283,7 @@ def epal(
         meas_pos = np.nonzero(measured)[0]
         cols = column[meas_pos]
         G_meas = -(trace.Y[meas_pos] * signs)
-        gps = gp_fit(Xn[meas_pos], G_meas, gp_params, d2=store[np.ix_(meas_pos, cols)])
+        gps = gp_fit(Xn[meas_pos], G_meas, d2=store[np.ix_(meas_pos, cols)])
         mu, sd = gp_predict_batch(gps, Xn[unknown], d2=store[np.ix_(unknown, cols)])
 
         lo = G_meas.min(axis=0)

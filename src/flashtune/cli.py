@@ -84,13 +84,10 @@ def _resolve_objective(dataset: Dataset, objective: str) -> int:
 
 
 def _spec(methods, seed, cart_min_split, cart_min_leaf, size, budget,
-          projections=FlashParams.n_projections, lives=LivesParams.lives, cart_first=False,
+          projections=FlashParams.n_projections, lives=LivesParams.lives,
           **fields) -> ExperimentSpec:
     """The experiment a command's options describe; `fields` are passed on as
-    they are.  `tune` and `tune-mo` check the tree options before the search
-    options (`cart_first`), `baseline` and `experiment` after them."""
-    if cart_first:
-        CartParams(min_samples_split=cart_min_split, min_samples_leaf=cart_min_leaf)
+    they are.  The search options are checked before the tree options."""
     return ExperimentSpec(
         methods=tuple(methods),
         seed=seed,
@@ -127,8 +124,7 @@ def tune(manifest, data, objective, seed, out, dump_tree_flag, **search):
     """Single-objective model-based search over the whole dataset."""
     dataset = load_dataset(manifest, data)
     obj = _resolve_objective(dataset, objective)
-    spec = _spec([MethodSpec("flash")], seed, cart_first=True, manifest=manifest, data=data,
-                 **search)
+    spec = _spec([MethodSpec("flash")], seed, manifest=manifest, data=data, **search)
     run = run_method(spec.methods[0], dataset, (obj,), WHOLE_TABLE, seed, spec)
     rd = metrics.rank_difference(run.best, dataset, obj)
     out_dir = _write_run(out, run, dataset, [
@@ -161,8 +157,7 @@ def tune_mo(manifest, data, seed, out, **search):
     dataset = load_dataset(manifest, data)
     if len(dataset.objectives) < 2:
         raise DatasetError("tune-mo needs a dataset with at least two objectives")
-    spec = _spec([MethodSpec("flash")], seed, cart_first=True, manifest=manifest, data=data,
-                 **search)
+    spec = _spec([MethodSpec("flash")], seed, manifest=manifest, data=data, **search)
     objectives = tuple(range(len(dataset.objectives)))
     run = run_method(spec.methods[0], dataset, objectives, WHOLE_TABLE, seed, spec)
     gd, igd = metrics.front_quality(dataset, run.front, objectives)
@@ -323,7 +318,13 @@ def experiment(kind, n_options, methods, objectives, emit_timing, out, **options
             if kind_name not in SUFFIX_KEYS:
                 raise DatasetError(f"method {kind_name!r} takes no parameter suffix")
             key = SUFFIX_KEYS[kind_name]
-            options_map[key] = OVERRIDES[kind_name][key](arg)
+            convert = OVERRIDES[kind_name][key]
+            try:
+                options_map[key] = convert(arg)
+            except ValueError:
+                needed = "an int" if convert is int else "a float"
+                raise ValueError(
+                    f"method {kind_name!r}: suffix {arg!r} is not {needed}") from None
             label = f"{kind_name}_{arg}"
         method_specs.append(MethodSpec(kind_name, label, options_map))
 

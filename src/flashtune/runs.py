@@ -37,21 +37,23 @@ class OptimizationRun:
     evaluated: tuple[tuple[int, tuple[float, ...]], ...]
     best: int | None
     front: tuple[int, ...] | None
-    measurements_used: int
     wall_time: float
     stop_reason: str
     initial_sample: int = 0
 
     def __post_init__(self):
-        if self.measurements_used != len(self.evaluated):
-            raise ValueError("measurements_used must equal the trace length")
-        if not (0 <= self.initial_sample <= self.measurements_used):
+        if not (0 <= self.initial_sample <= len(self.evaluated)):
             raise ValueError("initial_sample must lie within the trace length")
         ids = {i for i, _ in self.evaluated}
         if self.best is not None and self.best not in ids:
             raise ValueError("best must appear in the evaluated trace")
         if self.front is not None and not set(self.front) <= ids:
             raise ValueError("front members must appear in the evaluated trace")
+
+    @property
+    def measurements_used(self) -> int:
+        """Measurements made: one per trace entry."""
+        return len(self.evaluated)
 
     @property
     def evaluated_ids(self) -> tuple[int, ...]:
@@ -127,7 +129,7 @@ class Trace:
         elif best is None:
             front_pos = metrics.pareto_front([v for _, v in evaluated], directions)
             front = tuple(sorted(evaluated[p][0] for p in front_pos))
-        return OptimizationRun(evaluated, best, front, len(evaluated), wall, stop, initial_sample)
+        return OptimizationRun(evaluated, best, front, wall, stop, initial_sample)
 
 
 def write_trace_csv(

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -80,10 +78,12 @@ def dominates(a, b, directions):
 # The oracles go through scipy's own wrappers (`cho_factor`, `cho_solve`,
 # `solve_triangular`); the package itself loads only their LAPACK extension.
 
-def gp_predict(g, x):
-    """Posterior (mean, std) at a single point, through `gp_predict_batch`."""
-    mu, sigma = gp.gp_predict_batch(g, np.asarray(x, dtype=float)[None, :])
-    return float(mu[0]), float(sigma[0])
+def gp_predict(gps, x):
+    """Posterior (mean, std) at a single point of a one-objective fit (the
+    1-tuple `gp_fit` returns for (n, 1) targets), through `gp_predict_batch`."""
+    mu, sigma = gp.gp_predict_batch(gps, np.asarray(x, dtype=float)[None, :])
+    assert mu.shape == (1, 1)
+    return float(mu[0, 0]), float(sigma[0, 0])
 
 
 def reference_factor(K, noise):
@@ -101,36 +101,44 @@ def reference_factor(K, noise):
                 raise gp.GpError("kernel matrix is not positive definite") from None
 
 
-def reference_gp_fit(xs, ys, params):
-    """One objective's GP fit as it was before `gp_fit` took (n, m) targets
-    and `d2`: own distances, one factor per grid scale per objective."""
+def reference_scale_fit(xs, ys, length_scale):
+    """One objective's fit at one length scale, on its own distances:
+    (Cholesky factor, alpha, log marginal likelihood)."""
     X = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
-    y_mean = float(y.mean())
-    yc = y - y_mean
-    candidates = [params]
-    if params.refine:
-        candidates = [replace(params, length_scale=ls) for ls in params.length_scale_grid]
+    yc = y - float(y.mean())
     d2 = gp._sq_dists(X, X)
+    chol = reference_factor(gp._kernel(d2, length_scale), gp.NOISE_VARIANCE)
+    alpha = scipy.linalg.cho_solve(chol, yc)
+    lml = float(
+        -0.5 * yc @ alpha
+        - np.sum(np.log(np.diag(chol[0])))
+        - 0.5 * d2.shape[0] * np.log(2.0 * np.pi)
+    )
+    return chol[0], alpha, lml
+
+
+def reference_gp_fit(xs, ys, length_scales):
+    """One objective's GP fit as it was before `gp_fit` took (n, m) targets
+    and `d2`: own distances, one factor per scale of `length_scales`, and
+    the scale with the largest log marginal likelihood (the first among
+    equals)."""
     best = None
-    for cand in candidates:
-        chol = reference_factor(gp._kernel(d2, cand), cand.noise_variance)
-        alpha = scipy.linalg.cho_solve(chol, yc)
-        lml = float(
-            -0.5 * yc @ alpha
-            - np.sum(np.log(np.diag(chol[0])))
-            - 0.5 * d2.shape[0] * np.log(2.0 * np.pi)
-        )
+    for length_scale in length_scales:
+        chol, alpha, lml = reference_scale_fit(xs, ys, length_scale)
         if best is None or lml > best[3]:
-            best = (cand, chol, alpha, lml)
-    chosen, chol, alpha, lml = best
-    return gp.GaussianProcess(X.copy(), y.copy(), chosen, y_mean, chol, alpha, lml)
+            best = (length_scale, chol, alpha, lml)
+    length_scale, chol, alpha, _ = best
+    X = np.asarray(xs, dtype=float)
+    y_mean = float(np.asarray(ys, dtype=float).mean())
+    return gp.GaussianProcess(X.copy(), length_scale, y_mean, chol, alpha)
 
 
 def reference_gp_predict_batch(g, xs):
+    """One process's posterior (mean, std) at xs, as 1-D arrays."""
     Xq = np.asarray(xs, dtype=float)
-    Ks = gp._kernel(gp._sq_dists(Xq, g.X), g.params)
+    Ks = gp._kernel(gp._sq_dists(Xq, g.X), g.length_scale)
     mu = Ks @ g._alpha + g.y_mean
-    v = scipy.linalg.solve_triangular(g._chol[0], Ks.T, lower=True)
-    var = g.params.signal_variance - (v * v).sum(axis=0)
+    v = scipy.linalg.solve_triangular(g._chol, Ks.T, lower=True)
+    var = gp.SIGNAL_VARIANCE - (v * v).sum(axis=0)
     return mu, np.sqrt(np.maximum(var, 0.0))

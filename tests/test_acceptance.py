@@ -15,7 +15,7 @@ from flashtune import cart, metrics
 from flashtune.baselines import EpalParams, epal, progressive_sampling, random_search, rank_based
 from flashtune.cli import main as cli_main
 from flashtune.flash import FlashParams, bazza_select, flash_multi, flash_single
-from flashtune.gp import GpParams, gp_fit
+from flashtune.gp import NOISE_VARIANCE, gp_fit
 from flashtune.space import TableOracle, split
 from flashtune.stats import SkParams, Treatment, a12, scott_knott
 from flashtune.synth import KINDS, generate_synthetic
@@ -177,13 +177,13 @@ def test_oracle_equivalence_suite():
         achieved = base - ((left - left.mean()) ** 2).sum() - ((right - right.mean()) ** 2).sum()
         assert achieved == pytest.approx(oracle_gain, abs=1e-8)
 
-    gp_params = GpParams(length_scale=0.3, signal_variance=1.5, noise_variance=1e-6)
     for _ in range(200):
         X = rng.random((int(rng.integers(2, 12)), 2))
         y = rng.normal(size=X.shape[0])
         q = rng.random(2)
-        mu, sigma = gp_predict(gp_fit(X, y, gp_params), q)
-        mu0, sigma0 = naive_posterior(X, y, q, gp_params)
+        gps = gp_fit(X, y[:, None])
+        mu, sigma = gp_predict(gps, q)
+        mu0, sigma0 = naive_posterior(X, y, q, gps[0].length_scale, NOISE_VARIANCE)
         assert abs(mu - mu0) <= 1e-8 and abs(sigma - sigma0) <= 1e-8
 
     for seed in range(500):

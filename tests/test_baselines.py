@@ -19,7 +19,7 @@ from flashtune.baselines import (
     rank_based,
 )
 from flashtune.flash import FlashParams, flash_single
-from flashtune.gp import GpParams
+from flashtune.gp import LENGTH_SCALES
 from flashtune.runs import Trace
 from flashtune.space import Pool, TableOracle, direction_signs, split
 from flashtune.synth import generate_synthetic
@@ -345,8 +345,7 @@ def test_epal_sequence_unchanged_under_dense_oracle(monkeypatch, epsilon):
     assert min(r.measurements_used for r in fast) < ds.n_rows
 
 
-def reference_epal(candidates, oracle, params, directions, seed,
-                   gp_params=GpParams(refine=True)):
+def reference_epal(candidates, oracle, params, directions, seed):
     """ePAL as it was before the distance store and the shared factors: per
     iteration, one GP fit and one prediction per objective, each computing
     its own distances."""
@@ -372,7 +371,7 @@ def reference_epal(candidates, oracle, params, directions, seed,
         mu = np.empty((unknown.size, m))
         sd = np.empty((unknown.size, m))
         for j in range(m):
-            g = reference_gp_fit(Xn[measured], G_meas[:, j], gp_params)
+            g = reference_gp_fit(Xn[measured], G_meas[:, j], LENGTH_SCALES)
             mu[:, j], sd[:, j] = reference_gp_predict_batch(g, Xn[unknown])
         lo = G_meas.min(axis=0)
         span = G_meas.max(axis=0) - lo
@@ -398,13 +397,13 @@ def test_epal_sequence_matches_the_per_objective_reference(monkeypatch, epsilon)
     position = {row.tobytes(): i for i, row in enumerate((X - lo) / span)}
     gathered = []
 
-    def checked_fit(xs, ys, params, *, d2=None):
+    def checked_fit(xs, ys, *, d2=None):
         # training rows in pool order, and the block gathered from the store
         # is their distance matrix, bit for bit
         pos = [position[row.tobytes()] for row in xs]
         gathered.append(pos == sorted(pos))
         gathered.append(d2.tobytes() == gp_module._sq_dists(xs, xs).tobytes())
-        return gp_module.gp_fit(xs, ys, params, d2=d2)
+        return gp_module.gp_fit(xs, ys, d2=d2)
 
     def checked_predict(gps, xs, *, d2=None):
         gathered.append(d2.tobytes() == gp_module._sq_dists(xs, gps[0].X).tobytes())

@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from flashtune.cli import main
 
 
@@ -270,6 +272,20 @@ def test_experiment_refuses_bad_flash_random_and_objective_settings(tmp_path, ca
                          (("--objectives", "1,1"), "objective indices [1, 1] repeat an objective")):
         out = tmp_path / "report"
         assert run_cli("experiment", *files, *bad, "--out", out) == 1
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert not out.exists()
+
+
+def test_experiment_names_a_bad_method_suffix(tmp_path, capsys, monkeypatch):
+    # the message names the method, the suffix and the type the suffix needs
+    monkeypatch.setattr("flashtune.cli.run_experiment",
+                        lambda *a: pytest.fail("a repeat ran after a bad suffix"))
+    for methods, message in (("random:1.5", "method 'random': suffix '1.5' is not an int"),
+                             ("flash,epal:abc", "method 'epal': suffix 'abc' is not a float"),
+                             ("flash:x", "method 'flash': suffix 'x' is not an int")):
+        out = tmp_path / "report"
+        assert run_cli("experiment", "--kind", "single-peak", "--options", 5,
+                       "--methods", methods, "--out", out) == 1
         assert capsys.readouterr().err == f"validation error: {message}\n"
         assert not out.exists()
 

@@ -1,19 +1,25 @@
 import contextlib
 import importlib.machinery
-from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from flashtune import gp as gp_module
-from flashtune.gp import GpParams, gp_fit, gp_predict_batch
+from flashtune.gp import LENGTH_SCALES, NOISE_VARIANCE, gp_fit, gp_predict_batch
 
-from conftest import gp_predict, reference_factor, reference_gp_fit, reference_gp_predict_batch
+from conftest import (
+    gp_predict,
+    reference_factor,
+    reference_gp_fit,
+    reference_gp_predict_batch,
+    reference_scale_fit,
+)
 
 
-def naive_posterior(X, y, query, params):
-    """Textbook dense-solve oracle: explicit inverse, no factorization reuse."""
+def naive_posterior(X, y, query, length_scale, noise):
+    """Textbook dense-solve oracle at unit signal variance: explicit
+    inverse, no factorization reuse."""
     X = np.asarray(X, float)
     y = np.asarray(y, float)
     q = np.asarray(query, float)
@@ -21,89 +27,97 @@ def naive_posterior(X, y, query, params):
 
     def kern(A, B):
         d2 = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
-        return params.signal_variance * np.exp(-d2 / (2 * params.length_scale ** 2))
+        return np.exp(-d2 / (2 * length_scale ** 2))
 
-    K = kern(X, X) + params.noise_variance * np.eye(len(X))
+    K = kern(X, X) + noise * np.eye(len(X))
     Kinv = np.linalg.inv(K)
     ks = kern(q[None, :], X)[0]
     mu = ks @ Kinv @ (y - mean) + mean
-    var = params.signal_variance - ks @ Kinv @ ks
+    var = 1.0 - ks @ Kinv @ ks
     return float(mu), float(np.sqrt(max(var, 0.0)))
 
 
+def assert_matches_naive(X, y, q):
+    """A one-objective fit's posterior at q is the dense solve's at the
+    fit's chosen scale, within 1e-8."""
+    gps = gp_fit(X, np.asarray(y, float)[:, None])
+    mu, sigma = gp_predict(gps, q)
+    mu0, sigma0 = naive_posterior(X, y, q, gps[0].length_scale, NOISE_VARIANCE)
+    assert abs(mu - mu0) <= 1e-8
+    assert abs(sigma - sigma0) <= 1e-8
+    return mu, sigma
+
+
 def test_single_point_interpolation():
-    params = GpParams(noise_variance=1e-9)
-    gp = gp_fit([[0.3, 0.7]], [4.2], params)
-    mu, sigma = gp_predict(gp, [0.3, 0.7])
+    mu, sigma = assert_matches_naive([[0.3, 0.7]], [4.2], [0.3, 0.7])
     assert mu == pytest.approx(4.2, abs=1e-6)
-    assert sigma == pytest.approx(0.0, abs=1e-4)
+    # at the training point only the noise is left: var = noise / (1 + noise)
+    assert sigma == pytest.approx(np.sqrt(NOISE_VARIANCE / (1.0 + NOISE_VARIANCE)), abs=1e-8)
 
 
 def test_far_query_reverts_to_prior():
-    params = GpParams(length_scale=0.1, signal_variance=2.0, noise_variance=1e-9)
     y = [3.0, 5.0]
-    gp = gp_fit([[0.0], [0.05]], y, params)
-    mu, sigma = gp_predict(gp, [50.0])
+    mu, sigma = assert_matches_naive([[0.0], [0.05]], y, [50.0])
     assert mu == pytest.approx(np.mean(y), abs=1e-9)
-    assert sigma ** 2 == pytest.approx(2.0, abs=1e-9)
+    assert sigma ** 2 == pytest.approx(1.0, abs=1e-9)
 
 
 def test_sigma_near_zero_at_training_points():
     rng = np.random.default_rng(1)
     X = rng.random((6, 3))
     y = rng.normal(size=6)
-    gp = gp_fit(X, y, GpParams(noise_variance=1e-9))
-    mu, sigma = gp_predict_batch(gp, X)
-    assert np.allclose(mu, y, atol=1e-5)
+    mu, sigma = gp_predict_batch(gp_fit(X, y[:, None]), X)
+    assert np.allclose(mu[:, 0], y, atol=1e-5)
     assert np.all(sigma < 1e-3)
+    for x in X:
+        assert_matches_naive(X, y, x)
 
 
 def test_matches_naive_dense_solve():
     rng = np.random.default_rng(2)
-    params = GpParams(length_scale=0.35, signal_variance=1.7, noise_variance=1e-6)
     for _ in range(25):
         X = rng.random((10, 2))
         y = rng.normal(size=10)
         q = rng.random(2)
-        gp = gp_fit(X, y, params)
-        mu, sigma = gp_predict(gp, q)
-        mu0, sigma0 = naive_posterior(X, y, q, params)
-        assert abs(mu - mu0) <= 1e-8
-        assert abs(sigma - sigma0) <= 1e-8
+        assert_matches_naive(X, y, q)
 
 
 def test_duplicate_inputs_survive_via_jitter():
     X = [[0.5, 0.5], [0.5, 0.5], [0.1, 0.9]]
-    y = [1.0, 1.0, 2.0]
-    gp = gp_fit(X, y, GpParams(noise_variance=0.0))
-    mu, _ = gp_predict(gp, [0.5, 0.5])
+    gps = gp_fit(X, [[1.0], [1.0], [2.0]])
+    mu, _ = gp_predict(gps, [0.5, 0.5])
     assert mu == pytest.approx(1.0, abs=1e-3)
 
 
 def test_refinement_improves_log_marginal():
+    """Each fit keeps the grid scale whose reference fit has the largest log
+    marginal likelihood, the first among equals.  Sines from slow to fast
+    make every scale of the grid the choice at least once."""
     rng = np.random.default_rng(3)
-    X = rng.random((30, 1))
-    y = np.sin(6 * X[:, 0])
-    fixed = gp_fit(X, y, GpParams(length_scale=0.001))
-    refined = gp_fit(X, y, GpParams(length_scale=0.001, refine=True))
-    assert refined.log_marginal >= fixed.log_marginal
-    assert refined.params.length_scale in GpParams().length_scale_grid
+    chosen = set()
+    for frequency in 2.0 ** np.arange(-1, 7):
+        X = rng.random((30, 1))
+        y = np.sin(frequency * X[:, 0])
+        (g,) = gp_fit(X, y[:, None])
+        lml = [reference_scale_fit(X, y, s)[2] for s in LENGTH_SCALES]
+        assert g.length_scale == LENGTH_SCALES[int(np.argmax(lml))]
+        chosen.add(g.length_scale)
+    assert chosen == set(LENGTH_SCALES)
 
 
 def test_refinement_deterministic():
     rng = np.random.default_rng(4)
     X = rng.random((12, 2))
-    y = rng.normal(size=12)
-    a = gp_fit(X, y, GpParams(refine=True))
-    b = gp_fit(X, y, GpParams(refine=True))
-    assert a.params == b.params
+    y = rng.normal(size=(12, 1))
+    (a,), (b,) = gp_fit(X, y), gp_fit(X, y)
+    assert a.length_scale == b.length_scale
     assert np.array_equal(a._alpha, b._alpha)
 
 
 def test_refinement_computes_distances_once(monkeypatch):
     rng = np.random.default_rng(5)
     X = rng.random((15, 3))
-    y = rng.normal(size=15)
+    y = rng.normal(size=(15, 2))
     calls = []
     real = gp_module._sq_dists
 
@@ -112,13 +126,8 @@ def test_refinement_computes_distances_once(monkeypatch):
         return real(A, B)
 
     monkeypatch.setattr(gp_module, "_sq_dists", counting)
-    refined = gp_fit(X, y, GpParams(refine=True))
+    gp_fit(X, y)
     assert calls == [15]
-    # the shared distances give the fixed-scale fit at the chosen scale bit for bit
-    fixed = gp_fit(X, y, replace(refined.params, refine=False))
-    assert np.array_equal(refined._chol[0], fixed._chol[0])
-    assert np.array_equal(refined._alpha, fixed._alpha)
-    assert refined.log_marginal == fixed.log_marginal
 
 
 def same_bits(a, b) -> bool:
@@ -127,18 +136,17 @@ def same_bits(a, b) -> bool:
 
 
 def assert_same_process(shared, alone):
-    assert shared.params == alone.params
-    assert same_bits(shared.log_marginal, alone.log_marginal)
-    assert same_bits(shared._chol[0], alone._chol[0])
+    assert shared.length_scale == alone.length_scale
+    assert same_bits(shared._chol, alone._chol)
     assert same_bits(shared._alpha, alone._alpha)
     assert same_bits(shared.y_mean, alone.y_mean)
 
 
 def test_multi_column_fit_and_predict_match_one_dimensional_calls():
     """A two-column fit, predicted with distances gathered from a per-point
-    store as ePAL keeps it, gives every column's figures bit for bit as 1-D
-    fits and predictions computing their own distances do: both today's
-    1-D path and the reference copy of the path before the change."""
+    store as ePAL keeps it, gives every column's figures bit for bit as the
+    reference one-objective fit and prediction computing their own
+    distances do."""
     rng = np.random.default_rng(21)
     same_scale = different_scale = 0
     for case in range(200):
@@ -155,30 +163,26 @@ def test_multi_column_fit_and_predict_match_one_dimensional_calls():
         Y = rng.normal(size=(k, 2))
         if case % 2:
             Y[:, 1] = -Y[:, 0] + rng.normal(scale=0.3, size=k)
-        params = GpParams(refine=case % 4 != 3, noise_variance=(1e-6, 1e-3)[case % 2])
         d2_train = store[np.ix_(meas, meas)]
         d2_query = store[np.ix_(query, meas)]
         assert same_bits(d2_train, gp_module._sq_dists(pool[meas], pool[meas]))
         assert same_bits(d2_query, gp_module._sq_dists(pool[query], pool[meas]))
 
-        shared = gp_fit(pool[meas], Y, params, d2=d2_train)
+        shared = gp_fit(pool[meas], Y, d2=d2_train)
         mu, sigma = gp_predict_batch(shared, pool[query], d2=d2_query)
         assert isinstance(shared, tuple) and len(shared) == 2
         assert mu.shape == sigma.shape == (query.size, 2)
         for j in range(2):
             # a strided column, as ePAL passed each objective before
-            before = reference_gp_fit(pool[meas], Y[:, j], params)
-            alone = gp_fit(pool[meas], Y[:, j], params)
+            before = reference_gp_fit(pool[meas], Y[:, j], LENGTH_SCALES)
             assert_same_process(shared[j], before)
-            assert_same_process(alone, before)
             mu_j, sigma_j = reference_gp_predict_batch(before, pool[query])
             assert same_bits(mu[:, j], mu_j) and same_bits(sigma[:, j], sigma_j)
-            assert all(same_bits(a, b) for a, b in zip(
-                gp_predict_batch(alone, pool[query]), (mu_j, sigma_j)))
-            # one process of the tuple predicts as its 1-D twin, with or without d2
-            assert all(same_bits(a, b) for a, b in zip(
-                gp_predict_batch(shared[j], pool[query], d2=d2_query), (mu_j, sigma_j)))
-        if shared[0].params == shared[1].params:
+            # one process of the tuple predicts alone as in the pair, with or without d2
+            for given in ({}, {"d2": d2_query}):
+                alone = gp_predict_batch((shared[j],), pool[query], **given)
+                assert all(same_bits(a[:, 0], b) for a, b in zip(alone, (mu_j, sigma_j)))
+        if shared[0].length_scale == shared[1].length_scale:
             same_scale += 1
             assert shared[0]._chol is shared[1]._chol  # factored once
         else:
@@ -201,7 +205,7 @@ def test_multi_column_predict_solves_once_per_factor(monkeypatch):
     rng = np.random.default_rng(22)
     X = rng.random((12, 3))
     Y = np.column_stack([rng.normal(size=12)] * 3)  # equal columns choose equal scales
-    gps = gp_fit(X, Y, GpParams(refine=True))
+    gps = gp_fit(X, Y)
     solves = []
     with counting(monkeypatch, "dtrtrs", solves):
         mu, sigma = gp_predict_batch(gps, rng.random((5, 3)))
@@ -218,13 +222,13 @@ def test_jitter_escalation_matches_the_cho_factor_loop(monkeypatch):
     for case in range(40):
         X = rng.random((int(rng.integers(2, 12)), int(rng.integers(1, 4))))
         X = np.vstack([X, X[:case % 3 + 1]])
-        K = gp_module._kernel(gp_module._sq_dists(X, X), GpParams())
+        K = gp_module._kernel(gp_module._sq_dists(X, X), 0.2)
         calls = []
         with counting(monkeypatch, "dpotrf", calls):
-            c, lower = gp_module._factor(K, 0.0)
+            c = gp_module._factor(K, 0.0)
         escalated += len(calls) > 1
         want, want_lower = reference_factor(K, 0.0)
-        assert lower is want_lower is True
+        assert want_lower is True
         assert same_bits(c, want)
     assert escalated > 20
     hopeless = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -243,10 +247,10 @@ def test_raw_lapack_path_rejects_what_the_scipy_wrappers_rejected(monkeypatch):
         with pytest.raises(ValueError):
             factor(K, 0.0)
     with pytest.raises(ValueError, match="finite"):
-        gp_fit([[0.0], [1.0]], [0.0, np.nan])
-    gp = gp_fit([[0.0], [1.0]], [0.0, 1.0])
+        gp_fit([[0.0], [1.0]], [[0.0], [np.nan]])
+    gps = gp_fit([[0.0], [1.0]], [[0.0], [1.0]])
     with pytest.raises(ValueError, match="finite"):
-        gp_predict_batch(gp, [[np.nan]])
+        gp_predict_batch(gps, [[np.nan]])
     with monkeypatch.context() as m:
         m.setattr(gp_module.lapack(), "dpotrf", lambda a, **k: (a, -1))
         with pytest.raises(ValueError, match="illegal value in argument 1"):
@@ -275,22 +279,18 @@ def test_a_missing_lapack_extension_raises_with_its_path(monkeypatch):
 
 def test_validation():
     with pytest.raises(ValueError):
-        gp_fit(np.zeros((0, 2)), [])
+        gp_fit(np.zeros((0, 2)), np.zeros((0, 1)))
+    with pytest.raises(ValueError, match=r"\(n, m\) targets"):
+        gp_fit([[0.0], [1.0]], [0.0, 1.0])
+    gps = gp_fit([[0.0], [1.0]], [[0.0], [1.0]])
+    with pytest.raises(ValueError, match="tuple"):
+        gp_predict_batch(gps[0], [[0.5]])
     with pytest.raises(ValueError):
-        GpParams(length_scale=0.0)
-    with pytest.raises(ValueError):
-        GpParams(noise_variance=-1.0)
-    for field in ("length_scale", "signal_variance", "noise_variance"):
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="finite"):
-                GpParams(**{field: bad})
-    gp = gp_fit([[0.0], [1.0]], [0.0, 1.0])
-    with pytest.raises(ValueError):
-        gp_predict(gp, [0.0, 1.0])
+        gp_predict(gps, [0.0, 1.0])
     with pytest.raises(ValueError, match="d2"):
-        gp_fit([[0.0], [1.0]], [0.0, 1.0], d2=np.zeros((2, 3)))
+        gp_fit([[0.0], [1.0]], [[0.0], [1.0]], d2=np.zeros((2, 3)))
     with pytest.raises(ValueError, match="d2"):
-        gp_predict_batch(gp, [[0.5]], d2=np.zeros((2, 2)))
-    other = gp_fit([[0.0], [2.0]], [0.0, 1.0])
+        gp_predict_batch(gps, [[0.5]], d2=np.zeros((2, 2)))
+    other = gp_fit([[0.0], [2.0]], [[0.0], [1.0]])
     with pytest.raises(ValueError, match="share"):
-        gp_predict_batch((gp, other), [[0.5]])
+        gp_predict_batch((gps[0], other[0]), [[0.5]])

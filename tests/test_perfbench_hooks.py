@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from flashtune import harness
+from flashtune.baselines import EPAL_INIT_SIZE
 from flashtune.flash import FlashParams
 from flashtune.space import TableOracle, split
 from flashtune.synth import generate_synthetic
@@ -56,3 +57,26 @@ def test_traced_experiment_records_every_method_without_failures():
     assert not any(span[tracer.FAILED] for span in t.spans)
     lives = [span[tracer.COUNTS] for span in t.spans if span[tracer.NAME] == "baselines.lives"]
     assert len(lives) == 2 and all(c["holdout"] > 0 for c in lives)
+
+
+def test_traced_multi_objective_experiment_counts_the_epal_path():
+    # the single-objective test above never reaches the GP or ePAL's filter
+    spec = harness.ExperimentSpec(
+        methods=(harness.MethodSpec("flash"), harness.MethodSpec("epal")),
+        synthetic=("bi-objective-tradeoff", 6), repeats=1, seed=0,
+        flash=FlashParams(size=10, budget=5))
+    t = tracer.Tracer()
+    report = t.run_op(0, harness.run_experiment, spec)
+    assert not any(r.failed for r in report.rows)
+    assert not any(span[tracer.FAILED] for span in t.spans)
+    counts = {}
+    for span in t.spans:
+        counts.setdefault(span[tracer.NAME], []).append(span[tracer.COUNTS])
+    assert {"gp.fit", "gp.predict_batch", "baselines.epsilon_discard",
+            "baselines.epal"} <= set(counts)
+    # one fit, one prediction and one filter per ePAL iteration
+    assert len(counts["gp.fit"]) == len(counts["gp.predict_batch"]) == \
+        len(counts["baselines.epsilon_discard"])
+    assert all(c["rows"] >= EPAL_INIT_SIZE for c in counts["gp.fit"])
+    assert all(c["unknowns"] > 0 for c in counts["baselines.epsilon_discard"])
+    assert [c["pool"] > EPAL_INIT_SIZE for c in counts["baselines.epal"]] == [True]
