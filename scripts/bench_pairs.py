@@ -25,6 +25,12 @@ wider than that bound of the base median, so the runs cannot tell a move of
 the bound's size from the host's noise, unless every change run reads better
 than every base run.  Each run is waited for (and killed with its workers if the
 script is interrupted), and the temporary directory is removed on exit.
+
+Both sides of a pair run the same seed, so the script also compares the
+output digest of each pair (`details.figures.digest`, over the workload's
+first ops) and prints `digests: equal in N/N pairs` or the seeds where they
+differ.  It only reports: a change that moves outputs on purpose still gets
+its timings.
 """
 
 from __future__ import annotations
@@ -113,6 +119,13 @@ def format_rows(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def digest_line(seeds: list[int], base: list[str], change: list[str]) -> str:
+    """Whether each pair's two runs wrote the same output digest."""
+    differ = [seed for seed, b, c in zip(seeds, base, change) if b != c]
+    line = f"digests: equal in {len(seeds) - len(differ)}/{len(seeds)} pairs"
+    return line + (f"; differ at seeds {', '.join(map(str, differ))}" if differ else "")
+
+
 def extract_base(rev: str, dest: Path) -> None:
     """`git archive rev` into `dest`, with the working tree's perfbench/."""
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
@@ -128,8 +141,9 @@ def copy_tree(src: Path, dest: Path) -> None:
     shutil.copytree(src, dest, ignore=shutil.ignore_patterns("__pycache__"))
 
 
-def bench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One `perfbench/run.py --trace 0` run in `checkout`; its `metrics`."""
+def bench(checkout: Path, workload: str, seed: int, seconds: int) -> tuple[dict, str]:
+    """One `perfbench/run.py --trace 0` run in `checkout`; its `metrics` and
+    its output digest."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     # a session of its own, so an interrupt can take the workers down too
@@ -142,12 +156,13 @@ def bench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
     lines = out.splitlines()
-    if proc.returncode != 0 or not lines:
+    if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited with {proc.returncode}")
     result = json.loads(lines[-1])
     if not result["correct"]:
         raise RuntimeError(f"{workload} seed {seed} in {checkout}: {result['failed']} failed runs")
-    return result["metrics"]
+    details = json.loads(lines[-2])["details"]
+    return result["metrics"], details["figures"]["digest"]["value"]
 
 
 def main(argv=None) -> int:
@@ -169,16 +184,21 @@ def main(argv=None) -> int:
         for part in ("src", "perfbench"):
             copy_tree(ROOT / part, sides["change"] / part)
         runs: dict = {"base": [], "change": []}
+        digests: dict = {"base": [], "change": []}
         for i in range(args.pairs):
             seed = args.seed + i
             for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-                runs[side].append(bench(sides[side], args.workload, seed, args.seconds))
+                metrics, digest = bench(sides[side], args.workload, seed, args.seconds)
+                runs[side].append(metrics)
+                digests[side].append(digest)
                 values = ", ".join(f"{m['name']}={runs[side][-1][m['name']]['value']:.4g}"
                                    for m in end_to_end)
                 print(f"pair {i} seed {seed} {side}: {values}", file=sys.stderr, flush=True)
     print(f"{args.workload}: base {args.base} vs working tree, {args.pairs} alternating pairs, "
           f"seeds {args.seed}-{args.seed + args.pairs - 1}, --seconds {args.seconds}")
     print(format_rows(summarize(runs["base"], runs["change"], end_to_end)))
+    seeds = list(range(args.seed, args.seed + args.pairs))
+    print(digest_line(seeds, digests["base"], digests["change"]))
     return 0
 
 

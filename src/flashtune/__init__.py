@@ -50,6 +50,7 @@ from .space import (
     MeasureError,
     ObjectiveSchema,
     OptionSchema,
+    Pool,
     RowError,
     SchemaError,
     SplitError,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,9 +56,9 @@ class EpalParams:
 
 
 def _lives_loop(
-    train_pool: Mapping[int, Sequence[float]],
-    holdout: Mapping[int, Sequence[float]],
-    validation: Mapping[int, Sequence[float]],
+    train_pool: Pool,
+    holdout: Pool,
+    validation: Pool,
     oracle,
     params: LivesParams,
     cart_params: cart.CartParams,
@@ -73,7 +73,7 @@ def _lives_loop(
     `scorer(predicted, actual)` maps holdout predictions to a score where
     higher is better; a life is lost whenever the score fails to improve.
     """
-    parts = [Pool.of(p) for p in (train_pool, holdout, validation)]
+    parts = (train_pool, holdout, validation)
     if not all(parts):
         raise ValueError("train pool, holdout, and validation must be non-empty")
     if np.intersect1d(parts[0].ids, parts[1].ids).size:
@@ -81,7 +81,9 @@ def _lives_loop(
     # the answer is measured at the end, so a validation id measured before would be measured twice
     if np.intersect1d(parts[2].ids, np.union1d(parts[0].ids, parts[1].ids)).size:
         raise ValueError("validation must be disjoint from the train pool and the holdout")
-    trace = Trace(Pool.union(*parts), oracle)
+    ids = np.concatenate([p.ids for p in parts])
+    order = np.argsort(ids, kind="stable")
+    trace = Trace(Pool(ids[order], np.concatenate([p.X for p in parts])[order]), oracle)
     train_pos, hold_pos, val_pos = (np.searchsorted(trace.ids, p.ids) for p in parts)
     rng = np.random.default_rng(seed)
 
@@ -131,9 +133,9 @@ def _lives_loop(
 
 
 def progressive_sampling(
-    train_pool: Mapping[int, Sequence[float]],
-    holdout: Mapping[int, Sequence[float]],
-    validation: Mapping[int, Sequence[float]],
+    train_pool: Pool,
+    holdout: Pool,
+    validation: Pool,
     oracle,
     params: LivesParams = LivesParams(),
     cart_params: cart.CartParams = cart.CartParams(),
@@ -151,9 +153,9 @@ def progressive_sampling(
 
 
 def rank_based(
-    train_pool: Mapping[int, Sequence[float]],
-    holdout: Mapping[int, Sequence[float]],
-    validation: Mapping[int, Sequence[float]],
+    train_pool: Pool,
+    holdout: Pool,
+    validation: Pool,
     oracle,
     params: LivesParams = LivesParams(),
     cart_params: cart.CartParams = cart.CartParams(),
@@ -172,7 +174,7 @@ def rank_based(
 
 
 def random_search(
-    candidates: Mapping[int, Sequence[float]],
+    candidates: Pool,
     oracle,
     n: int,
     directions: Sequence[str],
@@ -215,7 +217,7 @@ def epsilon_discard(
 
 
 def epal(
-    candidates: Mapping[int, Sequence[float]],
+    candidates: Pool,
     oracle,
     params: EpalParams = EpalParams(),
     directions: Sequence[str] = (MINIMIZE, MINIMIZE),

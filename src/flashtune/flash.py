@@ -11,13 +11,13 @@ candidates leave the pool, so nothing is measured twice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import cart
 from .runs import OptimizationRun, STOP_BUDGET, STOP_POOL_EXHAUSTED, Trace
-from .space import MINIMIZE, direction_signs
+from .space import MINIMIZE, Pool, direction_signs
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,8 @@ def bazza_select(
     negated), then min-max normalized to [0, 1] per objective over the
     candidate list so differently scaled objectives weigh comparably.  The
     mean over the weight vectors distributes over the sum, so this is a single
-    pass over candidates.  Ties resolve to the lowest index.
+    pass over candidates, adding the weighted columns in column order.  Ties
+    resolve to the lowest index.
     """
     P = np.asarray(predicted, dtype=float)
     if P.ndim != 2 or P.shape[0] == 0:
@@ -64,13 +65,17 @@ def bazza_select(
     span = G.max(axis=0) - lo
     span[span == 0.0] = 1.0
     G = (G - lo) / span
-    weights = np.random.default_rng(seed).random((n_projections, len(directions)))
-    scores = G @ weights.mean(axis=0)
+    w = np.random.default_rng(seed).random((n_projections, len(directions))).mean(axis=0)
+    # summed column by column, so the order of the additions is fixed; a
+    # BLAS product's order depends on the CPU kernel it picks
+    scores = G[:, 0] * w[0]
+    for j in range(1, G.shape[1]):
+        scores += G[:, j] * w[j]
     return int(np.argmax(scores))
 
 
 def _run(
-    candidates: Mapping[int, Sequence[float]],
+    candidates: Pool,
     oracle,
     params: FlashParams,
     directions: Sequence[str],
@@ -141,7 +146,7 @@ def _run(
 
 
 def flash_single(
-    candidates: Mapping[int, Sequence[float]],
+    candidates: Pool,
     oracle,
     params: FlashParams = FlashParams(),
     direction: str = MINIMIZE,
@@ -153,7 +158,7 @@ def flash_single(
 
 
 def flash_multi(
-    candidates: Mapping[int, Sequence[float]],
+    candidates: Pool,
     oracle,
     params: FlashParams = FlashParams(),
     directions: Sequence[str] = (MINIMIZE, MINIMIZE),

@@ -107,7 +107,8 @@ class GaussianProcess:
 def _factor(K: np.ndarray, noise: float) -> np.ndarray:
     """Cholesky factor of K + noise*I with escalating jitter, in the lower
     triangle as `cho_factor(..., lower=True)` returns it.  Raises GpError
-    if hopeless."""
+    if hopeless.  No public fit is known to need jitter at NOISE_VARIANCE:
+    the escalation is a guard, tested through `noise=0.0`."""
     if not np.isfinite(K).all():
         raise ValueError("kernel matrix must be finite")
     n = K.shape[0]

@@ -14,14 +14,6 @@ import numpy as np
 from .space import Dataset, direction_signs
 
 
-def _as_min(values, directions) -> np.ndarray:
-    """Map objective values so smaller is better in every column."""
-    V = np.asarray(values, dtype=float)
-    if V.shape[-1] != len(directions):
-        raise ValueError("objective vector length does not match directions")
-    return V * direction_signs(directions)
-
-
 def mmre(predicted: Sequence[float], actual: Sequence[float]) -> float:
     """Mean magnitude of relative error, in percent.
 
@@ -74,7 +66,7 @@ def rank_difference(best: int, dataset: Dataset, objective: int = 0, rows=None) 
     if not (0 <= best < dataset.n_rows):
         raise ValueError(f"unknown row id {best}")
     direction = dataset.objectives[objective].direction
-    v = _as_min(dataset.values[:, objective][:, None], (direction,))[:, 0]
+    v = dataset.values[:, objective] * direction_signs((direction,))[0]
     pool = v
     if rows is not None:
         rows = np.asarray(rows)
@@ -139,7 +131,9 @@ def pareto_front(points, directions: Sequence[str]) -> tuple[int, ...]:
     P = np.asarray(points, dtype=float)
     if P.ndim != 2 or P.shape[0] == 0:
         raise ValueError("points must be a non-empty 2-D array")
-    V = -_as_min(P, directions)
+    if P.shape[1] != len(directions):
+        raise ValueError("objective vector length does not match directions")
+    V = P * -direction_signs(directions)
     keep = ~_dominated(V, V, np.arange(V.shape[0]))
     return tuple(int(i) for i in np.nonzero(keep)[0])
 
@@ -147,7 +141,7 @@ def pareto_front(points, directions: Sequence[str]) -> tuple[int, ...]:
 def best_rows(dataset: Dataset, objective: int = 0) -> tuple[int, ...]:
     """Row ids attaining the optimal value of one objective (ties included)."""
     direction = dataset.objectives[objective].direction
-    v = _as_min(dataset.values[:, objective][:, None], (direction,))[:, 0]
+    v = dataset.values[:, objective] * direction_signs((direction,))[0]
     return tuple(int(i) for i in np.nonzero(v == v.min())[0])
 
 

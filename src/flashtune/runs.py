@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -68,16 +68,14 @@ class OptimizationRun:
 class Trace:
     """Measurement bookkeeping for one run over a candidate pool.
 
-    `ids` and `X` are the arrays of `Pool.of(candidates)`: ascending ids and
-    the read-only matrix of their configurations; positions index both.  A
-    `Pool` is used as it is, with no copy; any other mapping is sorted and
-    stacked once.  The wall clock starts at construction.
+    `ids` and `X` are the pool's own arrays, not copies: ascending ids and
+    the read-only matrix of their configurations; a position indexes both.
+    The wall clock starts at construction.
     """
 
-    def __init__(self, candidates: Mapping[int, Sequence[float]], oracle):
+    def __init__(self, candidates: Pool, oracle):
         self.start = time.perf_counter()
-        pool = Pool.of(candidates)
-        self.ids, self.X = pool.ids, pool.X
+        self.ids, self.X = candidates.ids, candidates.X
         self.oracle = oracle
         self.measured = np.zeros(self.ids.size, dtype=bool)
         self.evaluated: list[tuple[int, tuple[float, ...]]] = []
@@ -135,11 +133,20 @@ class Trace:
 def write_trace_csv(
     run: OptimizationRun,
     path: str | Path,
-    candidates: Mapping[int, Sequence[float]],
+    candidates: Pool,
     option_names: Sequence[str],
     objective_names: Sequence[str],
 ) -> None:
-    """Export a run trace as CSV: step, id, configuration values, objectives."""
+    """Export a run trace as CSV: step, id, configuration values, objectives.
+
+    Every evaluated id must be in `candidates`; KeyError names one that is not.
+    """
+    ids, evaluated_ids = candidates.ids, run.evaluated_ids
+    pos = np.searchsorted(ids, evaluated_ids).tolist()
+    for cid, k in zip(evaluated_ids, pos):
+        if k == ids.size or ids[k] != cid:
+            raise KeyError(cid)
     _write_csv(path, ["step", "id", *option_names, *objective_names], (
-        [step, cid, *(repr(float(v)) for v in candidates[cid]), *(repr(float(v)) for v in values)]
-        for step, (cid, values) in enumerate(run.evaluated, start=1)))
+        [step, cid, *(repr(float(v)) for v in candidates.X[k].tolist()),
+         *(repr(float(v)) for v in values)]
+        for step, ((cid, values), k) in enumerate(zip(run.evaluated, pos), start=1)))

@@ -19,11 +19,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-import operator
 import shlex
 import struct
 import subprocess
-from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -108,56 +106,23 @@ class ObjectiveSchema:
             )
 
 
-class Pool(Mapping):
-    """Read-only candidate pool, the format the optimizers take: a mapping
-    from row id to the tuple of that configuration's option values.
+class Pool:
+    """Read-only candidate pool, the one format the optimizers take.
 
-    It is held as arrays: `ids`, strictly ascending integers, and `X`, whose
-    row k holds the option values of `ids[k]`; both are read-only.  Building
-    one from arrays copies nothing and does not check the order of `ids`.
-    Optimizers read the arrays directly; the mapping view costs a binary
-    search and a tuple per lookup.  A key that is not an integer is absent.
+    `ids` holds row ids in strictly ascending order and `X` the option
+    values, row k those of `ids[k]`; both are read-only views, so the
+    caller's arrays keep their own flags.  Building one copies nothing and
+    does not check the order of `ids`.  `dataset.candidates(ids)` gives a
+    pool of table rows; `Pool(ids, X)` one of any configurations.
     """
 
     def __init__(self, ids: np.ndarray, X: np.ndarray):
         if ids.ndim != 1 or X.shape[0] != ids.size:
             raise ValueError("a pool needs one row of X per id")
-        # read-only views, so the caller's arrays keep their own flags
         self.ids = ids.view()
         self.X = X.view()
         self.ids.setflags(write=False)
         self.X.setflags(write=False)
-
-    @classmethod
-    def of(cls, candidates: Mapping[int, Sequence[float]]) -> Pool:
-        """`candidates` itself if it is a Pool, else a Pool of its items:
-        the keys sorted and their values stacked, O(n log n) in Python."""
-        if isinstance(candidates, Pool):
-            return candidates
-        ids = np.array(sorted(candidates), dtype=int)
-        X = np.array([candidates[int(i)] for i in ids], dtype=float)
-        return cls(ids, X)
-
-    @classmethod
-    def union(cls, *pools: Pool) -> Pool:
-        """Every id of the pools; where pools share an id, the last one's row."""
-        ids = np.concatenate([p.ids for p in pools])[::-1]
-        X = np.concatenate([p.X for p in pools])[::-1]
-        ids, last = np.unique(ids, return_index=True)
-        return cls(ids, X[last])
-
-    def __getitem__(self, key) -> tuple[float, ...]:
-        try:
-            k = operator.index(key)
-        except TypeError:
-            raise KeyError(key) from None
-        pos = int(np.searchsorted(self.ids, k))
-        if pos == self.ids.size or int(self.ids[pos]) != k:
-            raise KeyError(key)
-        return tuple(self.X[pos])
-
-    def __iter__(self):
-        return iter(self.ids.tolist())
 
     def __len__(self) -> int:
         return self.ids.size
@@ -276,7 +241,7 @@ class Dataset:
         raise KeyError(key)
 
     def candidates(self, indices: Iterable[int] | None = None) -> Pool:
-        """Pool of row id -> option values, the format the optimizers take.
+        """The rows `indices` as a `Pool`, the format the optimizers take.
 
         Without `indices` it is the whole table: the ids are a range and `X`
         is `configs` itself, not a copy.  With `indices` the ids are their

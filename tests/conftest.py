@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from flashtune import cart, gp, metrics
+from flashtune import cart, gp
 from flashtune.space import (
     BOOLEAN,
     INTEGER,
@@ -67,11 +67,12 @@ def predict(tree, config):
 def dominates(a, b, directions):
     """True iff `a` is no worse than `b` everywhere and strictly better
     somewhere: one pair of `metrics.pareto_front`'s sweep."""
-    av = metrics._as_min(a, directions)
-    bv = metrics._as_min(b, directions)
-    if av.shape != bv.shape:
-        raise ValueError("objective vectors must have the same shape")
-    return bool(np.all(av <= bv) and np.any(av < bv))
+    if not len(a) == len(b) == len(directions):
+        raise ValueError("objective vectors must match the directions in length")
+    signs = [{"minimize": 1.0, "maximize": -1.0}[d] for d in directions]
+    av = [float(v) * s for v, s in zip(a, signs)]
+    bv = [float(v) * s for v, s in zip(b, signs)]
+    return all(x <= y for x, y in zip(av, bv)) and any(x < y for x, y in zip(av, bv))
 
 
 # --- the GP before multi-column fits and gathered distances --------------------

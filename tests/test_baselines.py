@@ -21,7 +21,7 @@ from flashtune.baselines import (
 from flashtune.flash import FlashParams, flash_single
 from flashtune.gp import LENGTH_SCALES
 from flashtune.runs import Trace
-from flashtune.space import Pool, TableOracle, direction_signs, split
+from flashtune.space import TableOracle, direction_signs, split
 from flashtune.synth import generate_synthetic
 
 from conftest import make_dataset, predict, reference_gp_fit, reference_gp_predict_batch
@@ -32,6 +32,13 @@ MIN2 = ("minimize", "minimize")
 def pools_for(ds, seed=0):
     train, hold, val = split(ds, seed)
     return ds.candidates(train), ds.candidates(hold), ds.candidates(val)
+
+
+def rows_of(pool, ids):
+    """The option rows of `ids`, each looked up in the pool's own arrays."""
+    pos = np.searchsorted(pool.ids, ids)
+    assert np.array_equal(pool.ids[pos], ids)
+    return pool.X[pos]
 
 
 def constant_dataset(n=40, value=7.0, direction="minimize"):
@@ -86,18 +93,16 @@ def test_lives_accounting_replay():
     tree, run = progressive_sampling(train, hold, val, TableOracle(ds),
                                      lives, seed=9)
     assert run.stop_reason == "lives"
-    hold_ids = sorted(hold)
-    hold_X = np.array([hold[i] for i in hold_ids])
-    hold_y = np.array([ds.values[i, 0] for i in hold_ids])
-    train_trace = run.evaluated[len(hold_ids):-1]
+    hold_y = ds.values[hold.ids, 0]
+    train_trace = run.evaluated[len(hold):-1]
     lost = 0
     last = -np.inf
-    X, y = [], []
+    ids, y = [], []
     for cid, values in train_trace:
-        X.append(train[cid])
+        ids.append(cid)
         y.append(values[0])
-        model = cart.fit(np.array(X), np.array(y), cart.CartParams())
-        score = -metrics.mmre(cart.predict_batch(model, hold_X), hold_y)
+        model = cart.fit(rows_of(train, ids), np.array(y), cart.CartParams())
+        score = -metrics.mmre(cart.predict_batch(model, hold.X), hold_y)
         if score <= last:
             lost += 1
         last = score
@@ -108,7 +113,7 @@ def test_final_answer_comes_from_validation_pool():
     ds = generate_synthetic("single-peak", 7, seed=1)
     train, hold, val = pools_for(ds, seed=4)
     _, run = progressive_sampling(train, hold, val, TableOracle(ds), seed=4)
-    assert run.best in val
+    assert run.best in val.ids
     assert run.evaluated[-1][0] == run.best
 
 
@@ -128,7 +133,7 @@ def test_lives_loop_validation():
     with pytest.raises(ValueError, match="disjoint"):
         progressive_sampling(train, train, val, TableOracle(ds))
     with pytest.raises(ValueError, match="non-empty"):
-        progressive_sampling({}, hold, val, TableOracle(ds))
+        progressive_sampling(ds.candidates([]), hold, val, TableOracle(ds))
     with pytest.raises(ValueError):
         LivesParams(lives=0)
 
@@ -137,7 +142,8 @@ def oracle_answer(tree, validation, direction):
     """The validation id with the lowest `predict(tree, x) * sign`, the
     lowest id (the lowest trace position) winning a tie."""
     sign = direction_signs((direction,))[0]
-    return min(sorted(validation), key=lambda i: predict(tree, validation[i]) * sign)
+    rows = zip(validation.ids.tolist(), validation.X.tolist())
+    return min(rows, key=lambda row: predict(tree, row[1]) * sign)[0]
 
 
 @st.composite
@@ -170,18 +176,17 @@ def test_lives_answer_on_a_flat_table_is_the_smallest_validation_id(direction):
     train, hold, val = pools_for(ds)
     for method in (progressive_sampling, rank_based):
         tree, run = method(train, hold, val, TableOracle(ds), direction=direction, seed=1)
-        assert run.best == min(val) == oracle_answer(tree, val, direction)
+        assert run.best == val.ids.min() == oracle_answer(tree, val, direction)
 
 
-@pytest.mark.parametrize("as_pool", [Pool.of, dict], ids=["pool", "dict"])
-@pytest.mark.parametrize("shares", ["train", "holdout"])
-def test_lives_loop_rejects_a_validation_pool_sharing_ids(shares, as_pool):
+@pytest.mark.parametrize("shares", ["train-pool", "holdout-pool"])
+def test_lives_loop_rejects_a_validation_pool_sharing_ids(shares):
     """The answer is measured after the train pool and the holdout, so a
     validation id in either could be measured twice."""
     ds = generate_synthetic("single-peak", 6, seed=1)
     train, hold, val = split(ds, 3)
-    shared = np.concatenate([val, (train if shares == "train" else hold)[::3]])
-    pools = [as_pool(ds.candidates(part)) for part in (train, hold, shared)]
+    shared = np.concatenate([val, (train if shares == "train-pool" else hold)[::3]])
+    pools = [ds.candidates(part) for part in (train, hold, shared)]
     for fn in (progressive_sampling, rank_based):
         oracle = TableOracle(ds)
         with pytest.raises(ValueError, match="^validation must be disjoint from the train pool"):
@@ -195,8 +200,7 @@ def test_progressive_needs_more_measurements_than_flash():
     for seed in range(5):
         train, hold, val = pools_for(ds, seed=seed)
         _, prun = progressive_sampling(train, hold, val, TableOracle(ds), seed=seed)
-        merged = dict(train)
-        merged.update(val)
+        merged = ds.candidates(np.concatenate([train.ids, val.ids]))
         frun = flash_single(merged, TableOracle(ds),
                             FlashParams(size=30, budget=20, seed=seed))
         if prun.measurements_used > frun.measurements_used:
@@ -549,6 +553,6 @@ def test_lives_loop_with_replacement_trains_on_rows_in_measurement_order():
     train_trace = run.evaluated[len(hold):-1]
     ids = [cid for cid, _ in train_trace]
     assert len(ids) == len(train) > len(set(ids))  # some position drawn twice
-    X = np.array([train[cid] for cid in ids])
+    X = rows_of(train, ids)
     y = np.array([values[0] for _, values in train_trace])
     assert tree == cart.fit(X, y, cart.CartParams())

@@ -124,6 +124,13 @@ def test_summary_of_one_pair_and_of_unmatched_runs():
         bench_pairs.summarize([], [], METRICS)
 
 
+def test_digest_line_names_the_seeds_whose_outputs_differ():
+    assert bench_pairs.digest_line([5, 6, 7], ["a", "b", "c"], ["a", "b", "c"]) == \
+        "digests: equal in 3/3 pairs"
+    assert bench_pairs.digest_line([5, 6, 7], ["a", "b", "c"], ["a", "x", "y"]) == \
+        "digests: equal in 1/3 pairs; differ at seeds 6, 7"
+
+
 def test_pairs_alternate_which_side_goes_first(monkeypatch, capsys):
     calls = []
     end_to_end = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())["end_to_end"]
@@ -131,7 +138,9 @@ def test_pairs_alternate_which_side_goes_first(monkeypatch, capsys):
     def fake_bench(checkout, workload, seed, seconds):
         calls.append((checkout.name, workload, seed, seconds))
         value = 1.0 if checkout.name == "base" else 2.0
-        return {m["name"]: {"value": value} for m in end_to_end}
+        # the outputs of seed 41 moved
+        digest = f"{seed}-{checkout.name}" if seed == 41 else str(seed)
+        return {m["name"]: {"value": value} for m in end_to_end}, digest
 
     monkeypatch.setattr(bench_pairs, "bench", fake_bench)
     monkeypatch.setattr(bench_pairs, "extract_base", lambda rev, dest: dest.mkdir())
@@ -143,7 +152,8 @@ def test_pairs_alternate_which_side_goes_first(monkeypatch, capsys):
                      ("base", "rig-single", 42, 0), ("change", "rig-single", 42, 0)]
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("rig-single: base HEAD vs working tree, 3 alternating pairs")
-    verdicts = {line.split()[0]: line.split()[-6:] for line in out[2:]}
+    assert out[-1] == "digests: equal in 2/3 pairs; differ at seeds 41"
+    verdicts = {line.split()[0]: line.split()[-6:] for line in out[2:-1]}
     assert verdicts == {"setup_s": ["2.000", "0/3", "no", "yes", "no", "no"],
                         "op_s.tail": ["2.000", "0/3", "no", "yes", "no", "no"],
                         "runs_per_s": ["2.000", "3/3", "yes", "no", "yes", "no"],

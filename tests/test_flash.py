@@ -18,19 +18,24 @@ from conftest import dominates, make_dataset
 MIN2 = ("minimize", "minimize")
 
 
-def bazza_oracle(predicted, weights, directions):
-    """Straight-line recomputation: map, normalize, then the raw double sum."""
-    predicted = [list(map(float, row)) for row in predicted]
-    m = len(directions)
-    mapped = []
-    for row in predicted:
-        mapped.append([(-v if d == "minimize" else v) for v, d in zip(row, directions)])
-    for j in range(m):
+def normalized(predicted, directions):
+    """Rows mapped so larger is better, then min-max normalized per column,
+    in Python floats."""
+    mapped = [[(-float(v) if d == "minimize" else float(v)) for v, d in zip(row, directions)]
+              for row in predicted]
+    for j in range(len(directions)):
         col = [row[j] for row in mapped]
         lo, hi = min(col), max(col)
         span = hi - lo if hi > lo else 1.0
         for row in mapped:
             row[j] = (row[j] - lo) / span
+    return mapped
+
+
+def bazza_oracle(predicted, weights, directions):
+    """Straight-line recomputation: map, normalize, then the raw double sum."""
+    m = len(directions)
+    mapped = normalized(predicted, directions)
     n = len(weights)
     means = []
     for row in mapped:
@@ -71,6 +76,45 @@ def test_bazza_matches_straight_line_recomputation():
         weights = drawn_weights(seed, 3, 2)
         expected, _ = bazza_oracle(preds.tolist(), weights.tolist(), MIN2)
         assert bazza_select(preds, 3, MIN2, seed) == expected
+
+
+def fixed_order_bazza(predicted, w, directions):
+    """`bazza_select`'s arithmetic in Python floats: the normalized rows'
+    weighted columns added in column order; the first largest score wins."""
+    scores = []
+    for row in normalized(predicted, directions):
+        score = row[0] * w[0]
+        for j in range(1, len(directions)):
+            score += row[j] * w[j]
+        scores.append(score)
+    return scores.index(max(scores))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_bazza_sums_columns_in_a_fixed_order(m):
+    """The pick equals, with `==`, the argmax of the column-order sum in
+    Python floats, so no BLAS kernel chooses the order of the additions.
+    The zero row and the unit rows set each column's range to [0, 1]; pairs
+    of rows whose scores agree to about an ulp, some of them repeated, make
+    the rounding of each score decide the pick.  The weight means are
+    numpy's own axis-0 reduction, which is outside BLAS."""
+    rng = np.random.default_rng(40 + m)
+    for seed in range(150):
+        directions = tuple(rng.choice(["minimize", "maximize"], size=m))
+        n_proj = int(rng.integers(1, 12))
+        w = drawn_weights(seed, n_proj, m).mean(axis=0)
+        rows = [np.zeros(m), *np.eye(m)]
+        for _ in range(int(rng.integers(1, 20))):
+            x = rng.uniform(0.6, 0.95, size=m)
+            y = x.copy()
+            d = rng.uniform(1e-6, 1e-2) * min(1.0, w[1] / w[0])
+            y[0] -= d
+            y[1] += d * w[0] / w[1]
+            rows += [x, y] * int(rng.integers(1, 3))
+        G = np.array(rows)[rng.permutation(len(rows))]
+        preds = G * -direction_signs(directions)
+        assert bazza_select(preds, n_proj, directions, seed) == \
+            fixed_order_bazza(preds.tolist(), w.tolist(), directions)
 
 
 def test_bazza_weight_scale_invariance():

@@ -82,9 +82,20 @@ def test_matches_naive_dense_solve():
         assert_matches_naive(X, y, q)
 
 
-def test_duplicate_inputs_survive_via_jitter():
-    X = [[0.5, 0.5], [0.5, 0.5], [0.1, 0.9]]
-    gps = gp_fit(X, [[1.0], [1.0], [2.0]])
+def test_duplicate_inputs_fit_at_the_fixed_noise(monkeypatch):
+    """Repeated inputs make the kernel singular, but the kernel plus
+    NOISE_VARIANCE * I factors at the first `dpotrf` at every grid scale, so
+    the fit never reaches `_factor`'s jitter."""
+    X = np.array([[0.5, 0.5], [0.5, 0.5], [0.1, 0.9]])
+    d2 = gp_module._sq_dists(X, X)
+    for length_scale in LENGTH_SCALES:
+        K = gp_module._kernel(d2, length_scale) + NOISE_VARIANCE * np.eye(3)
+        _, info = gp_module.lapack().dpotrf(K, lower=1, clean=0)
+        assert info == 0
+    calls = []
+    with counting(monkeypatch, "dpotrf", calls):
+        gps = gp_fit(X, [[1.0], [1.0], [2.0]])
+    assert len(calls) == len(LENGTH_SCALES)
     mu, _ = gp_predict(gps, [0.5, 0.5])
     assert mu == pytest.approx(1.0, abs=1e-3)
 

@@ -12,6 +12,14 @@ read a measured value, through `harness.run_method`.
 ePAL is excluded until its GP fits in power-of-two units too (ROADMAP item
 12b): its GP keeps the signal and noise variances in the objective's own
 units, so its measurement count changes with the unit.
+
+y -> -y with every direction flipped.  Negation is exact.  What a method
+reads as a value times its direction's sign (flash's and the lives loop's
+picks, ePAL's targets, every answer) is the same number; CART fits on the
+raw values, and negating them keeps each split's squared error and negates
+each leaf; `mu_rd` compares ranks that both reverse.  It covers `flash_single`, `flash_multi`, `epal`, `rank_based`
+and `random_search`.  `progressive_sampling` is excluded: its holdout score
+is `metrics.mmre`, which refuses the non-positive values negation makes.
 """
 
 import itertools
@@ -22,7 +30,9 @@ from hypothesis import strategies as st
 
 from flashtune.flash import FlashParams
 from flashtune.harness import ExperimentSpec, MethodSpec, repeat_pools, run_method
-from flashtune.space import BOOLEAN, DIRECTIONS, Dataset, ObjectiveSchema, OptionSchema
+from flashtune.space import (
+    BOOLEAN, DIRECTIONS, MAXIMIZE, MINIMIZE, Dataset, ObjectiveSchema, OptionSchema,
+)
 from flashtune.synth import KINDS, generate_synthetic
 
 SPEC = ExperimentSpec(methods=(MethodSpec("flash"),), synthetic=(KINDS[0], 5),
@@ -63,10 +73,26 @@ def test_power_of_two_scale_of_the_objectives_keeps_every_measurement(data):
     scaled = Dataset(ds.options, ds.objectives, ds.configs, np.ldexp(ds.values, ks))
     assert np.array_equal(np.ldexp(scaled.values, [-k for k in ks]), ds.values)  # exact
 
-    seed = data.draw(st.integers(0, 2 ** 16))
+    assert_same_measurements(ds, scaled, SINGLE_METHODS if m == 1 else MULTI_METHODS,
+                             data.draw(st.integers(0, 2 ** 16)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_negating_the_objectives_and_flipping_their_directions_keeps_every_measurement(data):
+    ds = data.draw(tables())
+    flipped = [ObjectiveSchema(o.name, MAXIMIZE if o.direction == MINIMIZE else MINIMIZE)
+               for o in ds.objectives]
+    negated = Dataset(ds.options, flipped, ds.configs, -ds.values)
+    kinds = ("flash", "random", "rank") if len(flipped) == 1 else ("flash", "random", "epal")
+    assert_same_measurements(ds, negated, kinds, data.draw(st.integers(0, 2 ** 16)))
+
+
+def assert_same_measurements(ds: Dataset, changed: Dataset, kinds, seed: int) -> None:
+    """Each method measures the same ids in the same order on both tables."""
     pools = repeat_pools(ds, SPEC, seed)
-    objectives = tuple(range(m))
-    for kind in SINGLE_METHODS if m == 1 else MULTI_METHODS:
+    objectives = tuple(range(len(ds.objectives)))
+    for kind in kinds:
         method = MethodSpec(kind)
         expected = run_method(method, ds, objectives, pools, seed, SPEC).evaluated_ids
-        assert run_method(method, scaled, objectives, pools, seed, SPEC).evaluated_ids == expected
+        assert run_method(method, changed, objectives, pools, seed, SPEC).evaluated_ids == expected

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from flashtune.baselines import (
@@ -5,11 +6,10 @@ from flashtune.baselines import (
     epal,
     progressive_sampling,
     random_search,
-    rank_based,
 )
 from flashtune.flash import FlashParams, flash_multi, flash_single
 from flashtune.runs import OptimizationRun, Trace, write_trace_csv
-from flashtune.space import TableOracle, split
+from flashtune.space import Pool, TableOracle, split
 from flashtune.synth import generate_synthetic
 
 from conftest import make_dataset
@@ -44,12 +44,17 @@ def test_trace_validation():
 def test_write_trace_csv(tmp_path):
     run = make_run()
     path = tmp_path / "trace.csv"
-    candidates = {3: (0.0, 1.0), 5: (1.0, 0.0)}
+    candidates = Pool(np.array([1, 3, 5]), np.array([[9.0, 9.0], [0.0, 1.0], [1.0, 0.0]]))
     write_trace_csv(run, path, candidates, ["a", "b"], ["f1", "f2"])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "step,id,a,b,f1,f2"
     assert lines[1] == "1,3,0.0,1.0,1.0,2.0"
     assert lines[2] == "2,5,1.0,0.0,2.0,1.0"
+    # an evaluated id the pool lacks, past its last id and before its first
+    for ids, missing in (([3, 4], 5), ([4, 5], 3)):
+        with pytest.raises(KeyError, match=str(missing)):
+            write_trace_csv(run, tmp_path / "missing.csv", Pool(np.array(ids), np.zeros((2, 2))),
+                            ["a", "b"], ["f1", "f2"])
 
 
 # --- the shared measurement core ------------------------------------------------
@@ -99,36 +104,3 @@ def test_trace_finish_picks_best_or_front():
         trace.finish("budget", ("minimize",), objective=2)
     with pytest.raises(ValueError, match="3 directions"):
         trace.finish("budget", ("minimize",) * 3)
-
-
-# --- a Pool and a dict of the same items give the same run ---------------------
-
-def _run_fields(result):
-    run = result[1] if isinstance(result, tuple) else result
-    return run.evaluated, run.best, run.front, run.stop_reason
-
-
-def _lives(fn):
-    def call(ds, as_pool):
-        train, hold, val = split(ds, 3)
-        pools = [ds.candidates(part) for part in (train, hold, val)]
-        return fn(*[as_pool(p) for p in pools], TableOracle(ds), seed=4)
-    return call
-
-
-@pytest.mark.parametrize("optimizer", [
-    lambda ds, p: flash_single(p(ds.candidates()), TableOracle(ds),
-                               FlashParams(size=10, budget=15, seed=2), "maximize", objective=1),
-    lambda ds, p: flash_multi(p(ds.candidates(range(0, ds.n_rows, 2))), TableOracle(ds),
-                              FlashParams(size=10, budget=15, seed=2), ("minimize", "maximize")),
-    lambda ds, p: epal(p(ds.candidates()), TableOracle(ds), EpalParams(epsilon=0.3), seed=2),
-    lambda ds, p: random_search(p(ds.candidates()), TableOracle(ds), 12, ("minimize",), seed=2),
-    _lives(progressive_sampling),
-    _lives(rank_based),
-], ids=["flash_single", "flash_multi", "epal", "random_search", "progressive_sampling",
-        "rank_based"])
-def test_pool_and_dict_give_the_same_run(optimizer):
-    ds = generate_synthetic("bi-objective-tradeoff", 6, seed=1)
-    from_pool = _run_fields(optimizer(ds, lambda pool: pool))
-    from_dict = _run_fields(optimizer(ds, dict))
-    assert from_pool == from_dict

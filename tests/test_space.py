@@ -268,50 +268,33 @@ def test_dataset_and_loader_report_a_domain_error_alike(tmp_path, bad):
 # --- the candidate pool ------------------------------------------------------
 
 def dict_candidates(ds, indices=None):
-    """The pool as a plain dict, as `Dataset.candidates` built it before
-    pools were held as arrays."""
+    """The pool as a plain dict of id -> option tuple, built row by row."""
     if indices is None:
         indices = range(ds.n_rows)
     return {int(i): tuple(ds.configs[int(i)]) for i in indices}
 
 
-def check_pool(pool, expected, absent):
-    assert isinstance(pool, Pool)
-    assert pool == expected and expected == pool
-    assert dict(pool) == expected
-    assert list(pool) == sorted(set(expected))
-    assert len(pool) == len(expected)
-    for k, v in expected.items():
-        assert k in pool and np.int64(k) in pool
-        assert pool[k] == v
-    for k in absent:
-        assert k not in pool
-        with pytest.raises(KeyError):
-            pool[k]
-    for key in ("a", 0.0, 1.5, None, (0,)):
-        assert key not in pool
-        with pytest.raises(KeyError):
-            pool[key]
-    assert not pool.X.flags.writeable and not pool.ids.flags.writeable
-    with pytest.raises(ValueError):
-        pool.X[...] = 0.0
-
-
 @settings(max_examples=100)
 @given(st.data())
 def test_pool_matches_dict_candidates(data):
+    """A pool holds the items of the dict built row by row: its ids ascending
+    and distinct, `X` the table rows of those ids, both arrays read-only."""
     n = data.draw(st.integers(2, 30))
     ds = make_dataset([(i, i % 3) for i in range(n)], np.arange(n, dtype=float))
     if data.draw(st.booleans()):
         indices = None
-        absent = [-1, n, n + 7]
     else:
         indices = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
-        absent = sorted(set(range(-2, n + 2)) - set(indices))
-    pool = ds.candidates(indices)
-    check_pool(pool, dict_candidates(ds, indices), absent)
-    assert Pool.of(pool) is pool
-    check_pool(Pool.of(dict_candidates(ds, indices)), dict_candidates(ds, indices), absent)
+    pool, expected = ds.candidates(indices), dict_candidates(ds, indices)
+    assert isinstance(pool, Pool)
+    assert len(pool) == len(expected)
+    assert pool.ids.tolist() == sorted(expected)
+    assert np.all(np.diff(pool.ids) > 0)
+    assert np.array_equal(pool.X, ds.configs[pool.ids])
+    assert [tuple(row) for row in pool.X.tolist()] == [expected[i] for i in sorted(expected)]
+    assert not pool.X.flags.writeable and not pool.ids.flags.writeable
+    with pytest.raises(ValueError):
+        pool.X[...] = 0.0
 
 
 def test_full_pool_shares_the_table():
@@ -319,13 +302,6 @@ def test_full_pool_shares_the_table():
     pool = ds.candidates()
     assert np.shares_memory(pool.X, ds.configs)
     assert pool.ids.tolist() == [0, 1, 2]
-
-
-def test_pool_union_later_pool_wins():
-    a = Pool(np.array([1, 4]), np.array([[1.0], [4.0]]))
-    b = Pool(np.array([2, 4]), np.array([[2.0], [40.0]]))
-    assert Pool.union(a, b) == {1: (1.0,), 2: (2.0,), 4: (40.0,)}
-    assert Pool.union(b, a) == {1: (1.0,), 2: (2.0,), 4: (4.0,)}
 
 
 def test_pool_leaves_callers_arrays_writable():
