@@ -36,7 +36,9 @@ from .harness import (
     write_report,
 )
 from .runs import write_trace_csv
-from .space import Dataset, DatasetError, _write_csv, direction_signs, load_dataset, save_dataset
+from .space import (
+    Dataset, DatasetError, _open_output, _write_csv, direction_signs, load_dataset, save_dataset,
+)
 from .stats import SkParams
 from .synth import KINDS, generate_synthetic
 
@@ -108,7 +110,8 @@ def _write_run(out, run, dataset: Dataset, summary: list[str]) -> Path:
                     dataset.option_names, dataset.objective_names)
     summary = [*summary, f"measurements used: {run.measurements_used}",
                f"stop reason: {run.stop_reason}"]
-    (out_dir / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
+    with _open_output(out_dir / "summary.txt") as fh:
+        fh.write("\n".join(summary) + "\n")
     return out_dir
 
 
@@ -139,7 +142,10 @@ def tune(manifest, data, objective, seed, out, dump_tree_flag, **search):
         Xe = np.array([dataset.config(i) for i, _ in run.evaluated])
         ye = np.array([v[obj] for _, v in run.evaluated])
         tree = cart_fit(Xe, ye, spec.cart)
-        (out_dir / "tree.txt").write_text(dump_tree(tree, dataset.option_names), encoding="utf-8")
+        with _open_output(out_dir / "tree.txt") as fh:
+            fh.write(dump_tree(tree, dataset.option_names))
+    else:  # a tree from an earlier run into `out` would not describe this one
+        (out_dir / "tree.txt").unlink(missing_ok=True)
     click.echo(f"best id {run.best}, rank difference {rd}, "
                f"{run.measurements_used} measurements -> {out_dir}")
 

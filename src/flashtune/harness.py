@@ -27,7 +27,7 @@ from .baselines import EpalParams, LivesParams, epal, progressive_sampling, rand
 from .cart import CartParams
 from .flash import FlashParams, flash_multi, flash_single
 from .runs import OptimizationRun
-from .space import Dataset, TableOracle, _write_csv, load_dataset, split
+from .space import Dataset, TableOracle, _open_output, _write_csv, load_dataset, split
 from .stats import SkParams, Treatment, quartile_report, scott_knott
 from .synth import generate_synthetic
 
@@ -434,6 +434,8 @@ def emit_plot_data(report: QualityReport, out_dir: str | Path, include_timing: b
 
     The wall-time file is only written when timing is requested, because its
     contents vary from run to run while everything else is seed-reproducible.
+    A figure file this report does not write is removed, so a rerun into the
+    same directory leaves none from an earlier run.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -460,6 +462,10 @@ def emit_plot_data(report: QualityReport, out_dir: str | Path, include_timing: b
             rows.append([_cell(scale * v / base if v is not None and base else None)
                          for v in values])
         written.append(_write_csv(out / name, report.methods, rows))
+    names = {p.name for p in written}
+    for name in ("rank_difference.csv", "quality_indicators.csv", "time_gain.csv"):
+        if name not in names:
+            (out / name).unlink(missing_ok=True)
     return written
 
 
@@ -469,7 +475,8 @@ def write_report(report: QualityReport, out_dir: str | Path, include_timing: boo
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     text = render_report(report, include_timing=include_timing)
-    (out / "report.txt").write_text(text, encoding="utf-8")
+    with _open_output(out / "report.txt") as fh:
+        fh.write(text)
     write_raw_results(report, out / "results.csv", include_timing=include_timing)
     emit_plot_data(report, out, include_timing=include_timing)
     return text

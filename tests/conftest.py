@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -39,6 +42,15 @@ def make_dataset(configs, values, directions=None, kinds=None):
             options.append(OptionSchema(f"o{j:02d}", INTEGER, lo, hi))
     objectives = [ObjectiveSchema(f"y{k}", directions[k]) for k in range(m)]
     return Dataset(options, objectives, configs, values)
+
+
+def load_rig_script():
+    """`scripts/run_synthetic_rig.py` as a module."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_synthetic_rig.py"
+    spec = importlib.util.spec_from_file_location("run_synthetic_rig", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

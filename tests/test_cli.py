@@ -60,6 +60,18 @@ def test_tune_deterministic(tmp_path):
     assert dir_bytes(out1) == dir_bytes(out2)
 
 
+def test_tune_without_dump_tree_removes_the_tree_of_an_earlier_run(tmp_path):
+    manifest, data, _ = synth_files(tmp_path)
+    out, fresh = tmp_path / "tuned", tmp_path / "fresh"
+    args = ["tune", "--manifest", manifest, "--data", data, "--size", 8, "--budget", 5]
+    assert run_cli(*args, "--out", out, "--dump-tree") == 0
+    assert (out / "tree.txt").exists()
+    assert run_cli(*args, "--out", out) == 0
+    assert run_cli(*args, "--out", fresh) == 0
+    assert dir_bytes(out) == dir_bytes(fresh)
+    assert sorted(dir_bytes(out)) == ["summary.txt", "trace.csv"]
+
+
 def test_tune_mo_outputs(tmp_path):
     manifest, data, _ = synth_files(tmp_path, kind="bi-objective-tradeoff")
     out = tmp_path / "mo"

@@ -1,4 +1,3 @@
-import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +18,12 @@ from flashtune.harness import (
     run_experiment,
     run_method,
     write_raw_results,
+    write_report,
 )
 from flashtune.metrics import rank_difference
 from flashtune.space import TableOracle, split
 from flashtune.synth import generate_synthetic
-from conftest import make_dataset
+from conftest import load_rig_script, make_dataset
 
 
 def spec_for(methods, repeats=2, seed=0, synthetic=("single-peak", 6), **kw):
@@ -589,14 +589,6 @@ failures (recorded as X):
 """
 
 
-def load_rig_script():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_synthetic_rig.py"
-    spec = importlib.util.spec_from_file_location("run_synthetic_rig", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("timing", [False, True])
 def test_rig_script_writes_each_report_as_the_three_report_calls_do(tmp_path, capsys, timing):
     rig = load_rig_script()
@@ -627,3 +619,18 @@ def test_rig_script_writes_each_report_as_the_three_report_calls_do(tmp_path, ca
         got = {p.name: p.read_bytes() for p in (tmp_path / "rig" / kind).iterdir()}
         assert got == {p.name: p.read_bytes() for p in expected.iterdir()}
         assert text in printed
+
+
+def test_a_rerun_into_the_same_directory_leaves_no_figure_file_it_does_not_write(tmp_path):
+    """`time_gain.csv` from a timed run, and the other mode's figure file,
+    are removed by a run that does not write them."""
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    write_report(hand_multi_report(), reused, include_timing=True)
+    write_report(hand_single_report(), reused, include_timing=True)
+    assert not (reused / "quality_indicators.csv").exists()
+    write_report(hand_single_report(), reused)
+    write_report(hand_single_report(), fresh)
+    assert sorted(p.name for p in reused.iterdir()) == [
+        "measurement_ratio.csv", "rank_difference.csv", "report.txt", "results.csv"]
+    assert {p.name: p.read_bytes() for p in reused.iterdir()} == {
+        p.name: p.read_bytes() for p in fresh.iterdir()}

@@ -20,6 +20,28 @@ raw values, and negating them keeps each split's squared error and negates
 each leaf; `mu_rd` compares ranks that both reverse.  It covers `flash_single`, `flash_multi`, `epal`, `rank_based`
 and `random_search`.  `progressive_sampling` is excluded: its holdout score
 is `metrics.mmre`, which refuses the non-positive values negation makes.
+
+x -> 2x for every option, with each option's bounds doubled in an integer
+schema.  Doubling is exact, CART's split thresholds are midpoints of
+neighbouring values, which double with them, and ePAL scales each option
+to [0, 1] by its pool's own minimum and span, which gives the same floats.
+It covers every method.
+
+A copy of option 0 appended as the last column.  CART's split search breaks
+ties by the lower option index, so a split on the copy never wins and every
+tree is the same.  It covers every method but ePAL, which is excluded: its
+GP kernel sums squared distances over the options, so the copy counts
+option 0 twice and changes the kernel (a probe saw the measurements change
+in 25 of 36 ePAL runs).
+
+Row ids relabelled i -> 3i + 7.  The table gets filler rows at the other
+ids, which no pool holds.  Every method picks by position in its pool and
+breaks ties by the lower position, and the relabelling keeps the order of
+the ids, so each method measures the relabelled ids in the same order.  It
+covers every method.
+
+`random_search` never reads the options, so the option relations hold for
+it trivially; it is run anyway, as every method is.
 """
 
 import itertools
@@ -31,7 +53,7 @@ from hypothesis import strategies as st
 from flashtune.flash import FlashParams
 from flashtune.harness import ExperimentSpec, MethodSpec, repeat_pools, run_method
 from flashtune.space import (
-    BOOLEAN, DIRECTIONS, MAXIMIZE, MINIMIZE, Dataset, ObjectiveSchema, OptionSchema,
+    BOOLEAN, DIRECTIONS, INTEGER, MAXIMIZE, MINIMIZE, Dataset, ObjectiveSchema, OptionSchema,
 )
 from flashtune.synth import KINDS, generate_synthetic
 
@@ -39,6 +61,7 @@ SPEC = ExperimentSpec(methods=(MethodSpec("flash"),), synthetic=(KINDS[0], 5),
                       flash=FlashParams(size=10, budget=10))
 SINGLE_METHODS = ("flash", "random", "progressive", "rank")
 MULTI_METHODS = ("flash", "random")
+EVERY_METHOD = {1: SINGLE_METHODS, 2: (*MULTI_METHODS, "epal")}
 SCALES = st.one_of(st.integers(-60, 60), st.sampled_from([-510, -500, 500, 510]))
 
 
@@ -86,6 +109,53 @@ def test_negating_the_objectives_and_flipping_their_directions_keeps_every_measu
     negated = Dataset(ds.options, flipped, ds.configs, -ds.values)
     kinds = ("flash", "random", "rank") if len(flipped) == 1 else ("flash", "random", "epal")
     assert_same_measurements(ds, negated, kinds, data.draw(st.integers(0, 2 ** 16)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables(), st.integers(0, 2 ** 16))
+def test_doubling_every_option_keeps_every_measurement(ds, seed):
+    options = [OptionSchema(o.name, INTEGER, 2 * o.lo, 2 * o.hi) for o in ds.options]
+    doubled = Dataset(options, ds.objectives, 2 * ds.configs, ds.values)
+    assert_same_measurements(ds, doubled, EVERY_METHOD[len(ds.objectives)], seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables(), st.integers(0, 2 ** 16))
+def test_a_copy_of_option_0_as_the_last_column_keeps_every_measurement(ds, seed):
+    first = ds.options[0]
+    copied = Dataset([*ds.options, OptionSchema("copy", first.kind, first.lo, first.hi)],
+                     ds.objectives, np.column_stack([ds.configs, ds.configs[:, 0]]), ds.values)
+    kinds = SINGLE_METHODS if len(ds.objectives) == 1 else MULTI_METHODS
+    assert_same_measurements(ds, copied, kinds, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables(), st.integers(0, 2 ** 16))
+def test_relabelling_the_ids_keeps_every_measurement(ds, seed):
+    """Row i moves to row 3i + 7; the rows between hold new configurations
+    (option 0 at 2, 3, ...) that no pool reaches."""
+    moved = relabel(np.arange(ds.n_rows))
+    n = moved[-1] + 1
+    filler = np.setdiff1d(np.arange(n), moved)
+    configs = np.zeros((n, len(ds.options)))
+    values = np.zeros((n, len(ds.objectives)))
+    configs[moved] = ds.configs
+    values[moved] = ds.values
+    configs[filler, 0] = 2 + np.arange(filler.size)
+    first = OptionSchema(ds.options[0].name, INTEGER, 0, 1 + filler.size)
+    relabelled = Dataset([first, *ds.options[1:]], ds.objectives, configs, values)
+
+    pools = repeat_pools(ds, SPEC, seed)
+    objectives = tuple(range(len(ds.objectives)))
+    for kind in EVERY_METHOD[len(objectives)]:
+        method = MethodSpec(kind)
+        expected = run_method(method, ds, objectives, pools, seed, SPEC).evaluated_ids
+        got = run_method(method, relabelled, objectives, tuple(map(relabel, pools)), seed, SPEC)
+        assert got.evaluated_ids == tuple(relabel(expected).tolist())
+
+
+def relabel(ids) -> np.ndarray:
+    return 3 * np.asarray(ids) + 7
 
 
 def assert_same_measurements(ds: Dataset, changed: Dataset, kinds, seed: int) -> None:
