@@ -27,12 +27,9 @@ from .harness import (
     run_experiment,
 )
 from .metrics import (
-    FrontComparison,
     best_rows,
     front_comparison,
     front_quality,
-    gd,
-    igd,
     mmre,
     mu_rd,
     pareto_front,

@@ -83,7 +83,8 @@ def _lives_loop(
         raise ValueError("validation must be disjoint from the train pool and the holdout")
     ids = np.concatenate([p.ids for p in parts])
     order = np.argsort(ids, kind="stable")
-    trace = Trace(Pool(ids[order], np.concatenate([p.X for p in parts])[order]), oracle)
+    trace = Trace(Pool(ids[order], np.concatenate([p.X for p in parts])[order]), oracle,
+                  (direction,), objective)
     train_pos, hold_pos, val_pos = (np.searchsorted(trace.ids, p.ids) for p in parts)
     rng = np.random.default_rng(seed)
 
@@ -127,8 +128,7 @@ def _lives_loop(
     pick = cart.argmin_row(tree, trace.X[val_pos], np.zeros(val_pos.size, bool), sign)
     best_pos = int(val_pos[pick])
     trace.take(best_pos)
-    run = trace.finish(stop, (direction,), objective, initial_sample=hold_pos.size,
-                       best=int(trace.ids[best_pos]))
+    run = trace.finish(stop, initial_sample=hold_pos.size, best=int(trace.ids[best_pos]))
     return tree, run
 
 
@@ -186,12 +186,12 @@ def random_search(
     With one direction the answer is the best measured value of column
     `objective`; with several it is the non-dominated measured front.
     """
-    trace = Trace(candidates, oracle)
+    trace = Trace(candidates, oracle, directions, objective)
     if n < 1 or n > trace.ids.size:
         raise ValueError(f"n must lie in [1, {trace.ids.size}]")
     for pos in np.random.default_rng(seed).choice(trace.ids.size, size=n, replace=False):
         trace.take(int(pos))
-    return trace.finish(STOP_BUDGET, directions, objective)
+    return trace.finish(STOP_BUDGET)
 
 
 def epsilon_discard(
@@ -236,7 +236,7 @@ def epal(
     if len(directions) < 2:
         raise ValueError("epal needs at least two objectives")
     lapack()  # load LAPACK now, so the run's clock and max_wall_time never count it
-    trace = Trace(candidates, oracle)
+    trace = Trace(candidates, oracle, directions)
     X = trace.X
     n = trace.ids.size
     if n < EPAL_INIT_SIZE:
@@ -268,7 +268,6 @@ def epal(
     discarded = np.zeros(n, dtype=bool)
     for pos in rng.choice(n, size=EPAL_INIT_SIZE, replace=False):
         take(int(pos))
-    trace.check_width(directions)
 
     stop = STOP_POOL_EXHAUSTED
     while True:
@@ -306,4 +305,4 @@ def epal(
         norms = np.linalg.norm(s_unknown[~discard_now], axis=1)
         take(int(survivors[int(np.argmax(norms))]))
 
-    return trace.finish(stop, directions, initial_sample=EPAL_INIT_SIZE)
+    return trace.finish(stop, initial_sample=EPAL_INIT_SIZE)

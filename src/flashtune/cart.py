@@ -118,8 +118,6 @@ def _best_split(
     """
     n = yn.size
     lo, hi = min_leaf - 1, n - min_leaf
-    if lo >= hi:
-        return None
     total_sum = yn.sum()
     total_sq = (yn * yn).sum()
     base_sse = total_sq - total_sum * total_sum / n

@@ -82,7 +82,7 @@ def _run(
     cart_params: cart.CartParams,
     objective: int = 0,
 ) -> OptimizationRun:
-    trace = Trace(candidates, oracle)
+    trace = Trace(candidates, oracle, directions, objective)
     n = trace.ids.size
     if n < params.size:
         raise ValueError(
@@ -99,7 +99,6 @@ def _run(
 
     for pos in rng.choice(n, size=params.size, replace=False):
         trace.take(int(pos))
-    trace.check_width(directions, objective)
     # measured positions in ascending order, as the mask would give them, so
     # the training rows and hence the trees do not depend on measurement order
     taken = np.flatnonzero(trace.measured)
@@ -108,9 +107,6 @@ def _run(
     stop = STOP_BUDGET
     while spent < params.budget:
         remaining = n - taken.size
-        if remaining == 0:
-            stop = STOP_POOL_EXHAUSTED
-            break
         if params.budget - spent >= remaining:
             # every remaining candidate gets measured regardless of the
             # acquisition order, so skip the pointless surrogate refits
@@ -142,7 +138,7 @@ def _run(
         taken = np.insert(taken, np.searchsorted(taken, pick), pick)
         spent += 1
 
-    return trace.finish(stop, directions, objective, initial_sample=params.size)
+    return trace.finish(stop, initial_sample=params.size)
 
 
 def flash_single(

@@ -6,7 +6,6 @@ canonical minimize form internally so every comparison reads the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -145,23 +144,20 @@ def best_rows(dataset: Dataset, objective: int = 0) -> tuple[int, ...]:
     return tuple(int(i) for i in np.nonzero(v == v.min())[0])
 
 
-@dataclass(frozen=True)
-class FrontComparison:
-    """A true front, an approximated front, and normalization ranges.
+def _mean_nearest(src: np.ndarray, dst: np.ndarray) -> float:
+    d2 = ((src[:, None, :] - dst[None, :, :]) ** 2).sum(axis=2)
+    return float(np.mean(np.sqrt(d2.min(axis=1))))
 
-    Ranges come from the true front; objectives whose range collapses are
-    dropped from the distance computation.
+
+def front_comparison(true_front, approx_front, directions: Sequence[str]) -> tuple[float, float]:
+    """(GD, IGD) of an approximated front against a true one.
+
+    Both fronts must be internally non-dominated.  Each objective is min-max
+    normalized over the true front, and objectives whose range collapses
+    there are dropped.  GD is the mean distance from each approximated point
+    to its nearest true point; IGD, from each true point to its nearest
+    approximated point.
     """
-
-    true_front: tuple[tuple[float, ...], ...]
-    approx_front: tuple[tuple[float, ...], ...]
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-    active: tuple[int, ...]
-
-
-def front_comparison(true_front, approx_front, directions: Sequence[str]) -> FrontComparison:
-    """Validate two fronts and derive normalization ranges from the true one."""
     T = np.asarray(true_front, dtype=float)
     A = np.asarray(approx_front, dtype=float)
     if T.ndim != 2 or T.shape[0] == 0 or A.ndim != 2 or A.shape[0] == 0:
@@ -173,38 +169,11 @@ def front_comparison(true_front, approx_front, directions: Sequence[str]) -> Fro
             raise ValueError(f"{name} front is not internally non-dominated")
     lo = T.min(axis=0)
     hi = T.max(axis=0)
-    active = tuple(int(j) for j in range(T.shape[1]) if hi[j] > lo[j])
-    if not active:
+    active = hi > lo
+    if not active.any():
         raise ValueError("every objective is degenerate on the true front")
-    return FrontComparison(
-        tuple(map(tuple, T)),
-        tuple(map(tuple, A)),
-        tuple(lo),
-        tuple(hi),
-        active,
-    )
-
-
-def _normalized(cmp: FrontComparison, front) -> np.ndarray:
-    F = np.asarray(front, dtype=float)[:, list(cmp.active)]
-    lo = np.asarray(cmp.lo)[list(cmp.active)]
-    hi = np.asarray(cmp.hi)[list(cmp.active)]
-    return (F - lo) / (hi - lo)
-
-
-def _mean_nearest(src: np.ndarray, dst: np.ndarray) -> float:
-    d2 = ((src[:, None, :] - dst[None, :, :]) ** 2).sum(axis=2)
-    return float(np.mean(np.sqrt(d2.min(axis=1))))
-
-
-def gd(cmp: FrontComparison) -> float:
-    """Mean distance from each approximated point to its nearest true point."""
-    return _mean_nearest(_normalized(cmp, cmp.approx_front), _normalized(cmp, cmp.true_front))
-
-
-def igd(cmp: FrontComparison) -> float:
-    """Mean distance from each true point to its nearest approximated point."""
-    return _mean_nearest(_normalized(cmp, cmp.true_front), _normalized(cmp, cmp.approx_front))
+    T, A = ((F[:, active] - lo[active]) / (hi[active] - lo[active]) for F in (T, A))
+    return _mean_nearest(A, T), _mean_nearest(T, A)
 
 
 def front_quality(
@@ -220,5 +189,4 @@ def front_quality(
     V = dataset.values[:, columns]
     if true_front is None:
         true_front = pareto_front(V, directions)
-    cmp = front_comparison(V[list(true_front)], V[list(front)], directions)
-    return gd(cmp), igd(cmp)
+    return front_comparison(V[list(true_front)], V[list(front)], directions)

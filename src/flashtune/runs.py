@@ -2,9 +2,10 @@
 
 Every optimizer measures through a `Trace`: `Trace.take` is the only place in
 the package that calls an oracle (the harness's column-selecting oracle only
-forwards to the one it wraps).  So measurement counting, float conversion and
-the vector-width check are the same for every method, and `Trace.finish`
-builds every method's best answer or Pareto front.
+forwards to the one it wraps).  A `Trace` holds the run's directions and
+objective, so measurement counting, float conversion and the check of each
+vector against them are the same for every method, and `Trace.finish` builds
+every method's best answer or Pareto front from them alone.
 """
 
 from __future__ import annotations
@@ -70,13 +71,18 @@ class Trace:
 
     `ids` and `X` are the pool's own arrays, not copies: ascending ids and
     the read-only matrix of their configurations; a position indexes both.
-    The wall clock starts at construction.
+    The run's shape is fixed here: one direction optimizes column
+    `objective` of the measured vectors, several must match their width.
+    The first measurement is checked against it.  The wall clock starts at
+    construction.
     """
 
-    def __init__(self, candidates: Pool, oracle):
+    def __init__(self, candidates: Pool, oracle, directions: Sequence[str],
+                 objective: int = 0):
         self.start = time.perf_counter()
         self.ids, self.X = candidates.ids, candidates.X
         self.oracle = oracle
+        self.directions, self.objective = tuple(directions), objective
         self.measured = np.zeros(self.ids.size, dtype=bool)
         self.evaluated: list[tuple[int, tuple[float, ...]]] = []
         self.Y: np.ndarray | None = None
@@ -84,9 +90,15 @@ class Trace:
     def take(self, pos: int) -> tuple[float, ...]:
         """Measure the configuration at `pos` and record it; returns the vector."""
         values = tuple(float(v) for v in self.oracle.measure(tuple(self.X[pos].tolist())))
+        width = len(values)
         if self.Y is None:
-            self.Y = np.zeros((self.ids.size, len(values)))
-        elif len(values) != self.Y.shape[1]:
+            k, j = len(self.directions), self.objective
+            if k > 1 and width != k:
+                raise ValueError(f"oracle returns {width} objectives, got {k} directions")
+            if k == 1 and not (0 <= j < width):
+                raise ValueError(f"objective index {j} outside oracle vector of width {width}")
+            self.Y = np.zeros((self.ids.size, width))
+        elif width != self.Y.shape[1]:
             raise ValueError("oracle returned vectors of inconsistent width")
         self.measured[pos] = True
         self.Y[pos] = values
@@ -97,35 +109,18 @@ class Trace:
         """Positions not measured yet."""
         return np.nonzero(~self.measured)[0]
 
-    def check_width(self, directions: Sequence[str], objective: int = 0) -> None:
-        """Require the measured vectors to fit the run: one direction selects
-        column `objective`, several must match the vector width."""
-        width = self.Y.shape[1]
-        if len(directions) > 1 and width != len(directions):
-            raise ValueError(f"oracle returns {width} objectives, got {len(directions)} directions")
-        if len(directions) == 1 and not (0 <= objective < width):
-            raise ValueError(f"objective index {objective} outside oracle vector of width {width}")
-
-    def finish(
-        self,
-        stop: str,
-        directions: Sequence[str],
-        objective: int = 0,
-        initial_sample: int = 0,
-        best: int | None = None,
-    ) -> OptimizationRun:
+    def finish(self, stop: str, initial_sample: int = 0, best: int | None = None) -> OptimizationRun:
         """The run so far.  Unless `best` is given, one direction picks the
         best measured value of column `objective` (first in measurement order
         among ties) and several give the non-dominated measured front."""
         wall = time.perf_counter() - self.start
-        self.check_width(directions, objective)
         evaluated = tuple(self.evaluated)
         front = None
-        if best is None and len(directions) == 1:
-            scores = np.array([v[objective] for _, v in evaluated]) * direction_signs(directions)
-            best = evaluated[int(np.argmin(scores))][0]
+        if best is None and len(self.directions) == 1:
+            scores = np.array([v[self.objective] for _, v in evaluated])
+            best = evaluated[int(np.argmin(scores * direction_signs(self.directions)))][0]
         elif best is None:
-            front_pos = metrics.pareto_front([v for _, v in evaluated], directions)
+            front_pos = metrics.pareto_front([v for _, v in evaluated], self.directions)
             front = tuple(sorted(evaluated[p][0] for p in front_pos))
         return OptimizationRun(evaluated, best, front, wall, stop, initial_sample)
 

@@ -510,23 +510,15 @@ def save_dataset(dataset: Dataset, manifest_path: str | Path, data_path: str | P
         for i in range(dataset.n_rows)))
 
 
-# The train pool / holdout / validation pool fractions of `split`; the
-# train pool's 0.4 is what the other two leave.
-HOLDOUT_FRACTION = 0.2
-VALIDATION_FRACTION = 0.4
-
-
 def split(dataset: Dataset, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Partition row indices 40/20/40 into (train_pool, holdout, validation).
 
-    Holdout and validation get floor(fraction * n) rows; the train pool gets
+    Holdout and validation get n // 5 and 2n // 5 rows; the train pool gets
     the rest, so any remainder from flooring lands there.  Deterministic for
     a given seed; each part is returned sorted ascending.
     """
     n = dataset.n_rows
-    # +1e-9 guards against binary float products like 0.2*10 = 1.9999...
-    n_hold = int(math.floor(HOLDOUT_FRACTION * n + 1e-9))
-    n_val = int(math.floor(VALIDATION_FRACTION * n + 1e-9))
+    n_hold, n_val = n // 5, 2 * n // 5
     n_train = n - n_hold - n_val
     if min(n_train, n_hold, n_val) < 1:
         raise SplitError(f"a 40/20/40 split leaves an empty part for {n} rows")

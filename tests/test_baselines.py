@@ -353,7 +353,7 @@ def reference_epal(candidates, oracle, params, directions, seed):
     """ePAL as it was before the distance store and the shared factors: per
     iteration, one GP fit and one prediction per objective, each computing
     its own distances."""
-    trace = Trace(candidates, oracle)
+    trace = Trace(candidates, oracle, directions)
     X = trace.X
     n = trace.ids.size
     m = len(directions)
@@ -390,7 +390,7 @@ def reference_epal(candidates, oracle, params, directions, seed):
             break
         norms = np.linalg.norm(s_unknown[~discard_now], axis=1)
         trace.take(int(survivors[int(np.argmax(norms))]))
-    return trace.finish("pool-exhausted", directions, initial_sample=EPAL_INIT_SIZE)
+    return trace.finish("pool-exhausted", initial_sample=EPAL_INIT_SIZE)
 
 
 @pytest.mark.parametrize("epsilon", [0.01, 0.3])

@@ -134,6 +134,12 @@ def test_bazza_ties_resolve_to_lowest_index():
     assert bazza_select(preds, 4, ("maximize", "maximize"), seed=5) == 0
 
 
+def test_bazza_constant_column_scores_nothing():
+    # the constant first column weighs 0 everywhere, so the second decides;
+    # left unnormalized (0/0) it would turn every score to NaN and pick 0
+    assert bazza_select([[1, 5], [1, 3], [1, 9]], 10, MIN2, 0) == 1
+
+
 def test_bazza_validation():
     with pytest.raises(ValueError):
         bazza_select([], 3, MIN2, 0)
@@ -272,7 +278,7 @@ def test_dominating_point_is_the_whole_front():
 
 
 def test_front_members_subset_of_truth_gives_zero_gd():
-    from flashtune.metrics import front_comparison, gd
+    from flashtune.metrics import front_comparison
 
     ds = generate_synthetic("bi-objective-tradeoff", 10, seed=5)
     truth_idx = pareto_front(ds.values, ds.directions)
@@ -281,8 +287,8 @@ def test_front_members_subset_of_truth_gives_zero_gd():
                       FlashParams(size=30, budget=50, seed=13), ds.directions)
     approx = [tuple(ds.values[i]) for i in run.front]
     assert set(run.front) <= set(truth_idx)
-    cmp = front_comparison(truth_vectors, approx, ds.directions)
-    assert gd(cmp) == 0.0
+    gd, _ = front_comparison(truth_vectors, approx, ds.directions)
+    assert gd == 0.0
 
 
 def test_multi_needs_two_objectives():
@@ -312,6 +318,22 @@ def test_single_objective_column_selection():
                      FlashParams(size=5, budget=1, seed=0), objective=7)
 
 
+@pytest.mark.parametrize("kind", ["single-peak", "interaction"])
+@pytest.mark.parametrize("seed", range(6))
+def test_multi_with_a_constant_objective_acquires_as_single_on_the_other(kind, seed):
+    # a constant prediction column adds 0 to every bazza score, so each pick
+    # is the other objective's first best prediction, as flash_single's is
+    syn = generate_synthetic(kind, 8, seed)
+    values = np.column_stack([np.full(syn.n_rows, 3.0), syn.values[:, 0]])
+    params = FlashParams(size=20, budget=30, seed=seed)
+    for directions in itertools.product(("minimize", "maximize"), repeat=2):
+        ds = make_dataset(syn.configs, values, directions)
+        multi = flash_multi(ds.candidates(), TableOracle(ds), params, directions)
+        single = flash_single(ds.candidates(), TableOracle(ds), params, directions[1],
+                              objective=1)
+        assert multi.evaluated_ids == single.evaluated_ids
+
+
 # --- acquisition sequence against the mask-and-pool step ----------------------
 
 def reference_run(candidates, oracle, params, directions, cart_params=cart.CartParams(),
@@ -319,7 +341,7 @@ def reference_run(candidates, oracle, params, directions, cart_params=cart.CartP
     """flash's step as it was before the predict memo: training rows gathered
     by the measured mask, the single-objective argmin and bazza_select both
     over the pool's rows."""
-    trace = Trace(candidates, oracle)
+    trace = Trace(candidates, oracle, directions, objective)
     signs = direction_signs(directions)
     columns = [objective] if len(directions) == 1 else range(len(directions))
     rng = np.random.default_rng(params.seed)
@@ -351,7 +373,7 @@ def reference_run(candidates, oracle, params, directions, cart_params=cart.CartP
             )
         trace.take(int(pool[pick]))
         spent += 1
-    return trace.finish(stop, directions, objective, initial_sample=params.size)
+    return trace.finish(stop, initial_sample=params.size)
 
 
 def tied_table():

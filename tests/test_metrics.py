@@ -11,8 +11,6 @@ from flashtune.metrics import (
     best_rows,
     front_comparison,
     front_quality,
-    gd,
-    igd,
     mmre,
     mu_rd,
     pareto_front,
@@ -241,25 +239,23 @@ def test_pareto_front_idempotent(points):
 
 def test_gd_igd_identical_fronts():
     front = [(0.0, 2.0), (1.0, 1.0), (2.0, 0.0)]
-    cmp = front_comparison(front, front, MIN2)
-    assert gd(cmp) == 0.0
-    assert igd(cmp) == 0.0
+    assert front_comparison(front, front, MIN2) == (0.0, 0.0)
 
 
 def test_gd_zero_without_spread():
     # one true member approximates: converged but not diverse
     true = [(0.0, 2.0), (1.0, 1.0), (2.0, 0.0)]
-    cmp = front_comparison(true, [(1.0, 1.0)], MIN2)
-    assert gd(cmp) == 0.0
-    assert igd(cmp) > 0.0
+    gd, igd = front_comparison(true, [(1.0, 1.0)], MIN2)
+    assert gd == 0.0
+    assert igd > 0.0
 
 
 def test_gd_igd_hand_geometry():
     true = [(0.0, 1.0), (1.0, 0.0)]
     approx = [(0.5, 0.5)]
-    cmp = front_comparison(true, approx, MIN2)
-    assert gd(cmp) == pytest.approx(math.sqrt(0.5))
-    assert igd(cmp) == pytest.approx(math.sqrt(0.5))
+    gd, igd = front_comparison(true, approx, MIN2)
+    assert gd == pytest.approx(math.sqrt(0.5))
+    assert igd == pytest.approx(math.sqrt(0.5))
 
 
 def test_front_comparison_validation():
@@ -275,17 +271,17 @@ def test_degenerate_objective_dropped():
     # third objective constant on the true front: distances use the other two
     directions = ("minimize", "minimize", "minimize")
     true = [(0.0, 2.0, 5.0), (2.0, 0.0, 5.0)]
-    cmp = front_comparison(true, [(1.0, 1.0, 5.0)], directions)
-    assert cmp.active == (0, 1)
-    assert gd(cmp) == pytest.approx(math.sqrt(0.5))
+    # were it kept, its 0/0 would make GD NaN
+    gd, _ = front_comparison(true, [(1.0, 1.0, 5.0)], directions)
+    assert gd == pytest.approx(math.sqrt(0.5))
 
 
 def test_gd_never_worsens_when_adding_true_member():
     true = [(0.0, 2.0), (1.0, 1.0), (2.0, 0.0)]
-    worse = front_comparison(true, [(1.5, 1.5)], MIN2)
-    better = front_comparison(true, [(1.5, 1.5), (2.0, 0.0)], MIN2)
-    assert gd(better) < gd(worse)
-    assert gd(better) == pytest.approx(gd(worse) / 2.0)
+    worse, _ = front_comparison(true, [(1.5, 1.5)], MIN2)
+    better, _ = front_comparison(true, [(1.5, 1.5), (2.0, 0.0)], MIN2)
+    assert better < worse
+    assert better == pytest.approx(worse / 2.0)
 
 
 def test_pareto_front_nan_and_infinite_match_brute_force():
@@ -326,8 +322,7 @@ def inline_front_quality(dataset, front, objectives, true_ids=None):
         true_ids = pareto_front(V, directions)
     true_vectors = [tuple(V[i]) for i in true_ids]
     approx = [tuple(V[i]) for i in front]
-    cmp = front_comparison(true_vectors, approx, directions)
-    return gd(cmp), igd(cmp)
+    return front_comparison(true_vectors, approx, directions)
 
 
 @settings(max_examples=200)

@@ -174,3 +174,39 @@ def test_the_package_writes_files_only_through_the_output_helper():
     found = [(path.name, *w) for path in sorted(SRC.glob("*.py"))
              for w in writes(path.read_text(encoding="utf-8"))]
     assert found == [("space.py", "_open_output", "open")]
+
+
+# --- the package's measurements, found by reading its source ------------------
+
+def measure_references(source: str) -> list[str]:
+    """Dotted class and function scope of each reference in `source` to an
+    attribute named `measure`: every call of one, and every alias taken."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = (*scope, node.name)
+        if isinstance(node, ast.Attribute) and node.attr == "measure":
+            found.append(".".join(scope) or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("def f(o):\n    return o.measure(c)\n", ["f"]),
+    ("class A:\n    def g(self):\n        m = self.o.measure\n", ["A.g"]),
+    ("x = oracle.measure(c)\n", ["<module>"]),
+    ("class A:\n    def measure(self, c):\n        return c\n", []),
+])
+def test_the_scan_finds_every_measure_reference(source, expected):
+    assert measure_references(source) == expected
+
+
+def test_the_package_measures_only_in_the_trace():
+    # the harness's column oracle only forwards to the oracle it wraps
+    found = sorted(f"{path.stem}.{scope}" for path in SRC.glob("*.py")
+                   for scope in measure_references(path.read_text(encoding="utf-8")))
+    assert found == ["harness._ColumnOracle.measure", "runs.Trace.take"]

@@ -6,6 +6,7 @@ from flashtune.baselines import (
     epal,
     progressive_sampling,
     random_search,
+    rank_based,
 )
 from flashtune.flash import FlashParams, flash_multi, flash_single
 from flashtune.runs import OptimizationRun, Trace, write_trace_csv
@@ -89,18 +90,43 @@ def test_every_optimizer_rejects_a_width_change(optimizer):
         optimizer(ds, WidthChangingOracle(ds, k=5))
 
 
+@pytest.mark.parametrize("kind, optimizer", [
+    ("single-peak", lambda ds, o: flash_multi(ds.candidates(), o, FlashParams(size=10, budget=5))),
+    ("single-peak", lambda ds, o: epal(ds.candidates(), o)),
+    ("single-peak", lambda ds, o: random_search(ds.candidates(), o, 10, ("minimize",) * 2)),
+    ("bi-objective-tradeoff", lambda ds, o: flash_single(
+        ds.candidates(), o, FlashParams(size=10, budget=5), objective=2)),
+    ("bi-objective-tradeoff", lambda ds, o: progressive_sampling(*_pools(ds), o, objective=2)),
+    ("bi-objective-tradeoff", lambda ds, o: rank_based(*_pools(ds), o, objective=2)),
+    ("bi-objective-tradeoff", lambda ds, o: random_search(
+        ds.candidates(), o, 10, ("minimize",), objective=2)),
+], ids=["flash_multi", "epal", "random_search-2", "flash_single", "progressive_sampling",
+        "rank_based", "random_search-1"])
+def test_the_run_shape_is_checked_at_the_first_measurement(kind, optimizer):
+    # two directions on a one-objective table, or objective 2 of a two-objective one
+    ds = generate_synthetic(kind, 6, seed=0)
+    oracle = TableOracle(ds)
+    with pytest.raises(ValueError, match="directions|objective index"):
+        optimizer(ds, oracle)
+    assert oracle.count == 1
+
+
 def test_trace_finish_picks_best_or_front():
     ds = make_dataset([(i,) for i in range(4)], [(3.0, 1.0), (1.0, 4.0), (2.0, 6.0), (1.0, 4.0)],
                       directions=["minimize", "maximize"])
-    trace = Trace(ds.candidates(), TableOracle(ds))
-    for pos in (2, 3, 1, 0):
-        trace.take(pos)
-    assert trace.finish("budget", ("minimize",), objective=0).best == 3  # first of the tied 1.0
-    assert trace.finish("budget", ("maximize",), objective=1).best == 2
-    assert trace.finish("budget", ("minimize",), objective=1).best == 0
-    assert trace.finish("budget", ds.directions).front == (1, 2, 3)
-    assert trace.finish("budget", ("minimize",), best=2, initial_sample=1).best == 2
+
+    def finish(directions, objective=0, **kwargs):
+        trace = Trace(ds.candidates(), TableOracle(ds), directions, objective)
+        for pos in (2, 3, 1, 0):
+            trace.take(pos)
+        return trace.finish("budget", **kwargs)
+
+    assert finish(("minimize",), 0).best == 3  # first of the tied 1.0
+    assert finish(("maximize",), 1).best == 2
+    assert finish(("minimize",), 1).best == 0
+    assert finish(ds.directions).front == (1, 2, 3)
+    assert finish(("minimize",), best=2, initial_sample=1).best == 2
     with pytest.raises(ValueError, match="objective index 2"):
-        trace.finish("budget", ("minimize",), objective=2)
+        finish(("minimize",), 2)
     with pytest.raises(ValueError, match="3 directions"):
-        trace.finish("budget", ("minimize",) * 3)
+        finish(("minimize",) * 3)
