@@ -26,11 +26,9 @@ from .flash import FlashParams
 from .harness import (
     METHOD_KINDS,
     OVERRIDES,
-    WHOLE_TABLE,
     ExperimentSpec,
     MethodSpec,
     load_experiment_dataset,
-    repeat_pools,
     run_experiment,
     run_method,
     write_report,
@@ -38,6 +36,7 @@ from .harness import (
 from .runs import write_trace_csv
 from .space import (
     Dataset, DatasetError, _open_output, _write_csv, direction_signs, load_dataset, save_dataset,
+    split,
 )
 from .stats import SkParams
 from .synth import KINDS, generate_synthetic
@@ -128,7 +127,7 @@ def tune(manifest, data, objective, seed, out, dump_tree_flag, **search):
     dataset = load_dataset(manifest, data)
     obj = _resolve_objective(dataset, objective)
     spec = _spec([MethodSpec("flash")], seed, manifest=manifest, data=data, **search)
-    run = run_method(spec.methods[0], dataset, (obj,), WHOLE_TABLE, seed, spec)
+    run = run_method(spec.methods[0], dataset, (obj,), None, seed, spec)
     rd = metrics.rank_difference(run.best, dataset, obj)
     out_dir = _write_run(out, run, dataset, [
         f"objective: {dataset.objective_names[obj]} ({dataset.objectives[obj].direction})",
@@ -165,7 +164,7 @@ def tune_mo(manifest, data, seed, out, **search):
         raise DatasetError("tune-mo needs a dataset with at least two objectives")
     spec = _spec([MethodSpec("flash")], seed, manifest=manifest, data=data, **search)
     objectives = tuple(range(len(dataset.objectives)))
-    run = run_method(spec.methods[0], dataset, objectives, WHOLE_TABLE, seed, spec)
+    run = run_method(spec.methods[0], dataset, objectives, None, seed, spec)
     gd, igd = metrics.front_quality(dataset, run.front, objectives)
     out_dir = _write_run(out, run, dataset, [
         f"objectives: {', '.join(dataset.objective_names)}",
@@ -207,7 +206,7 @@ def baseline(manifest, data, method, objective, seed, out, **options):
         raise click.UsageError("--objective does not apply to epal, which searches every objective")
     dataset = load_dataset(manifest, data)
     spec = _spec([MethodSpec(method)], seed, manifest=manifest, data=data, **options)
-    pools = repeat_pools(dataset, spec, seed)
+    parts = split(dataset, seed)
 
     if method == "epal" and len(dataset.objectives) < 2:
         raise DatasetError("epal needs a dataset with at least two objectives")
@@ -216,7 +215,7 @@ def baseline(manifest, data, method, objective, seed, out, **options):
         objectives = tuple(range(len(dataset.objectives)))
     else:
         objectives = (obj,)
-    run = run_method(spec.methods[0], dataset, objectives, pools, seed, spec)
+    run = run_method(spec.methods[0], dataset, objectives, parts, seed, spec)
 
     summary = [f"method: {method}", f"seed: {seed}"]
     if run.best is not None:

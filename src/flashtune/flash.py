@@ -47,8 +47,8 @@ def bazza_select(
     Predictions are mapped so larger is better (minimized objectives are
     negated), then min-max normalized to [0, 1] per objective over the
     candidate list so differently scaled objectives weigh comparably.  The
-    mean over the weight vectors distributes over the sum, so this is a single
-    pass over candidates, adding the weighted columns in column order.  Ties
+    mean over the weight vectors distributes over the sum, so a candidate's
+    score is one weighted sum of its columns, added in column order.  Ties
     resolve to the lowest index.
     """
     P = np.asarray(predicted, dtype=float)
@@ -60,17 +60,18 @@ def bazza_select(
         raise ValueError("predictions must be finite")
     if n_projections < 1:
         raise ValueError("n_projections must be >= 1")
-    G = P * -direction_signs(directions)
-    lo = G.min(axis=0)
-    span = G.max(axis=0) - lo
-    span[span == 0.0] = 1.0
-    G = (G - lo) / span
+    signs = -direction_signs(directions)
     w = np.random.default_rng(seed).random((n_projections, len(directions))).mean(axis=0)
-    # summed column by column, so the order of the additions is fixed; a
-    # BLAS product's order depends on the CPU kernel it picks
-    scores = G[:, 0] * w[0]
-    for j in range(1, G.shape[1]):
-        scores += G[:, j] * w[j]
+    # one column at a time: an axis-0 reduction over a C-ordered (n, m) array
+    # is slow on a large pool.  The weighted columns are added in column
+    # order, so the order of the additions is fixed; a BLAS product's order
+    # depends on the CPU kernel it picks
+    for j in range(P.shape[1]):
+        g = P[:, j] * signs[j]
+        lo = g.min()
+        span = g.max() - lo
+        term = (g - lo) / (span or 1.0) * w[j]  # a constant column adds 0
+        scores = term if j == 0 else scores + term
     return int(np.argmax(scores))
 
 

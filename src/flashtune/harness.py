@@ -1,15 +1,15 @@
 """Experiment harness: repeated seeded runs, method comparison, report files.
 
-Within one repeat every method sees the same seed-derived split and its own
-fresh oracle, so measurement counts are comparable by construction.  Methods
-that sample from a training pool (progressive, rank-based) use the
-train/holdout/validation partition; pool searchers (flash, random, epal) get
-the train and validation pools merged.  A method failure inside one repeat is
-recorded as an "X" row instead of aborting the experiment.
+Within one repeat every method sees the same seed-derived split, the
+(train, holdout, validation) parts of `space.split`, and its own fresh
+oracle, so measurement counts are comparable by construction.  Samplers
+(progressive, rank-based) and pool searchers (flash, random, epal) search
+different rows of it, which `searched_rows` states.  A method failure inside
+one repeat is recorded as an "X" row instead of aborting the experiment.
 
 `run_method` is the one dispatch from a method to its optimizer: the rig
 calls it per repeat, and the `tune`, `tune-mo` and `baseline` commands call
-it for their single run (`tune` and `tune-mo` on `WHOLE_TABLE`).
+it for their single run (`tune` and `tune-mo` with no parts: the whole table).
 `write_report` writes an experiment's report files for both the
 `experiment` command and `scripts/run_synthetic_rig.py`.
 """
@@ -41,7 +41,7 @@ OVERRIDES = {
     "random": {"n": int},
 }
 METHOD_KINDS = tuple(OVERRIDES)
-SINGLE_ONLY = ("progressive", "rank")
+SAMPLERS = ("progressive", "rank")  # single-objective; the rest are pool searchers
 MULTI_ONLY = ("epal",)
 
 
@@ -209,40 +209,41 @@ def load_experiment_dataset(spec: ExperimentSpec) -> tuple[Dataset, str]:
     return load_dataset(spec.manifest, spec.data), str(spec.data)
 
 
-def repeat_pools(dataset: Dataset, spec: ExperimentSpec, seed: int) -> tuple[np.ndarray, ...]:
-    """(train, holdout, validation, merged train+validation) row ids of the
-    repeat seeded `seed`."""
-    train_ids, hold_ids, val_ids = split(dataset, seed)
-    return train_ids, hold_ids, val_ids, np.sort(np.concatenate([train_ids, val_ids]))
-
-
-# Pools that make `run_method`'s pool searchers search every row of the table.
-WHOLE_TABLE = (None, None, None, None)
-
-
 def check_objective_count(method: MethodSpec, n_objectives: int) -> None:
     """Refuse a method that cannot search `n_objectives` objectives."""
     if n_objectives == 1 and method.kind in MULTI_ONLY:
         raise ValueError(f"method {method.label!r} needs >= 2 objectives")
-    if n_objectives > 1 and method.kind in SINGLE_ONLY:
+    if n_objectives > 1 and method.kind in SAMPLERS:
         raise ValueError(f"method {method.label!r} handles a single objective only")
+
+
+def searched_rows(method: MethodSpec, parts) -> np.ndarray | None:
+    """The row ids `method` searches and ranks its answer (`pool_rd`) in, of
+    a repeat's `space.split` parts: validation for a sampler, which trains on
+    training and scores on the holdout; training and validation for a pool
+    searcher, which alone takes no parts and then searches the whole table."""
+    if parts is None:
+        if method.kind in SAMPLERS:
+            raise ValueError(f"method {method.label!r} needs a repeat's parts")
+        return None
+    train_ids, _, val_ids = parts
+    return val_ids if method.kind in SAMPLERS else np.concatenate([train_ids, val_ids])
 
 
 def run_method(
     method: MethodSpec,
     dataset: Dataset,
     objectives: tuple[int, ...],
-    pools,
+    parts,
     seed: int,
     spec: ExperimentSpec,
 ) -> OptimizationRun:
-    """One method's run on one repeat's pools, through its own fresh oracle.
-
-    `pools` is (train, holdout, validation, merged) as `repeat_pools` gives
-    them; a pool given as None is the whole table.
-    """
+    """One method's run through its own fresh oracle, on a repeat's (train,
+    holdout, validation) `parts` from `space.split`, or on the whole table
+    when `parts` is None, which only the pool searchers accept.  The rows it
+    searches are `searched_rows`'."""
     check_objective_count(method, len(objectives))
-    train_ids, hold_ids, val_ids, merged = pools
+    rows = searched_rows(method, parts)
     directions = tuple(dataset.objectives[j].direction for j in objectives)
     single = len(objectives) == 1
     oracle = TableOracle(dataset)
@@ -254,22 +255,13 @@ def run_method(
         run_oracle = _ColumnOracle(oracle, objectives)
         objective_col = 0
 
-    if method.kind == "flash":
-        fp = spec.flash_params(method, seed)
-        cands = dataset.candidates(merged)
-        if single:
-            run = flash_single(cands, run_oracle, fp, directions[0], spec.cart, objective_col)
-        else:
-            run = flash_multi(cands, run_oracle, fp, directions, spec.cart)
-    elif method.kind == "random":
-        run = random_search(dataset.candidates(merged), run_oracle, spec.random_n(method),
-                            directions, seed, objective_col)
-    elif method.kind in ("progressive", "rank"):
-        fn = progressive_sampling if method.kind == "progressive" else rank_based
-        _, run = fn(
+    if method.kind in SAMPLERS:
+        sampler = progressive_sampling if method.kind == "progressive" else rank_based
+        train_ids, hold_ids, _ = parts
+        _, run = sampler(
             dataset.candidates(train_ids),
             dataset.candidates(hold_ids),
-            dataset.candidates(val_ids),
+            dataset.candidates(rows),
             run_oracle,
             spec.lives,
             spec.cart,
@@ -278,11 +270,19 @@ def run_method(
             seed=seed,
             with_replacement=spec.with_replacement,
         )
-    elif method.kind == "epal":
-        run = epal(dataset.candidates(merged), run_oracle, spec.epal_params(method),
-                   directions, seed)
-    else:  # pragma: no cover - guarded by MethodSpec validation
-        raise ValueError(method.kind)
+    else:
+        cands = dataset.candidates(rows)
+        if method.kind == "flash":
+            fp = spec.flash_params(method, seed)
+            if single:
+                run = flash_single(cands, run_oracle, fp, directions[0], spec.cart, objective_col)
+            else:
+                run = flash_multi(cands, run_oracle, fp, directions, spec.cart)
+        elif method.kind == "random":
+            run = random_search(cands, run_oracle, spec.random_n(method), directions, seed,
+                                objective_col)
+        else:
+            run = epal(cands, run_oracle, spec.epal_params(method), directions, seed)
 
     if oracle.count != len(run.evaluated):
         raise RuntimeError("oracle count does not match the run trace")
@@ -293,7 +293,7 @@ def _score(
     method: MethodSpec,
     dataset: Dataset,
     objectives: tuple[int, ...],
-    pools,
+    parts,
     run: OptimizationRun,
     repeat: int,
     true_front: tuple[int, ...] | None,
@@ -302,10 +302,9 @@ def _score(
     cost = dict(measurements=run.measurements_used, acquisitions=run.acquisitions,
                 wall_time=run.wall_time)
     if len(objectives) == 1:
-        _, _, val_ids, merged = pools
-        pool = merged if method.kind in ("flash", "random") else val_ids
         rd = metrics.rank_difference(run.best, dataset, objectives[0])
-        pool_rd = metrics.rank_difference(run.best, dataset, objectives[0], rows=pool)
+        pool_rd = metrics.rank_difference(run.best, dataset, objectives[0],
+                                          rows=searched_rows(method, parts))
         return MethodResult(method.label, repeat, False, rd=rd, pool_rd=pool_rd, **cost)
     gd, igd = metrics.front_quality(dataset, run.front, objectives, true_front)
     return MethodResult(method.label, repeat, False, gd=gd, igd=igd, **cost)
@@ -338,11 +337,11 @@ def run_experiment(
     rows: list[MethodResult] = []
     for r in range(spec.repeats):
         seed_r = spec.seed + r
-        pools = repeat_pools(dataset, spec, seed_r)
+        parts = split(dataset, seed_r)
         for m in spec.methods:
             try:
-                run = run_method(m, dataset, objectives, pools, seed_r, spec)
-                rows.append(_score(m, dataset, objectives, pools, run, r, true_front))
+                run = run_method(m, dataset, objectives, parts, seed_r, spec)
+                rows.append(_score(m, dataset, objectives, parts, run, r, true_front))
             except Exception as exc:
                 rows.append(MethodResult(m.label, r, True, error=f"{type(exc).__name__}: {exc}"))
 

@@ -8,7 +8,6 @@ from flashtune.cli import SUFFIX_KEYS
 from flashtune.flash import FlashParams
 from flashtune.harness import (
     OVERRIDES,
-    WHOLE_TABLE,
     ExperimentSpec,
     MethodResult,
     MethodSpec,
@@ -21,7 +20,7 @@ from flashtune.harness import (
     write_report,
 )
 from flashtune.metrics import rank_difference
-from flashtune.space import TableOracle, split
+from flashtune.space import MAXIMIZE, MINIMIZE, Dataset, ObjectiveSchema, TableOracle, split
 from flashtune.synth import generate_synthetic
 from conftest import load_rig_script, make_dataset
 
@@ -163,7 +162,15 @@ def test_mode_method_compatibility():
         with pytest.raises(ValueError, match=message):
             run_experiment(spec, dataset=ds)
         with pytest.raises(ValueError, match=message):
-            run_method(method, ds, objectives, WHOLE_TABLE, 0, spec)
+            run_method(method, ds, objectives, None, 0, spec)
+
+
+def test_only_the_pool_searchers_run_on_the_whole_table():
+    ds = generate_synthetic("single-peak", 5, seed=0)
+    spec = spec_for([MethodSpec("flash")], synthetic=None, manifest="m", data="d")
+    for kind in ("progressive", "rank"):
+        with pytest.raises(ValueError, match=f"^method '{kind}' needs a repeat's parts$"):
+            run_method(MethodSpec(kind), ds, (0,), None, 0, spec)
 
 
 def test_a_repeated_objective_is_refused():
@@ -241,7 +248,7 @@ def test_method_overrides_replace_the_spec_settings():
     spec = spec_for([MethodSpec("flash")], flash=FlashParams(size=20, budget=10), epsilon=0.01)
 
     def run(kind, objectives=(0,), **options):
-        return run_method(MethodSpec(kind, options=options), ds, objectives, WHOLE_TABLE, 0, spec)
+        return run_method(MethodSpec(kind, options=options), ds, objectives, None, 0, spec)
 
     for options, sizes in (({}, (20, 30)), ({"size": 12, "budget": 3}, (12, 15))):
         flash = run("flash", **options)
@@ -351,6 +358,27 @@ def test_pool_rd_reported_alongside_full_rd():
         assert row.pool_rd is not None
         # a rank within a subset can never exceed the rank in the whole table
         assert row.pool_rd <= row.rd
+
+
+@pytest.mark.parametrize("direction", [MINIMIZE, MAXIMIZE])
+def test_pool_rd_counts_better_rows_in_the_rows_each_method_searches(direction):
+    # oracle from the split, the table's values and rd alone: the answer's
+    # value is the rd-th smallest mapped value of the table; the samplers
+    # answer from validation, the pool searchers from training and validation
+    table = generate_synthetic("interaction", 6, seed=3)
+    ds = Dataset(table.options, [ObjectiveSchema("perf", direction)], table.configs,
+                 table.values)
+    sign = 1.0 if direction == MINIMIZE else -1.0
+    mapped = [sign * float(v) for v in ds.values[:, 0]]
+    methods = [MethodSpec(kind) for kind in ("flash", "progressive", "rank", "random")]
+    spec = spec_for(methods, repeats=3, seed=11, flash=FlashParams(size=8, budget=6))
+    report = run_experiment(spec, dataset=ds)
+    assert len(report.rows) == 12 and not any(row.failed for row in report.rows)
+    for row in report.rows:
+        train, _, val = (part.tolist() for part in split(ds, 11 + row.repeat))
+        searched = val if row.method in ("progressive", "rank") else train + val
+        answer = sorted(mapped)[row.rd]
+        assert row.pool_rd == sum(mapped[i] < answer for i in searched)
 
 
 def test_fairness_twin_methods_identical_within_repeat():

@@ -51,9 +51,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flashtune.flash import FlashParams
-from flashtune.harness import ExperimentSpec, MethodSpec, repeat_pools, run_method
+from flashtune.harness import ExperimentSpec, MethodSpec, run_method
 from flashtune.space import (
     BOOLEAN, DIRECTIONS, INTEGER, MAXIMIZE, MINIMIZE, Dataset, ObjectiveSchema, OptionSchema,
+    split,
 )
 from flashtune.synth import KINDS, generate_synthetic
 
@@ -145,12 +146,12 @@ def test_relabelling_the_ids_keeps_every_measurement(ds, seed):
     first = OptionSchema(ds.options[0].name, INTEGER, 0, 1 + filler.size)
     relabelled = Dataset([first, *ds.options[1:]], ds.objectives, configs, values)
 
-    pools = repeat_pools(ds, SPEC, seed)
+    parts = split(ds, seed)
     objectives = tuple(range(len(ds.objectives)))
     for kind in EVERY_METHOD[len(objectives)]:
         method = MethodSpec(kind)
-        expected = run_method(method, ds, objectives, pools, seed, SPEC).evaluated_ids
-        got = run_method(method, relabelled, objectives, tuple(map(relabel, pools)), seed, SPEC)
+        expected = run_method(method, ds, objectives, parts, seed, SPEC).evaluated_ids
+        got = run_method(method, relabelled, objectives, tuple(map(relabel, parts)), seed, SPEC)
         assert got.evaluated_ids == tuple(relabel(expected).tolist())
 
 
@@ -160,9 +161,9 @@ def relabel(ids) -> np.ndarray:
 
 def assert_same_measurements(ds: Dataset, changed: Dataset, kinds, seed: int) -> None:
     """Each method measures the same ids in the same order on both tables."""
-    pools = repeat_pools(ds, SPEC, seed)
+    parts = split(ds, seed)
     objectives = tuple(range(len(ds.objectives)))
     for kind in kinds:
         method = MethodSpec(kind)
-        expected = run_method(method, ds, objectives, pools, seed, SPEC).evaluated_ids
-        assert run_method(method, changed, objectives, pools, seed, SPEC).evaluated_ids == expected
+        expected = run_method(method, ds, objectives, parts, seed, SPEC).evaluated_ids
+        assert run_method(method, changed, objectives, parts, seed, SPEC).evaluated_ids == expected
