@@ -3,12 +3,14 @@
 
 For each seed (1 and 7) the script generates its tables (three synthetic
 kinds through `flashtune synth`, a 125-row integer table with one minimized
-and one maximized objective that it writes itself, and a messy copy of that
-table as a spreadsheet might export it), then runs
+and one maximized objective that it writes itself, a messy copy of that
+table as a spreadsheet might export it, and a 64-row integer table with
+three objectives), then runs
 `tune`, `tune-mo`, `baseline` with every method, `eval` (also on front files
 that spell zero as `-0` or `-0.0`, or name a configuration the table lacks),
-single- and multi-objective `experiment`, six failing commands and the
-synthetic rig script on them.  Each command gets its own directory holding `command.txt`,
+single- and multi-objective `experiment` (one of them on two of the three
+objectives), six failing commands and the synthetic rig script on them:
+624 files in all.  Each command gets its own directory holding `command.txt`,
 `stdout.txt`, `stderr.txt`, `exit_code.txt` and every file the command
 wrote.  Commands run from inside the seed's directory with relative paths,
 and the absolute output directory is replaced by `<OUT>` in stdout and
@@ -68,6 +70,25 @@ def write_integer_table(table: Path, seed: int) -> None:
         fh.write("a,b,c\n")
         for r in front:
             fh.write(f"{r[0]},{r[1]},{r[2]}\n")
+
+
+def write_tri_table(table: Path, seed: int) -> None:
+    """A 4x4x4 integer space with three objectives: `lat` minimized, `thr`
+    maximized and `mem` minimized, so an experiment may search two of them
+    while the third sits between or beside them."""
+    rng = random.Random(seed)
+    table.mkdir(parents=True)
+    (table / "manifest.txt").write_text(
+        "option a int 0 3\noption b int 0 3\noption c int 0 3\n"
+        "objective lat minimize\nobjective thr maximize\nobjective mem minimize\n",
+        encoding="utf-8")
+    with open(table / "data.csv", "w", encoding="utf-8") as fh:
+        fh.write("a,b,c,lat,thr,mem\n")
+        for a, b, c in itertools.product(range(4), repeat=3):
+            lat = round(1.0 + 0.8 * a + 0.4 * b * c + rng.random(), 3)
+            thr = round(2.0 + 0.6 * a + 0.5 * b + rng.random(), 3)
+            mem = round(3.0 + 1.1 * c - 0.3 * a + rng.random(), 3)
+            fh.write(f"{a},{b},{c},{lat},{thr},{mem}\n")
 
 
 def write_messy_copy(table: Path, messy: Path) -> None:
@@ -175,6 +196,10 @@ def commands(seed: int) -> list[tuple[str, list[str]]]:
         ("experiment-int-multi", cli + ["experiment", *table("int"), "--methods", "flash,epal",
                                         "--repeats", "2", "--size", "15", "--budget", "10",
                                         "--seed", s]),
+        ("experiment-tri-lat-mem", cli + ["experiment", *table("tri"), "--objectives",
+                                          "lat,mem", "--methods", "flash,epal,random",
+                                          "--repeats", "2", "--size", "15", "--budget", "10",
+                                          "--seed", s]),
         ("fail-tune-mo-single", cli + ["tune-mo", *table("single-peak"), "--seed", s]),
         ("fail-tune-objective", cli + ["tune", *table("int"), "--objective", "nosuch",
                                        "--seed", s]),
@@ -227,6 +252,7 @@ def main(argv=None) -> int:
         write_integer_table(cwd / "tables" / "int", seed)
         write_messy_copy(cwd / "tables" / "int", cwd / "tables" / "messy")
         write_front_variants(cwd / "tables" / "int")
+        write_tri_table(cwd / "tables" / "tri", seed)
         for name, argv_ in commands(seed):
             run(name, argv_, cwd, out, env)
             if name.startswith("synth-"):

@@ -95,6 +95,56 @@ MUTANTS = (
         "(best < 0 or first > best)",
         ("tests/test_cart.py",),
     ),
+    Mutant(
+        "TableOracle returns every column, whatever columns says",
+        "src/flashtune/space.py",
+        "self._columns = slice(None) if columns is None else list(columns)",
+        "self._columns = slice(None)",
+        ("tests/test_relations.py",),
+    ),
+    Mutant(
+        "Dataset.candidates without its range check",
+        "src/flashtune/space.py",
+        "if ids.size and (ids[0] < 0 or ids[-1] >= self.n_rows):",
+        "if False:",
+        ("tests/test_space.py",),
+    ),
+    Mutant(
+        "Trace.finish keeps the last tied best",
+        "src/flashtune/runs.py",
+        "best = evaluated[int(np.argmin(scores * direction_signs(self.directions)))][0]",
+        "best = evaluated[len(scores) - 1 - int(np.argmin("
+        "(scores * direction_signs(self.directions))[::-1]))][0]",
+        ("tests/test_runs.py",),
+    ),
+    Mutant(
+        "two-objective _dominated lets an equal point dominate",
+        "src/flashtune/metrics.py",
+        '("left", np.greater)',
+        '("left", np.greater_equal)',
+        ("tests/test_metrics.py",),
+    ),
+    Mutant(
+        "epsilon_discard without its epsilon",
+        "src/flashtune/baselines.py",
+        "np.vstack([h_measured, h_unknown - s_unknown]) + epsilon",
+        "np.vstack([h_measured, h_unknown - s_unknown])",
+        ("tests/test_baselines.py",),
+    ),
+    Mutant(
+        "_best_split lets a later option win a near-tie",
+        "src/flashtune/cart.py",
+        "if g > best_gain + eps:",
+        "if g > best_gain - eps:",
+        ("tests/test_cart.py",),
+    ),
+    Mutant(
+        "Dataset.lookup without canonicalising -0.0",
+        "src/flashtune/space.py",
+        "packed = self._pack(*[v + 0.0 for v in key])",
+        "packed = self._pack(*key)",
+        ("tests/test_space.py",),
+    ),
 )
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -190,18 +190,6 @@ class QualityReport:
                 if (obs := self.observations(metric, label))]
 
 
-class _ColumnOracle:
-    """Restrict an oracle's objective vector to the selected columns."""
-
-    def __init__(self, inner, columns: Sequence[int]):
-        self._inner = inner
-        self._columns = tuple(columns)
-
-    def measure(self, config):
-        values = self._inner.measure(config)
-        return tuple(values[j] for j in self._columns)
-
-
 def load_experiment_dataset(spec: ExperimentSpec) -> tuple[Dataset, str]:
     if spec.synthetic is not None:
         kind, n_options = spec.synthetic
@@ -241,19 +229,15 @@ def run_method(
     """One method's run through its own fresh oracle, on a repeat's (train,
     holdout, validation) `parts` from `space.split`, or on the whole table
     when `parts` is None, which only the pool searchers accept.  The rows it
-    searches are `searched_rows`'."""
+    searches are `searched_rows`'.  Several `objectives` are measured as
+    those columns, in that order; one objective is measured with every
+    column, so a run's trace shows the whole vector, and optimized in its
+    own column."""
     check_objective_count(method, len(objectives))
     rows = searched_rows(method, parts)
     directions = tuple(dataset.objectives[j].direction for j in objectives)
     single = len(objectives) == 1
-    oracle = TableOracle(dataset)
-
-    if single:
-        run_oracle = oracle
-        objective_col = objectives[0]
-    else:
-        run_oracle = _ColumnOracle(oracle, objectives)
-        objective_col = 0
+    oracle = TableOracle(dataset, None if single else objectives)
 
     if method.kind in SAMPLERS:
         sampler = progressive_sampling if method.kind == "progressive" else rank_based
@@ -262,11 +246,11 @@ def run_method(
             dataset.candidates(train_ids),
             dataset.candidates(hold_ids),
             dataset.candidates(rows),
-            run_oracle,
+            oracle,
             spec.lives,
             spec.cart,
             direction=directions[0],
-            objective=objective_col,
+            objective=objectives[0],
             seed=seed,
             with_replacement=spec.with_replacement,
         )
@@ -275,14 +259,14 @@ def run_method(
         if method.kind == "flash":
             fp = spec.flash_params(method, seed)
             if single:
-                run = flash_single(cands, run_oracle, fp, directions[0], spec.cart, objective_col)
+                run = flash_single(cands, oracle, fp, directions[0], spec.cart, objectives[0])
             else:
-                run = flash_multi(cands, run_oracle, fp, directions, spec.cart)
+                run = flash_multi(cands, oracle, fp, directions, spec.cart)
         elif method.kind == "random":
-            run = random_search(cands, run_oracle, spec.random_n(method), directions, seed,
-                                objective_col)
+            run = random_search(cands, oracle, spec.random_n(method), directions, seed,
+                                objectives[0])
         else:
-            run = epal(cands, run_oracle, spec.epal_params(method), directions, seed)
+            run = epal(cands, oracle, spec.epal_params(method), directions, seed)
 
     if oracle.count != len(run.evaluated):
         raise RuntimeError("oracle count does not match the run trace")

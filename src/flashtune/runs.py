@@ -1,8 +1,7 @@
 """Shared optimizer run trace: what was measured, in what order, and the answer.
 
 Every optimizer measures through a `Trace`: `Trace.take` is the only place in
-the package that calls an oracle (the harness's column-selecting oracle only
-forwards to the one it wraps).  A `Trace` holds the run's directions and
+the package that calls an oracle.  A `Trace` holds the run's directions and
 objective, so measurement counting, float conversion and the check of each
 vector against them are the same for every method, and `Trace.finish` builds
 every method's best answer or Pareto front from them alone.

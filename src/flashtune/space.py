@@ -245,11 +245,15 @@ class Dataset:
 
         Without `indices` it is the whole table: the ids are a range and `X`
         is `configs` itself, not a copy.  With `indices` the ids are their
-        distinct values in ascending order and `X` copies those rows.
+        distinct values in ascending order and `X` copies those rows; an id
+        outside `[0, n_rows)` is refused.
         """
         if indices is None:
             return Pool(np.arange(self.n_rows), self.configs)
         ids = np.unique(np.fromiter(indices, dtype=int))
+        if ids.size and (ids[0] < 0 or ids[-1] >= self.n_rows):
+            bad = ids[0] if ids[0] < 0 else ids[-1]
+            raise ValueError(f"row id {bad} outside [0, {self.n_rows})")
         return Pool(ids, self.configs[ids])
 
     def __eq__(self, other) -> bool:
@@ -532,12 +536,19 @@ def split(dataset: Dataset, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 class TableOracle:
     """Measurement by lookup in a fully enumerated dataset.
 
-    Stateful: `count` tallies every measure call.  Confine one oracle to one
-    optimizer run; do not share it across concurrent runs.
+    `measure` returns the objective columns `columns` in that order, or every
+    objective when `columns` is None; a column the dataset lacks is refused
+    here.  Stateful: `count` tallies every measure call.  Confine one oracle
+    to one optimizer run; do not share it across concurrent runs.
     """
 
-    def __init__(self, dataset: Dataset):
+    def __init__(self, dataset: Dataset, columns: Sequence[int] | None = None):
+        width = len(dataset.objectives)
+        for j in () if columns is None else columns:
+            if not 0 <= j < width:
+                raise ValueError(f"objective column {j} outside dataset of {width} objectives")
         self._dataset = dataset
+        self._columns = slice(None) if columns is None else list(columns)
         self.count = 0
 
     def measure(self, config: Sequence[float]) -> tuple[float, ...]:
@@ -546,7 +557,7 @@ class TableOracle:
             i = self._dataset.lookup(config)
         except KeyError:
             raise MeasureError(f"configuration {tuple(config)!r} is not in the dataset") from None
-        return tuple(self._dataset.values[i].tolist())
+        return tuple(self._dataset.values[i, self._columns].tolist())
 
 
 class CommandOracle:

@@ -206,7 +206,6 @@ def test_the_scan_finds_every_measure_reference(source, expected):
 
 
 def test_the_package_measures_only_in_the_trace():
-    # the harness's column oracle only forwards to the oracle it wraps
     found = sorted(f"{path.stem}.{scope}" for path in SRC.glob("*.py")
                    for scope in measure_references(path.read_text(encoding="utf-8")))
-    assert found == ["harness._ColumnOracle.measure", "runs.Trace.take"]
+    assert found == ["runs.Trace.take"]

@@ -42,8 +42,16 @@ covers every method.
 
 `random_search` never reads the options, so the option relations hold for
 it trivially; it is run anyway, as every method is.
+
+An objective column that no method reads, over `run_experiment` rows.  A
+third column inserted anywhere in a two-objective table leaves every row of
+an experiment on the other two, or on one of them, as it is on a table that
+holds only those columns: a run measures only the objectives it names.  It
+covers every method, compares every field of every row but the wall time,
+which no two runs share, and the Scott-Knott ranks.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -51,12 +59,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flashtune.flash import FlashParams
-from flashtune.harness import ExperimentSpec, MethodSpec, run_method
+from flashtune.harness import ExperimentSpec, MethodSpec, run_experiment, run_method
 from flashtune.space import (
     BOOLEAN, DIRECTIONS, INTEGER, MAXIMIZE, MINIMIZE, Dataset, ObjectiveSchema, OptionSchema,
     split,
 )
-from flashtune.synth import KINDS, generate_synthetic
+from flashtune.synth import BI_OBJECTIVE, KINDS, generate_synthetic
 
 SPEC = ExperimentSpec(methods=(MethodSpec("flash"),), synthetic=(KINDS[0], 5),
                       flash=FlashParams(size=10, budget=10))
@@ -167,3 +175,25 @@ def assert_same_measurements(ds: Dataset, changed: Dataset, kinds, seed: int) ->
         method = MethodSpec(kind)
         expected = run_method(method, ds, objectives, parts, seed, SPEC).evaluated_ids
         assert run_method(method, changed, objectives, parts, seed, SPEC).evaluated_ids == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 16), st.integers(0, 2), st.integers(0, 1))
+def test_an_objective_column_no_method_reads_changes_no_experiment_row(seed, position, which):
+    ds = generate_synthetic(BI_OBJECTIVE, 7, seed)
+    unread = np.round(np.random.default_rng(seed).uniform(1.0, 9.0, ds.n_rows), 1)
+    wider = Dataset(ds.options, [*ds.objectives[:position], ObjectiveSchema("unread", MAXIMIZE),
+                                 *ds.objectives[position:]],
+                    ds.configs, np.insert(ds.values, position, unread, axis=1))
+    read = tuple(j + (j >= position) for j in range(2))  # ds's columns in `wider`
+    only = Dataset(ds.options, [ds.objectives[which]], ds.configs, ds.values[:, [which]])
+    for kinds, objectives, narrow in ((MULTI_METHODS + ("epal",), read, ds),
+                                      (SINGLE_METHODS, read[which:which + 1], only)):
+        spec = dataclasses.replace(SPEC, methods=tuple(map(MethodSpec, kinds)), repeats=2,
+                                   seed=seed)
+        got = run_experiment(dataclasses.replace(spec, objectives=objectives), wider)
+        want = run_experiment(spec, narrow)
+        assert not any(row.failed for row in want.rows)
+        assert [dataclasses.replace(row, wall_time=None) for row in got.rows] == \
+            [dataclasses.replace(row, wall_time=None) for row in want.rows]
+        assert got.ranks == want.ranks

@@ -304,6 +304,16 @@ def test_full_pool_shares_the_table():
     assert pool.ids.tolist() == [0, 1, 2]
 
 
+@pytest.mark.parametrize("indices, bad", [([-1, 3], -1), ([0, 4], 4), ([5, 4, 2], 5)])
+def test_candidates_refuse_ids_outside_the_table(indices, bad):
+    """A negative id would alias a row through numpy's indexing; one past the
+    end has no row."""
+    ds = make_dataset([(i,) for i in range(4)], [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match=rf"^row id {bad} outside \[0, 4\)$"):
+        ds.candidates(indices)
+    assert ds.candidates([]).ids.size == 0
+
+
 def test_pool_leaves_callers_arrays_writable():
     ids, X = np.array([0, 1]), np.zeros((2, 1))
     Pool(ids, X)
@@ -801,6 +811,16 @@ def test_table_oracle_counts(two_bool_dataset):
     assert oracle.count == 1
     oracle.measure((1.0, 1.0))
     assert oracle.count == 2
+
+
+def test_table_oracle_returns_its_columns_in_the_order_given():
+    ds = make_dataset([(0,), (1,)], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    assert TableOracle(ds).measure((1.0,)) == (4.0, 5.0, 6.0)
+    assert TableOracle(ds, [2, 0]).measure((1.0,)) == (6.0, 4.0)
+    assert TableOracle(ds, (1,)).measure((0.0,)) == (2.0,)
+    for column in (3, -1):
+        with pytest.raises(ValueError, match=f"objective column {column} outside dataset"):
+            TableOracle(ds, [0, column])
 
 
 def test_table_oracle_unknown_config(two_bool_dataset):
