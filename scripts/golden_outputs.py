@@ -4,13 +4,13 @@
 For each seed (1 and 7) the script generates its tables (three synthetic
 kinds through `flashtune synth`, a 125-row integer table with one minimized
 and one maximized objective that it writes itself, a messy copy of that
-table as a spreadsheet might export it, and a 64-row integer table with
-three objectives), then runs
+table as a spreadsheet might export it, a 64-row integer table with
+three objectives, and two small tables that fail to load), then runs
 `tune`, `tune-mo`, `baseline` with every method, `eval` (also on front files
 that spell zero as `-0` or `-0.0`, or name a configuration the table lacks),
 single- and multi-objective `experiment` (one of them on two of the three
-objectives), six failing commands and the synthetic rig script on them:
-624 files in all.  Each command gets its own directory holding `command.txt`,
+objectives), eight failing commands and the synthetic rig script on them:
+646 files in all.  Each command gets its own directory holding `command.txt`,
 `stdout.txt`, `stderr.txt`, `exit_code.txt` and every file the command
 wrote.  Commands run from inside the seed's directory with relative paths,
 and the absolute output directory is replaced by `<OUT>` in stdout and
@@ -108,6 +108,19 @@ def write_messy_copy(table: Path, messy: Path) -> None:
         if k % 10 == 0:
             lines.append("")
     (messy / "data.csv").write_bytes("\r\n".join(lines).encode("utf-8"))
+
+
+def write_bad_tables(table: Path) -> None:
+    """One manifest and two data files, each holding two bad cells, so that
+    a failing `tune` shows which one the loader reports: `domain.csv` has a
+    value outside its domain in row 1, column `b`, and another in row 2,
+    column `a`; `parse.csv` has a value outside its domain in row 2 before
+    a cell that does not parse in the same row."""
+    table.mkdir(parents=True)
+    (table / "manifest.txt").write_text(
+        "option a int 0 3\noption b int 0 3\nobjective y minimize\n", encoding="utf-8")
+    (table / "domain.csv").write_text("a,b,y\n0,5,1\n7,0,2\n1,1,3\n", encoding="utf-8")
+    (table / "parse.csv").write_text("a,b,y\n0,0,1\n0,7,x\n1,1,3\n", encoding="utf-8")
 
 
 def write_front_variants(table: Path) -> None:
@@ -212,6 +225,10 @@ def commands(seed: int) -> list[tuple[str, list[str]]]:
                                      "--approx-front", "tables/bi-objective-tradeoff/data.csv"]),
         ("fail-eval-absent", cli + ["eval", *table("int"), "--true-front", "tables/int/front.csv",
                                     "--approx-front", "tables/int/absent.csv"]),
+        ("fail-tune-bad-domain", cli + ["tune", "--manifest", "tables/bad/manifest.txt",
+                                        "--data", "tables/bad/domain.csv", "--seed", s]),
+        ("fail-tune-bad-parse", cli + ["tune", "--manifest", "tables/bad/manifest.txt",
+                                       "--data", "tables/bad/parse.csv", "--seed", s]),
         ("rig", [sys.executable, str(ROOT / "scripts" / "run_synthetic_rig.py"), "--repeats", "1",
                  "--options", "6", "--seed", s]),
     ]
@@ -253,6 +270,7 @@ def main(argv=None) -> int:
         write_messy_copy(cwd / "tables" / "int", cwd / "tables" / "messy")
         write_front_variants(cwd / "tables" / "int")
         write_tri_table(cwd / "tables" / "tri", seed)
+        write_bad_tables(cwd / "tables" / "bad")
         for name, argv_ in commands(seed):
             run(name, argv_, cwd, out, env)
             if name.startswith("synth-"):

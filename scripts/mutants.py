@@ -145,6 +145,83 @@ MUTANTS = (
         "packed = self._pack(*key)",
         ("tests/test_space.py",),
     ),
+    Mutant(
+        "pareto_front keeps the front of the flipped directions",
+        "src/flashtune/metrics.py",
+        "V = P * -direction_signs(directions)",
+        "V = P * direction_signs(directions)",
+        ("tests/test_metrics.py",),
+    ),
+    Mutant(
+        "gp_predict_batch drops the training mean",
+        "src/flashtune/gp.py",
+        "mu[:, j] = Ks @ g._alpha + g.y_mean",
+        "mu[:, j] = Ks @ g._alpha",
+        ("tests/test_gp.py",),
+    ),
+    Mutant(
+        "gp_fit keeps the least likely length scale",
+        "src/flashtune/gp.py",
+        "lml > best[j][3]",
+        "lml < best[j][3]",
+        ("tests/test_gp.py",),
+    ),
+    Mutant(
+        "the lives loop loses a life only on a strictly worse score",
+        "src/flashtune/baselines.py",
+        "if score <= last_score:",
+        "if score < last_score:",
+        ("tests/test_baselines.py",),
+    ),
+    Mutant(
+        "a12 counts a tie as a win",
+        "src/flashtune/stats.py",
+        "(gt + 0.5 * eq)",
+        "(gt + eq)",
+        ("tests/test_stats.py",),
+    ),
+    Mutant(
+        "scott_knott needs an A12 above the threshold, not at least it",
+        "src/flashtune/stats.py",
+        "a12(right, left) >= A12_THRESHOLD",
+        "a12(right, left) > A12_THRESHOLD",
+        ("tests/test_stats.py",),
+    ),
+    Mutant(
+        "_open_output truncates instead of unlinking",
+        "src/flashtune/space.py",
+        "Path(path).unlink(missing_ok=True)",
+        "None",
+        ("tests/test_outputs.py",),
+    ),
+    Mutant(
+        "_open_output writes through a file that appeared after the unlink",
+        "src/flashtune/space.py",
+        'open(path, "x", newline="", encoding="utf-8")',
+        'open(path, "w", newline="", encoding="utf-8")',
+        ("tests/test_outputs.py",),
+    ),
+    Mutant(
+        "Dataset checks option domains column by column",
+        "src/flashtune/space.py",
+        "_check_domain(self.options, X, rows)",
+        "for j in range(X.shape[1]): _check_domain(self.options[j:j + 1], X[:, j:j + 1], rows)",
+        ("tests/test_space.py",),
+    ),
+    Mutant(
+        "load_dataset reports a parse failure before an earlier domain error",
+        "src/flashtune/space.py",
+        "_check_domain(options, T[:, :d], rows)",
+        "pass",
+        ("tests/test_space.py",),
+    ),
+    Mutant(
+        "Dataset.candidates truncates an id that is not an integer",
+        "src/flashtune/space.py",
+        "if fractional.any():",
+        "if False:",
+        ("tests/test_space.py",),
+    ),
 )
 
 

@@ -155,7 +155,10 @@ class Dataset:
         row_numbers: Sequence[int] | None = None,
     ):
         """`row_numbers` gives the number a `RowError` reports for each row;
-        by default the rows are numbered 1, 2, ... in order."""
+        by default the rows are numbered 1, 2, ... in order.  After the
+        shapes, the first error is, in this order: an option value outside
+        its domain (`_check_domain`), fewer than 2 rows, a non-finite
+        objective, a row that repeats an earlier one."""
         self.options = tuple(options)
         self.objectives = tuple(objectives)
         if not self.objectives:
@@ -175,22 +178,14 @@ class Dataset:
             raise DatasetError("objective rows must match the objective count")
         if X.shape[0] != Y.shape[0]:
             raise DatasetError("configuration and objective row counts differ")
-        if X.shape[0] < 2:
-            raise DatasetError("a dataset needs at least 2 rows")
-        if not np.isfinite(X).all():
-            raise DatasetError("configuration values must be finite")
-        if not np.isfinite(Y).all():
-            raise DatasetError("objective values must be finite")
         rows = range(1, X.shape[0] + 1) if row_numbers is None else row_numbers
         if len(rows) != X.shape[0]:
             raise ValueError("row_numbers must give one number per row")
-        bad = _outside_domain(self.options, X)
-        bad_options = np.nonzero(bad.any(axis=0))[0]
-        if bad_options.size:
-            j = int(bad_options[0])
-            i = int(np.argmax(bad[:, j]))
-            raise RowError(rows[i], f"value {float(X[i, j])!r} outside domain of option "
-                                    f"{self.options[j].name!r}")
+        _check_domain(self.options, X, rows)
+        if X.shape[0] < 2:
+            raise DatasetError("a dataset needs at least 2 rows")
+        if not np.isfinite(Y).all():
+            raise DatasetError("objective values must be finite")
 
         n, d = X.shape
         self._pack = struct.Struct(f"{d}d").pack
@@ -245,15 +240,22 @@ class Dataset:
 
         Without `indices` it is the whole table: the ids are a range and `X`
         is `configs` itself, not a copy.  With `indices` the ids are their
-        distinct values in ascending order and `X` copies those rows; an id
-        outside `[0, n_rows)` is refused.
+        distinct values in ascending order and `X` copies those rows.  An id
+        whose value is not an integer (`2.0` is one, `2.7` is not) or that
+        lies outside `[0, n_rows)` is refused.
         """
         if indices is None:
             return Pool(np.arange(self.n_rows), self.configs)
-        ids = np.unique(np.fromiter(indices, dtype=int))
+        # read as floats, so that 2.7 is refused rather than truncated to 2
+        given = np.fromiter(indices, dtype=float)
+        fractional = given != np.floor(given)
+        if fractional.any():
+            raise ValueError(f"row id {float(given[np.argmax(fractional)])!r} is not an integer")
+        ids = np.unique(given)
         if ids.size and (ids[0] < 0 or ids[-1] >= self.n_rows):
             bad = ids[0] if ids[0] < 0 else ids[-1]
-            raise ValueError(f"row id {bad} outside [0, {self.n_rows})")
+            raise ValueError(f"row id {_format_value(bad)} outside [0, {self.n_rows})")
+        ids = ids.astype(int)
         return Pool(ids, self.configs[ids])
 
     def __eq__(self, other) -> bool:
@@ -335,17 +337,20 @@ def _parse_manifest(path: Path) -> tuple[list[OptionSchema], list[ObjectiveSchem
     return options, objectives
 
 
-def _outside_domain(options: Sequence[OptionSchema], X: np.ndarray) -> np.ndarray:
-    """Mask of the cells of `X` outside their column's option domain: not an
-    integer (NaN and infinities included) or outside [lo, hi].  It is built
-    `_BLOCK` rows at a time, so the only table-sized array is the mask."""
+def _check_domain(options: Sequence[OptionSchema], X: np.ndarray, rows: Sequence[int]) -> None:
+    """Raise a `RowError` for the first cell of `X`, in row order and then
+    option order, outside its option's domain: not an integer (NaN and
+    infinities included) or outside [lo, hi].  `rows` numbers the rows.
+    The mask is built `_BLOCK` rows at a time, so no table-sized array is."""
     lo = np.array([o.lo for o in options], dtype=float)
     hi = np.array([o.hi for o in options], dtype=float)
-    bad = np.empty(X.shape, dtype=bool)
     for start in range(0, X.shape[0], _BLOCK):
         B = X[start:start + _BLOCK]
-        bad[start:start + _BLOCK] = (B != np.floor(B)) | (B < lo) | (B > hi)
-    return bad
+        bad = (B != np.floor(B)) | (B < lo) | (B > hi)
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), len(options))
+            raise RowError(rows[start + i], f"value {float(B[i, j])!r} outside domain of "
+                                            f"option {options[j].name!r}")
 
 
 def _parse_clean(body: str, cols: list[int]) -> np.ndarray | None:
@@ -391,9 +396,10 @@ def load_dataset(manifest_path: str | Path, data_path: str | Path) -> Dataset:
     """Load and validate a dataset from a manifest file and a CSV table.
 
     A `RowError` names the file row: 1-based, header excluded, blank lines
-    counted.  The first bad cell in file order is reported first, whether it
-    does not parse or lies outside its option's domain; then come the checks
-    of `Dataset`, which does the domain test.
+    counted.  The first bad cell in file order is reported, whether it does
+    not parse or lies outside its option's domain; a file whose cells all
+    parse gets the errors of `Dataset`, in its order, so a table reports the
+    same error on disk as in memory.
     """
     options, objectives = _parse_manifest(Path(manifest_path))
     wanted = [o.name for o in options] + [o.name for o in objectives]
@@ -429,19 +435,17 @@ def load_dataset(manifest_path: str | Path, data_path: str | Path) -> Dataset:
                 if not record or all(not c.strip() for c in record):
                     continue
                 rows.append(rowno)
-                try:
-                    table.append([float(record[c]) for c in cols])
-                except (ValueError, IndexError):
-                    cells: list[float] = []
-                    for name, c in zip(wanted, cols):
-                        try:
-                            cells.append(float(record[c]))
-                        except (ValueError, IndexError):
-                            failure = RowError(
-                                rowno, f"non-numeric or missing value in column {name!r}")
-                            break
-                    # the cells before the bad one are domain-checked below
-                    table.append(cells + padding[len(cells):])
+                cells: list[float] = []
+                for name, c in zip(wanted, cols):
+                    try:
+                        cells.append(float(record[c]))
+                    except (ValueError, IndexError):
+                        failure = RowError(
+                            rowno, f"non-numeric or missing value in column {name!r}")
+                        break
+                # the cells before a bad one are domain-checked below
+                table.append(cells + padding[len(cells):])
+                if failure is not None:
                     break
         except csv.Error as exc:
             # e.g. a cell beyond the csv module's field size limit
@@ -449,19 +453,11 @@ def load_dataset(manifest_path: str | Path, data_path: str | Path) -> Dataset:
         T = np.array(table, dtype=float).reshape(len(table), len(wanted))
 
     d = len(options)
-    try:
-        if failure is not None:
-            raise failure
-        return Dataset(options, objectives, T[:, :d], T[:, d:], row_numbers=rows)
-    except DatasetError:
-        # a value outside its domain earlier in the file is reported instead
-        bad = _outside_domain(options, T[:, :d])
-        if bad.any():
-            i = int(np.argmax(bad.any(axis=1)))
-            j = int(np.argmax(bad[i]))
-            raise RowError(rows[i], f"value {float(T[i, j])!r} outside domain of option "
-                                    f"{options[j].name!r}") from None
-        raise
+    if failure is not None:
+        # a value outside its domain earlier in the file is reported first
+        _check_domain(options, T[:, :d], rows)
+        raise failure
+    return Dataset(options, objectives, T[:, :d], T[:, d:], row_numbers=rows)
 
 
 def _format_value(v: float) -> str:

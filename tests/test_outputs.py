@@ -58,6 +58,23 @@ def test_what_sits_at_the_path_is_replaced_by_a_plain_file(tmp_path, kind):
     assert target.read_bytes() == b"target\n"
 
 
+def test_a_file_that_appears_after_the_unlink_is_not_written_through(tmp_path, monkeypatch):
+    """The new file is opened exclusively: one that another writer creates
+    between the unlink and the open raises FileExistsError and keeps its bytes."""
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old\n")
+    unlink = Path.unlink
+
+    def unlink_and_recreate(self, missing_ok=False):
+        unlink(self, missing_ok=missing_ok)
+        self.write_bytes(b"other writer\n")
+
+    monkeypatch.setattr(Path, "unlink", unlink_and_recreate)
+    with pytest.raises(FileExistsError):
+        _open_output(path)
+    assert path.read_bytes() == b"other writer\n"
+
+
 def test_a_missing_parent_directory_raises(tmp_path):
     with pytest.raises(FileNotFoundError):
         _write_csv(tmp_path / "missing" / "out.csv", ["a"], [])

@@ -222,10 +222,9 @@ def test_dataset_reports_given_row_numbers():
 
 
 def loop_domain_error(options, X):
-    """The per-element domain scan the array test replaced: first bad value
-    by column, then by row."""
-    for j, opt in enumerate(options):
-        for i, v in enumerate(X[:, j]):
+    """The per-element domain scan: first bad value by row, then by option."""
+    for i, row in enumerate(X):
+        for opt, v in zip(options, row):
             if not (float(v).is_integer() and opt.lo <= v <= opt.hi):
                 return f"row {i + 1}: value {float(v)!r} outside domain of option {opt.name!r}"
     return None
@@ -233,10 +232,10 @@ def loop_domain_error(options, X):
 
 @settings(max_examples=200)
 @given(st.data())
-def test_dataset_domain_error_matches_loop(data):
+def test_dataset_domain_error_matches_row_first_loop(data):
     n = data.draw(st.integers(2, 6))
     d = data.draw(st.integers(1, 3))
-    cells = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0])
+    cells = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0, np.nan, np.inf, -np.inf])
     X = np.array([[data.draw(cells) for _ in range(d)] for _ in range(n)])
     options = [OptionSchema(f"o{j}", "integer", 0, data.draw(st.integers(0, 3))) for j in range(d)]
     expected = loop_domain_error(options, X)
@@ -249,6 +248,46 @@ def test_dataset_domain_error_matches_loop(data):
         assert str(exc) == expected or (expected is None and "duplicate" in str(exc))
     else:
         assert expected is None
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_a_table_reports_the_same_error_in_memory_and_from_a_file(tmp_path_factory, data):
+    """One rule picks the reported error wherever the table comes from: the
+    first option value outside its domain in row order, then the rest of
+    `Dataset`'s checks.  Two bad cells in different rows and options, like
+    rows `0,5` and `7,0` over options in 0..3, must name the same cell."""
+    n = data.draw(st.integers(2, 6))
+    bounds = data.draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 3)),
+                                min_size=1, max_size=3))
+    options = [OptionSchema(f"o{j}", "integer", lo, lo + width)
+               for j, (lo, width) in enumerate(bounds)]
+    objectives = [ObjectiveSchema("y", "minimize")]
+
+    def cell(opt):
+        valid = st.integers(opt.lo, opt.hi).map(float)
+        outside = st.sampled_from([opt.lo - 1.0, opt.hi + 1.0, opt.lo + 0.5, 9.0])
+        return st.one_of(valid, valid, outside, st.sampled_from([np.nan, np.inf, -np.inf]))
+
+    X = np.array([[data.draw(cell(opt)) for opt in options] for _ in range(n)])
+    Y = np.array([[data.draw(st.sampled_from([1.0, -2.5, 3.0, np.nan, np.inf]))]
+                  for _ in range(n)])
+    work = tmp_path_factory.mktemp("alike")
+    m, d = work / "m.txt", work / "d.csv"
+    m.write_text("".join(f"option {o.name} int {o.lo} {o.hi}\n" for o in options)
+                 + "objective y minimize\n")
+    d.write_text(",".join(o.name for o in options) + ",y\n"
+                 + "".join(",".join(map(repr, [*x, *y])) + "\n"
+                           for x, y in zip(X.tolist(), Y.tolist())))
+
+    def outcome(build):
+        try:
+            return build()
+        except DatasetError as exc:
+            return type(exc), str(exc)
+
+    assert outcome(lambda: load_dataset(m, d)) == outcome(
+        lambda: Dataset(options, objectives, X, Y))
 
 
 @pytest.mark.parametrize("bad", ["7", "-1", "2.5", "7.0"])
@@ -312,6 +351,15 @@ def test_candidates_refuse_ids_outside_the_table(indices, bad):
     with pytest.raises(ValueError, match=rf"^row id {bad} outside \[0, 4\)$"):
         ds.candidates(indices)
     assert ds.candidates([]).ids.size == 0
+
+
+@pytest.mark.parametrize("bad", [1.7, -0.5])
+def test_candidates_refuse_ids_that_are_not_integers(bad):
+    """An id of 1.7 used to be truncated to row 1, a row the caller never named."""
+    ds = make_dataset([(i,) for i in range(4)], [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match=rf"^row id {bad} is not an integer$"):
+        ds.candidates([0, bad, 2.5])
+    assert ds.candidates([2.0, np.int64(0), 2]).ids.tolist() == [0, 2]
 
 
 def test_pool_leaves_callers_arrays_writable():

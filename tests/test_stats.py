@@ -131,6 +131,17 @@ def test_negligible_shift_shares_rank():
     assert ranks["far"] == 2
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_an_a12_of_exactly_the_threshold_splits(seed):
+    """The A12 gate is "at least" `A12_THRESHOLD`: here A12 is exactly 0.6
+    (10 wins and 40 ties in 50 against 50) and the bootstrap agrees."""
+    worse = [1.0] * 10 + [0.0] * 40
+    assert a12(worse, [0.0] * 50) == 0.6
+    assert bootstrap_significant([0.0] * 50, worse, SkParams(seed))
+    ranks = scott_knott([Treatment("a", [0.0] * 50), Treatment("b", worse)], SkParams(seed))
+    assert ranks == {"a": 1, "b": 2}
+
+
 def test_single_treatment_rank_one():
     assert scott_knott([Treatment("only", (1.0, 2.0))]) == {"only": 1}
 
