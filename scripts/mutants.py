@@ -222,6 +222,41 @@ MUTANTS = (
         "if False:",
         ("tests/test_space.py",),
     ),
+    Mutant(
+        "_split_gain lets a later cut win a tie",
+        "src/flashtune/stats.py",
+        "if gain > best_gain:",
+        "if gain >= best_gain:",
+        ("tests/test_stats.py",),
+    ),
+    Mutant(
+        "_factor retries with a jitter that does not grow",
+        "src/flashtune/gp.py",
+        "jitter = max(jitter * 10.0, 1e-12 * scale)",
+        "jitter = 1e-12 * scale",
+        ("tests/test_gp.py",),
+    ),
+    Mutant(
+        "a refit keeps the old side where only the split option matches",
+        "src/flashtune/cart.py",
+        "old.option_index == j and old.threshold == thr",
+        "old.option_index == j",
+        ("tests/test_cart.py",),
+    ),
+    Mutant(
+        "a refit skips the check of the rows after the inserted one",
+        "src/flashtune/cart.py",
+        'return (at, memo["tree"]) if (bits[at + 1:] == old[at:]).all() else (-1, None)',
+        'return at, memo["tree"]',
+        ("tests/test_cart.py",),
+    ),
+    Mutant(
+        "a refit ignores a changed exponent",
+        "src/flashtune/cart.py",
+        'memo["params"] != params or memo["e"] != e',
+        'memo["params"] != params',
+        ("tests/test_cart.py",),
+    ),
 )
 
 

@@ -32,17 +32,17 @@ about 1e-6 * max|y| stays a leaf where the unscaled fit would split it;
 with max|y| well below 1, a node whose sum of squares is under about 1e-12
 may split where the unscaled fit would not.
 
-A refit can reuse the subtrees that a new row left alone.  The tree has no
-depth limit, so a subtree is a pure function of its node's rows (their
-option values and targets, in node order) and the `CartParams`, wherever in
-the tree the node sits.  So `fit(..., memo=m)` keys each node it searches for
-a split on exactly those: the bytes of the node's X block and of its scaled
-y values, the exponent e and the params.  A key found in `m` gives back the
-subtree the previous fit on `m` grew for it, even where a new root split has
-moved it one level down; every other node is grown and stored.  The key is
-the content itself, not a name the caller gives the rows, so a memo shared
-by unrelated fits never returns a wrong tree.  After the fit `m` holds only
-this fit's nodes, so it stays the size of one tree.
+A refit that adds one row reuses the subtrees the row missed.  With no
+depth limit, a subtree is a pure function of its node's rows (their option
+values and targets, in node order), e and the `CartParams`.  So `fit(...,
+memo=m)` keeps the last fit's params, e, rows (the bits of their options and
+scaled targets, so -0.0 and 0.0 stay apart) and tree in `m`.  A refit with
+the same params and e on those rows plus one row inserted anywhere searches
+the nodes on the new row's path as a fresh fit would.  Where one splits as
+its old node did, the side the new row misses has the old side's rows, so it
+is the old subtree itself; the other side recurses with the old side.  Any
+other refit is grown afresh, so a memo shared by unrelated fits never
+returns a wrong tree.
 
 Predictions and picks over one matrix share a memo.  Both walk the tree
 with an explicit stack, naming each node by its path: the tuple of (option
@@ -147,55 +147,51 @@ def _best_split(
 
 def _grow(
     XT: np.ndarray, y: np.ndarray, e: int, rows: np.ndarray, order: np.ndarray,
-    params: CartParams, old: dict, new: dict,
-) -> tuple[TreeNode, tuple | None]:
-    """The subtree of `rows` and its memo key, grown on the scaled targets
-    `y`, with leaf means scaled back by 2^e.
-
-    `old` is the memo as the previous fit left it and `new` receives this
-    fit's entries.  An entry maps a key to (subtree, left child's key, right
-    child's key).  A node that is a leaf without a split search gets no key
-    (None), since it costs nothing to rebuild.
-    """
+    params: CartParams, at: int, old: TreeNode | None,
+) -> TreeNode:
+    """The subtree of `rows`, grown on the scaled targets `y`, with leaf
+    means scaled back by 2^e.  `old`, if given, is the subtree the previous
+    fit grew for these rows without row `at`, which they hold."""
     yn = y[rows]
     n = yn.size
     if n < params.min_samples_split or yn.max() == yn.min():
-        return Leaf(math.ldexp(yn.mean(), e), n), None
-    key = (XT[:, rows].tobytes(), yn.tobytes(), e, params)
-    if key in old:
-        _keep(key, old, new)
-        return new[key][0], key
+        return Leaf(math.ldexp(yn.mean(), e), n)
     found = _best_split(XT, y, yn, order, params.min_samples_leaf)
     if found is None:
-        node, left_key, right_key = Leaf(math.ldexp(yn.mean(), e), n), None, None
-    else:
-        j, thr = found
-        rows_left = XT[j, rows] <= thr
-        order_left = XT[j, order] <= thr
-        d = order.shape[0]
-        left, left_key = _grow(XT, y, e, rows[rows_left], order[order_left].reshape(d, -1),
-                               params, old, new)
-        right, right_key = _grow(XT, y, e, rows[~rows_left], order[~order_left].reshape(d, -1),
-                                 params, old, new)
-        node = Split(j, thr, left, right)
-    new[key] = (node, left_key, right_key)
-    return node, key
+        return Leaf(math.ldexp(yn.mean(), e), n)
+    j, thr = found
+    kept = isinstance(old, Split) and old.option_index == j and old.threshold == thr
+    at_left = kept and XT[j, at] <= thr
+    rows_left = XT[j, rows] <= thr
+    order_left = XT[j, order] <= thr
+    left = old.left if kept and not at_left else _grow(
+        XT, y, e, rows[rows_left], order[order_left].reshape(len(order), -1), params, at,
+        old.left if kept else None)
+    right = old.right if at_left else _grow(
+        XT, y, e, rows[~rows_left], order[~order_left].reshape(len(order), -1), params, at,
+        old.right if kept else None)
+    return Split(j, thr, left, right)
 
 
-def _keep(key: tuple, old: dict, new: dict) -> None:
-    """Carry a reused subtree's entry and its descendants' from `old` to `new`."""
-    entry = new[key] = old[key]
-    for child in entry[1:]:
-        if child is not None:
-            _keep(child, old, new)
+def _last_fit(memo: dict | None, params: CartParams, e: int, bits: np.ndarray):
+    """The position at which the rows `bits` insert one row into the memo's
+    last rows and the memo's tree, if they do and the memo's fit had `params`
+    and `e`; else (-1, None)."""
+    if (not memo or memo["params"] != params or memo["e"] != e
+            or memo["bits"].shape != (bits.shape[0] - 1, bits.shape[1])):
+        return -1, None
+    old = memo["bits"]
+    differs = (bits[:-1] != old).any(axis=1)
+    at = int(differs.argmax()) if differs.any() else old.shape[0]
+    return (at, memo["tree"]) if (bits[at + 1:] == old[at:]).all() else (-1, None)
 
 
 def fit(xs, ys, params: CartParams = CartParams(), *, memo: dict | None = None) -> TreeNode:
     """Fit a regression tree on configuration rows `xs` and targets `ys`.
 
-    `memo`, a dict that starts empty, lets a refit reuse the subtrees the
-    previous fit on it grew (see the module docstring); the tree is the same
-    with or without it.  Keep one memo per sequence of refits.
+    `memo`, a dict that starts empty, keeps this fit so that a refit on it
+    that adds one row reuses the subtrees that row misses (see the module
+    docstring); the tree is the same with or without it.
     """
     X = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
@@ -212,10 +208,12 @@ def fit(xs, ys, params: CartParams = CartParams(), *, memo: dict | None = None) 
     XT = np.ascontiguousarray(X.T)
     order = np.argsort(XT, axis=1, kind="stable")
     e = math.frexp(np.abs(y).max())[1]
-    memo = {} if memo is None else memo
-    old = dict(memo)
-    memo.clear()
-    return _grow(XT, np.ldexp(y, -e), e, np.arange(y.size), order, params, old, memo)[0]
+    y = np.ldexp(y, -e)
+    bits = np.column_stack([X, y]).view(np.int64)
+    tree = _grow(XT, y, e, np.arange(y.size), order, params, *_last_fit(memo, params, e, bits))
+    if memo is not None:
+        memo.update(params=params, e=e, bits=bits, tree=tree)
+    return tree
 
 
 def predict_batch(tree: TreeNode, configs, *, memo: dict | None = None) -> np.ndarray:

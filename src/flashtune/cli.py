@@ -100,6 +100,15 @@ def _spec(methods, seed, cart_min_split, cart_min_leaf, size, budget,
     )
 
 
+def _refuse_foreign_files(out, command: str, own: str = "") -> None:
+    """Refuse an `--out` holding the `front.csv` or `tree.txt` of another
+    single-run command (all but `own`, which this command may write): this
+    run would leave it beside files it does not describe."""
+    for name in ("front.csv", "tree.txt"):
+        if name != own and (Path(out) / name).exists():
+            raise click.UsageError(f"--out {out} holds {name}, which {command} does not write")
+
+
 def _write_run(out, run, dataset: Dataset, summary: list[str]) -> Path:
     """Write one run's `trace.csv`, then `summary.txt`: the command's own
     `summary` lines and the run's cost and stop reason."""
@@ -124,6 +133,7 @@ def _write_run(out, run, dataset: Dataset, summary: list[str]) -> Path:
 @click.option("--dump-tree", "dump_tree_flag", is_flag=True, help="Also write the final surrogate tree.")
 def tune(manifest, data, objective, seed, out, dump_tree_flag, **search):
     """Single-objective model-based search over the whole dataset."""
+    _refuse_foreign_files(out, "tune", own="tree.txt")
     dataset = load_dataset(manifest, data)
     obj = _resolve_objective(dataset, objective)
     spec = _spec([MethodSpec("flash")], seed, manifest=manifest, data=data, **search)
@@ -159,6 +169,7 @@ def tune(manifest, data, objective, seed, out, dump_tree_flag, **search):
 @click.option("--out", type=click.Path(file_okay=False), required=True)
 def tune_mo(manifest, data, seed, out, **search):
     """Multi-objective model-based search; writes the measured front."""
+    _refuse_foreign_files(out, "tune-mo", own="front.csv")
     dataset = load_dataset(manifest, data)
     if len(dataset.objectives) < 2:
         raise DatasetError("tune-mo needs a dataset with at least two objectives")
@@ -202,6 +213,7 @@ def _write_front_csv(path: Path, dataset: Dataset, ids) -> None:
 @click.option("--out", type=click.Path(file_okay=False), required=True)
 def baseline(manifest, data, method, objective, seed, out, **options):
     """Run one method once, on the same pools the experiment rig uses."""
+    _refuse_foreign_files(out, "baseline")
     if method == "epal" and objective is not None:
         raise click.UsageError("--objective does not apply to epal, which searches every objective")
     dataset = load_dataset(manifest, data)

@@ -30,18 +30,15 @@ def mmre(predicted: Sequence[float], actual: Sequence[float]) -> float:
 
 
 def average_ranks(values: Sequence[float]) -> np.ndarray:
-    """Ascending 1-based ranks; tied values share the average of their positions."""
+    """Ascending 1-based ranks; tied values share the average of their
+    positions.  Each NaN, sorted last, is a group of its own."""
     v = np.asarray(values, dtype=float)
     order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size, dtype=float)
     sv = v[order]
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.concatenate([[True], sv[1:] != sv[:-1]]))
+    ends = np.append(starts[1:], v.size) - 1
+    ranks = np.empty(v.size, dtype=float)
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 

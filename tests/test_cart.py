@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flashtune import cart
+from flashtune import baselines, cart
+from flashtune.baselines import LivesParams
 from flashtune.cart import (
     CartParams,
     Leaf,
@@ -14,6 +15,9 @@ from flashtune.cart import (
     fit,
     predict_batch,
 )
+from flashtune.flash import FlashParams, flash_multi, flash_single
+from flashtune.space import TableOracle, split
+from flashtune.synth import generate_synthetic
 
 from conftest import predict
 
@@ -333,13 +337,16 @@ def test_split_floor_is_relative_to_the_largest_target():
 
 
 def test_memo_tells_scales_apart():
-    """Targets and their doubles scale to the same bytes; the exponent in
-    the key keeps their subtrees apart."""
+    """Targets and their doubles scale to the same bits; the exponent the
+    memo keeps tells them apart, also where the doubled targets add a row."""
     rng = np.random.default_rng(12)
     X = rng.integers(0, 3, size=(30, 3)).astype(float)
     y = rng.normal(size=30)
+    y[-1] = 0.0  # not the largest, so the exponent of y[:-1] is that of y
     memo: dict = {}
     assert fit(X, y, memo=memo) == fit(X, y)
+    assert fit(X, 2.0 * y, memo=memo) == scaled(fit(X, y), 1)
+    fit(X[:-1], y[:-1], memo=memo)
     assert fit(X, 2.0 * y, memo=memo) == scaled(fit(X, y), 1)
 
 
@@ -352,7 +359,7 @@ def test_memo_refits_match_fresh_fits(case, data):
     (flash keeps rows in pool order) or at the end (the lives loop keeps them
     in measurement order), and may repeat a row (sampling with replacement).
     Every refit on the shared memo gives the fresh tree, and leaves the memo
-    holding exactly the nodes a fresh memo gets from this fit."""
+    holding what a fresh memo gets from this fit."""
     X, y, params = case
     n = y.size
     rows = list(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)))
@@ -367,7 +374,14 @@ def test_memo_refits_match_fresh_fits(case, data):
         assert tree == fit(X[rows], y[rows], params, memo=fresh)
         assert tree == fit(X[rows], y[rows], params)
         assert tree == reference_fit(X[rows], y[rows], params)
-        assert memo.keys() == fresh.keys()
+        assert same_memo(memo, fresh)
+
+
+def same_memo(a: dict, b: dict) -> bool:
+    """Both memos hold the same params, exponent, row bits and tree."""
+    return (a.keys() == b.keys() and a["params"] == b["params"] and a["e"] == b["e"]
+            and a["bits"].shape == b["bits"].shape
+            and a["bits"].tobytes() == b["bits"].tobytes() and a["tree"] == b["tree"])
 
 
 def test_memo_shared_by_unrelated_fits_returns_their_own_trees():
@@ -380,33 +394,83 @@ def test_memo_shared_by_unrelated_fits_returns_their_own_trees():
     yc = ya.copy()
     yc[7] += 1.0
     A2 = rng.integers(0, 3, size=(40, 4)).astype(float)
+    # A without its row 5: one row removed from A, or one inserted into it
+    A5, ya5 = np.delete(A, 5, axis=0), np.delete(ya, 5)
     memo: dict = {}
     for X, y, params in [(A, ya, LOOSE), (B, yb, LOOSE), (A, ya, LOOSE), (A2, ya, LOOSE),
                          (A, ya, LOOSE), (A, yc, LOOSE), (A, ya, CartParams()),
-                         (A, ya, LOOSE), (B[:20], yb[:20], LOOSE)]:
+                         (A, ya, LOOSE), (B[:20], yb[:20], LOOSE),
+                         (A[:38], ya[:38], LOOSE), (A, ya, LOOSE),  # two rows added
+                         (A5, ya5, LOOSE),  # one row removed
+                         (A, yc, LOOSE), (A, ya, LOOSE),  # one target changed in place
+                         (A[:39], ya[:39], LOOSE), (A, yc, LOOSE),  # a row added, a target changed
+                         (A5, ya5, LOOSE), (A, yc, LOOSE),  # a row inserted, a later target changed
+                         (A5, ya5, CartParams()), (A, ya, LOOSE)]:  # a row inserted, other params
         assert fit(X, y, params, memo=memo) == reference_fit(X, y, params)
 
 
-def test_memo_reuses_a_tree_a_new_root_split_moves_one_level_down(monkeypatch):
-    """An outlier row split off at the root leaves the old rows, with the
-    same targets and the same exponent e, one level deeper.  A subtree
-    depends only on its rows, so the refit searches for a split only at the
-    new root; the one-row leaf beside it needs no search."""
-    rng = np.random.default_rng(14)
-    X = rng.integers(0, 4, size=(30, 3)).astype(float)
-    y = X @ np.array([100.0, 50.0, 25.0]) + 100.0
-    X2 = np.vstack([X, [[10.0, 0.0, 0.0]]])
-    y2 = np.append(y, -1000.0)
-    assert np.frexp(np.abs(y).max())[1] == np.frexp(1000.0)[1]
+def test_memo_refit_checks_the_rows_after_the_inserted_one():
+    """Rows 0-1 are kept and a row is inserted at 2, but the last target
+    changed too: the right side of the root split, which the new row
+    misses, now has other targets, so the refit must not take it from the
+    last tree."""
+    X = np.arange(8.0)[:, None]
     memo: dict = {}
-    old = fit(X, y, LOOSE, memo=memo)
+    assert fit(X, [0, 0, 0, 0, 10, 10, 10, 10], LOOSE, memo=memo) == Split(
+        0, 3.5, Leaf(0.0, 4), Leaf(10.0, 4))
+    X2 = np.insert(X, 2, 1.5, axis=0)
+    y2 = [0, 0, 0, 0, 0, 10, 10, 10, 11]
+    assert fit(X2, y2, LOOSE, memo=memo) == reference_fit(X2, y2, LOOSE) == Split(
+        0, 3.5, Leaf(0.0, 5), Split(0, 6.5, Leaf(10.0, 3), Leaf(11.0, 1)))
+
+
+def test_memo_refit_grows_afresh_where_the_threshold_moves_on_the_same_option():
+    """The row inserted at 3.5 moves the root's cut on option 0 from 4.5 to
+    3.25, so the left side it misses has lost row 4 and is grown afresh."""
+    X = np.arange(6.0)[:, None]
+    memo: dict = {}
+    assert fit(X, [0, 0, 0, 0, 0, 10], LOOSE, memo=memo) == Split(
+        0, 4.5, Leaf(0.0, 5), Leaf(10.0, 1))
+    X2 = np.insert(X, 4, 3.5, axis=0)
+    y2 = [0, 0, 0, 0, 10, 0, 10]
+    tree = fit(X2, y2, LOOSE, memo=memo)
+    assert tree == reference_fit(X2, y2, LOOSE)
+    assert (tree.option_index, tree.threshold, tree.left) == (0, 3.25, Leaf(0.0, 4))
+
+
+def path_splits(tree: TreeNode, x) -> list[Split]:
+    """The splits on the path of configuration `x`, root first."""
+    splits = []
+    while isinstance(tree, Split):
+        splits.append(tree)
+        tree = tree.left if x[tree.option_index] <= tree.threshold else tree.right
+    return splits
+
+
+def test_memo_refit_whose_splits_stay_searches_only_the_new_rows_path(monkeypatch):
+    """A row inserted mid-table whose path keeps every old split and ends in
+    the old one-row leaf, which it splits: the refit searches the nodes on
+    that path and no other, and each side the row misses is the old
+    subtree object."""
+    rng = np.random.default_rng(13)
+    X = rng.integers(0, 4, size=(60, 5)).astype(float)
+    y = X @ np.array([3.0, -2.0, 1.0, 0.5, 0.0]) + rng.normal(scale=0.1, size=60)
+    memo: dict = {}
+    old = fit(np.delete(X, 38, axis=0), np.delete(y, 38), LOOSE, memo=memo)
     calls = []
     best_split = cart._best_split
     monkeypatch.setattr(cart, "_best_split", lambda *a: calls.append(1) or best_split(*a))
-    tree = fit(X2, y2, LOOSE, memo=memo)
-    assert tree == Split(0, 6.5, old, Leaf(-1000.0, 1))
-    assert tree == reference_fit(X2, y2, LOOSE)
-    assert len(calls) == 1
+    tree = fit(X, y, LOOSE, memo=memo)
+    assert tree == reference_fit(X, y, LOOSE)
+    path, old_path = path_splits(tree, X[38]), path_splits(old, X[38])
+    assert len(path) == len(old_path) + 1 > 3
+    assert [(s.option_index, s.threshold) for s in path[:-1]] == [
+        (s.option_index, s.threshold) for s in old_path]
+    for new, was in zip(path, old_path):
+        missed = "right" if X[38, new.option_index] <= new.threshold else "left"
+        assert getattr(new, missed) is getattr(was, missed)
+    assert path[-1].left.count == path[-1].right.count == 1  # one-row leaves need no search
+    assert len(calls) == len(path)
 
 
 def test_memo_reuses_the_subtrees_a_new_row_misses():
@@ -433,12 +497,62 @@ def test_memo_keeps_only_the_last_fits_nodes():
     y = rng.normal(size=80)
     memo: dict = {}
     fit(X, y, LOOSE, memo=memo)
-    big = len(memo)
     fit(X[:10], y[:10], LOOSE, memo=memo)
     alone: dict = {}
     fit(X[:10], y[:10], LOOSE, memo=alone)
-    assert 0 < len(memo) == len(alone) < big
-    assert memo.keys() == alone.keys()
+    assert same_memo(memo, alone)
+    assert memo["bits"].shape == (10, 6)
+
+
+# --- the refits the package makes ----------------------------------------------
+
+def inserts_one_row(before, after) -> bool:
+    """Brute force: the rows and targets `after` are those of `before`, bit
+    for bit, with one row inserted at some position."""
+    (Xb, yb), (Xa, ya) = before, after
+    return Xa.shape[1:] == Xb.shape[1:] and any(
+        np.delete(Xa, at, axis=0).tobytes() == Xb.tobytes()
+        and np.delete(ya, at).tobytes() == yb.tobytes() for at in range(ya.size))
+
+
+def run_method(method: str):
+    """One run of `method` on a 7-option synthetic table."""
+    if method == "flash_multi":
+        ds = generate_synthetic("bi-objective-tradeoff", 7, 2)
+        return flash_multi(ds.candidates(), TableOracle(ds), FlashParams(size=10, budget=25,
+                                                                         n_projections=4))
+    ds = generate_synthetic("interaction", 7, 2)
+    if method == "flash_single":
+        return flash_single(ds.candidates(), TableOracle(ds), FlashParams(size=10, budget=25))
+    train, hold, val = (ds.candidates(part) for part in split(ds, 3))
+    sampler = getattr(baselines, method)
+    return sampler(train, hold, val, TableOracle(ds), LivesParams(lives=30), seed=3)
+
+
+@pytest.mark.parametrize("method", ["flash_single", "flash_multi", "progressive_sampling",
+                                    "rank_based"])
+def test_every_memo_refit_inserts_one_row(monkeypatch, method):
+    """Each memo the package passes to `fit` (one per objective in
+    `flash_multi`) sees, after its first fit, the previous rows with exactly
+    one row inserted: the one traffic whose refits reuse subtrees.  A
+    caller that stops adding one row per refit fails here instead of
+    silently growing every tree afresh."""
+    fits: dict = {}
+    real_fit = cart.fit
+
+    def recording(xs, ys, params=CartParams(), *, memo=None):
+        if memo is not None:
+            fits.setdefault(id(memo), []).append(
+                (np.array(xs, dtype=float), np.array(ys, dtype=float)))
+        return real_fit(xs, ys, params, memo=memo)
+
+    monkeypatch.setattr(cart, "fit", recording)
+    run_method(method)
+    assert len(fits) == (2 if method == "flash_multi" else 1)
+    for seen in fits.values():
+        assert len(seen) > 10
+        for before, after in zip(seen, seen[1:]):
+            assert inserts_one_row(before, after)
 
 
 # --- predictions and picks over one path memo ------------------------------------

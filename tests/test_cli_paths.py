@@ -137,3 +137,28 @@ def test_commands_keep_their_order_of_option_checks(tmp_path, table, capsys):
         assert run_main(*args, *bad) == 1
         assert capsys.readouterr().err == "validation error: size must be >= 1\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("first, then, name", [
+    (["tune-mo"], ["tune"], "front.csv"),
+    (["tune", "--dump-tree"], ["tune-mo"], "tree.txt"),
+    (["tune", "--dump-tree"], ["baseline", "--method", "flash"], "tree.txt"),
+])
+def test_a_run_refuses_an_out_holding_another_commands_file(tmp_path, table, capsys, monkeypatch,
+                                                           first, then, name):
+    """A file the second command does not write would be left beside its
+    outputs, describing another run; it is refused before any measurement,
+    and the directory keeps the first command's files."""
+    manifest, data = table
+    out = tmp_path / "out"
+    files = ["--manifest", manifest, "--data", data, "--size", SIZE, "--budget", BUDGET,
+             "--out", out]
+    assert run_main(*first, *files) == 0
+    kept = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert name in kept
+    capsys.readouterr()
+    monkeypatch.setattr(TableOracle, "measure", lambda self, config: pytest.fail("measured"))
+    assert run_main(*then, *files) == 1
+    assert capsys.readouterr().err == (
+        f"error: --out {out} holds {name}, which {then[0]} does not write\n")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == kept

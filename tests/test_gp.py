@@ -202,13 +202,22 @@ def test_multi_column_fit_and_predict_match_one_dimensional_calls():
 
 
 @contextlib.contextmanager
-def counting(monkeypatch, name, calls):
+def counting(monkeypatch, name, calls, limit=None):
     """Count the calls `gp` makes to one routine of `gp.lapack()` inside the
-    block.  The patch is undone on leaving it, so a scipy wrapper called
-    outside the block never sees it (nor caches it in `get_lapack_funcs`)."""
+    block; with a `limit`, the call after it raises, so a loop that would
+    not end fails at once.  The patch is undone on leaving the block, so a
+    scipy wrapper called outside it never sees it (nor caches it in
+    `get_lapack_funcs`)."""
     real = getattr(gp_module.lapack(), name)
+
+    def call(*args, **kwargs):
+        calls.append(1)
+        if limit is not None and len(calls) > limit:
+            raise AssertionError(f"{name} called more than {limit} times")
+        return real(*args, **kwargs)
+
     with monkeypatch.context() as m:
-        m.setattr(gp_module.lapack(), name, lambda *a, **k: calls.append(1) or real(*a, **k))
+        m.setattr(gp_module.lapack(), name, call)
         yield
 
 
@@ -227,7 +236,8 @@ def test_multi_column_predict_solves_once_per_factor(monkeypatch):
 def test_jitter_escalation_matches_the_cho_factor_loop(monkeypatch):
     """Kernels of repeated inputs with no noise are singular: `_factor`
     retries `dpotrf` with growing jitter and ends at the factor the
-    `cho_factor` loop gives, bit for bit."""
+    `cho_factor` loop gives, bit for bit.  The loop gives up after about 11
+    tries, so more than 64 means the jitter stopped growing."""
     rng = np.random.default_rng(23)
     escalated = 0
     for case in range(40):
@@ -235,7 +245,7 @@ def test_jitter_escalation_matches_the_cho_factor_loop(monkeypatch):
         X = np.vstack([X, X[:case % 3 + 1]])
         K = gp_module._kernel(gp_module._sq_dists(X, X), 0.2)
         calls = []
-        with counting(monkeypatch, "dpotrf", calls):
+        with counting(monkeypatch, "dpotrf", calls, limit=64):
             c = gp_module._factor(K, 0.0)
         escalated += len(calls) > 1
         want, want_lower = reference_factor(K, 0.0)
@@ -244,7 +254,7 @@ def test_jitter_escalation_matches_the_cho_factor_loop(monkeypatch):
     assert escalated > 20
     hopeless = np.array([[1.0, 2.0], [2.0, 1.0]])
     calls = []
-    with counting(monkeypatch, "dpotrf", calls), pytest.raises(gp_module.GpError):
+    with counting(monkeypatch, "dpotrf", calls, limit=64), pytest.raises(gp_module.GpError):
         gp_module._factor(hopeless, 0.0)
     assert len(calls) > 2  # _factor's own retries, before it gave up
     with pytest.raises(gp_module.GpError):

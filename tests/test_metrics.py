@@ -67,8 +67,36 @@ def test_mu_rd_tied_predictions_average_rank():
     assert mu_rd([5.0, 5.0, 5.0], [1.0, 2.0, 3.0]) == pytest.approx(2.0 / 3.0)
 
 
+def average_ranks_loop(values):
+    """Oracle for `average_ranks`: a stable sort, then a walk over each run
+    of values equal to its first."""
+    v = np.asarray(values, dtype=float)
+    order = np.argsort(v, kind="stable")
+    ranks = np.empty(v.size, dtype=float)
+    sv = v[order]
+    i = 0
+    while i < v.size:
+        j = i
+        while j + 1 < v.size and sv[j + 1] == sv[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
 def test_average_ranks_ties():
     assert average_ranks([10.0, 10.0, 20.0]).tolist() == [1.5, 1.5, 3.0]
+    assert average_ranks([]).tobytes() == average_ranks_loop([]).tobytes() == b""
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan])
+                | st.floats(allow_nan=True, allow_infinity=True), max_size=40))
+def test_average_ranks_matches_the_loop_bit_for_bit(values):
+    """Ties, NaN (each its own group), signed zeros (one group) and
+    infinities, drawn often from a few values so that they repeat."""
+    got = average_ranks(values)
+    assert got.dtype == np.float64 and got.tobytes() == average_ranks_loop(values).tobytes()
 
 
 @settings(max_examples=60)

@@ -183,6 +183,16 @@ def test_split_point_matches_exhaustive_enumeration():
         assert cut == oracle_cut
 
 
+def test_split_point_tie_goes_to_the_first_cut():
+    """Cutting [0] | [1], [0] or [0], [1] | [0] gains exactly
+    0.05555555555555555 both times; the first cut wins the tie, as in the
+    oracle, where a `>=` would take the second."""
+    from flashtune.stats import _split_gain
+
+    groups = [np.array([0.0]), np.array([1.0]), np.array([0.0])]
+    assert _split_gain(groups) == split_gain_oracle(groups) == (0.05555555555555555, 1)
+
+
 def test_treatment_validation():
     with pytest.raises(ValueError):
         Treatment("bad", ())
