@@ -7,10 +7,11 @@ and one maximized objective that it writes itself, a messy copy of that
 table as a spreadsheet might export it, a 64-row integer table with
 three objectives, and two small tables that fail to load), then runs
 `tune`, `tune-mo`, `baseline` with every method, `eval` (also on front files
-that spell zero as `-0` or `-0.0`, or name a configuration the table lacks),
+that spell zero as `-0` or `-0.0`, are spelled as a spreadsheet might export
+them, or name a configuration the table lacks),
 single- and multi-objective `experiment` (one of them on two of the three
 objectives), eight failing commands and the synthetic rig script on them:
-646 files in all.  Each command gets its own directory holding `command.txt`,
+656 files in all.  Each command gets its own directory holding `command.txt`,
 `stdout.txt`, `stderr.txt`, `exit_code.txt` and every file the command
 wrote.  Commands run from inside the seed's directory with relative paths,
 and the absolute output directory is replaced by `<OUT>` in stdout and
@@ -127,8 +128,10 @@ def write_front_variants(table: Path) -> None:
     """Front files that name `table`'s configurations in other spellings:
     `front-zeros.csv` (the true front) and `approx-zeros.csv` (every other
     front row) write each zero as `-0`, `0.0` or `-0.0` in
-    turn, and `absent.csv` names a front row and then a configuration the
-    table lacks."""
+    turn, `front-messy.csv` is the true front with a shuffled header, an
+    extra quoted text column, quoted cells, CRLF line ends, a blank line
+    after every other row and no final newline, and `absent.csv` names a
+    front row and then a configuration the table lacks."""
     with open(table / "front.csv", newline="", encoding="utf-8") as fh:
         header, *front = list(csv.reader(fh))
     zeros = itertools.cycle(["-0", "0.0", "-0.0"])
@@ -138,6 +141,12 @@ def write_front_variants(table: Path) -> None:
         lines += [",".join(next(zeros) if cell == "0" else cell for cell in row) for row in rows]
         (table / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
+    messy = ['c,"note",a,b']
+    for k, (a, b, c) in enumerate(front, start=1):
+        messy.append(f'"{c}","row {k}, ""on the front""",{a},"{b}"')
+        if k % 2 == 0:
+            messy.append("")
+    (table / "front-messy.csv").write_bytes("\r\n".join(messy).encode("utf-8"))
     write("front-zeros.csv", front)
     write("approx-zeros.csv", front[::2])
     write("absent.csv", [front[0], ["1", "2", "5"]])
@@ -193,6 +202,9 @@ def commands(seed: int) -> list[tuple[str, list[str]]]:
                            "--approx-front", "tune-mo-bi/out/front.csv"]),
         ("eval-int", cli + ["eval", *table("int"), "--true-front", "tables/int/front.csv",
                             "--approx-front", "tune-mo-int/out/front.csv"]),
+        ("eval-int-messy", cli + ["eval", *table("int"), "--true-front",
+                                  "tables/int/front-messy.csv", "--approx-front",
+                                  "tune-mo-int/out/front.csv"]),
         ("eval-int-zeros", cli + ["eval", *table("int"), "--true-front",
                                   "tables/int/front-zeros.csv", "--approx-front",
                                   "tables/int/approx-zeros.csv"]),

@@ -216,6 +216,27 @@ MUTANTS = (
         ("tests/test_space.py",),
     ),
     Mutant(
+        "load_dataset domain-checks the stand-ins of a bad cell and the cells after it",
+        "src/flashtune/space.py",
+        "T[-1, column:d] = [o.lo for o in options[column:]]",
+        "pass",
+        ("tests/test_space.py",),
+    ),
+    Mutant(
+        "the shared CSV reader does not skip blank rows in its csv fallback",
+        "src/flashtune/space.py",
+        "if not record or all(not c.strip() for c in record):",
+        "if False:",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "eval looks up the row of a bad cell before reporting the cell",
+        "src/flashtune/cli.py",
+        "zip(T[:len(rows) - (bad is not None)], rows)",
+        "zip(T, rows)",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
         "Dataset.candidates truncates an id that is not an integer",
         "src/flashtune/space.py",
         "if fractional.any():",

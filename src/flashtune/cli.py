@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 validation error (bad inputs or arguments),
 
 from __future__ import annotations
 
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -35,8 +34,8 @@ from .harness import (
 )
 from .runs import write_trace_csv
 from .space import (
-    Dataset, DatasetError, _open_output, _write_csv, direction_signs, load_dataset, save_dataset,
-    split,
+    Dataset, DatasetError, _open_output, _read_csv, _write_csv, direction_signs, load_dataset,
+    save_dataset, split,
 )
 from .stats import SkParams
 from .synth import KINDS, generate_synthetic
@@ -100,12 +99,19 @@ def _spec(methods, seed, cart_min_split, cart_min_leaf, size, budget,
     )
 
 
-def _refuse_foreign_files(out, command: str, own: str = "") -> None:
-    """Refuse an `--out` holding the `front.csv` or `tree.txt` of another
-    single-run command (all but `own`, which this command may write): this
-    run would leave it beside files it does not describe."""
-    for name in ("front.csv", "tree.txt"):
-        if name != own and (Path(out) / name).exists():
+# The files each command may write into its `--out`.
+OUT_FILES = {"tune": {"trace.csv", "summary.txt", "tree.txt"},
+             "tune-mo": {"trace.csv", "summary.txt", "front.csv"},
+             "baseline": {"trace.csv", "summary.txt"},
+             "experiment": {"report.txt", "results.csv", "rank_difference.csv",
+                            "quality_indicators.csv", "measurement_ratio.csv", "time_gain.csv"}}
+
+
+def _refuse_foreign_files(out, command: str) -> None:
+    """Refuse an `--out` holding a file another command writes and `command`
+    does not: this run would leave it beside files it does not describe."""
+    for name in sorted(set().union(*OUT_FILES.values()) - OUT_FILES[command]):
+        if (Path(out) / name).exists():
             raise click.UsageError(f"--out {out} holds {name}, which {command} does not write")
 
 
@@ -133,7 +139,7 @@ def _write_run(out, run, dataset: Dataset, summary: list[str]) -> Path:
 @click.option("--dump-tree", "dump_tree_flag", is_flag=True, help="Also write the final surrogate tree.")
 def tune(manifest, data, objective, seed, out, dump_tree_flag, **search):
     """Single-objective model-based search over the whole dataset."""
-    _refuse_foreign_files(out, "tune", own="tree.txt")
+    _refuse_foreign_files(out, "tune")
     dataset = load_dataset(manifest, data)
     obj = _resolve_objective(dataset, objective)
     spec = _spec([MethodSpec("flash")], seed, manifest=manifest, data=data, **search)
@@ -169,7 +175,7 @@ def tune(manifest, data, objective, seed, out, dump_tree_flag, **search):
 @click.option("--out", type=click.Path(file_okay=False), required=True)
 def tune_mo(manifest, data, seed, out, **search):
     """Multi-objective model-based search; writes the measured front."""
-    _refuse_foreign_files(out, "tune-mo", own="front.csv")
+    _refuse_foreign_files(out, "tune-mo")
     dataset = load_dataset(manifest, data)
     if len(dataset.objectives) < 2:
         raise DatasetError("tune-mo needs a dataset with at least two objectives")
@@ -261,36 +267,17 @@ def eval_fronts(manifest, data, true_front, approx_front):
 
 
 def _read_front_ids(dataset: Dataset, path: Path) -> list[int]:
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    """The table row of each configuration a front file lists, read as a data
+    file is, by its option columns; the first bad row in file order is reported."""
+    T, rows, bad = _read_csv(path, dataset.option_names)
+    ids = []
+    for config, rowno in zip(T[:len(rows) - (bad is not None)], rows):
         try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DatasetError(f"{path} is empty") from None
-        except csv.Error as exc:
-            raise DatasetError(f"{path} header: not readable as CSV: {exc}") from None
-        cols = []
-        for name in dataset.option_names:
-            if name not in header:
-                raise DatasetError(f"{path} is missing option column {name!r}")
-            cols.append(header.index(name))
-        ids = []
-        rowno = 0
-        try:
-            for rowno, record in enumerate(reader, start=1):
-                if not record or all(not c.strip() for c in record):
-                    continue
-                try:
-                    config = tuple(float(record[c]) for c in cols)
-                except (ValueError, IndexError):
-                    raise DatasetError(f"{path} row {rowno}: non-numeric option value") from None
-                try:
-                    ids.append(dataset.lookup(config))
-                except KeyError:
-                    raise DatasetError(
-                        f"{path} row {rowno}: configuration not in dataset") from None
-        except csv.Error as exc:
-            raise DatasetError(f"{path} row {rowno + 1}: not readable as CSV: {exc}") from None
+            ids.append(dataset.lookup(config))
+        except KeyError:
+            raise DatasetError(f"{path} row {rowno}: configuration not in dataset") from None
+    if bad is not None:
+        raise DatasetError(f"{path} {bad[1]}")
     if not ids:
         raise DatasetError(f"{path} lists no configurations")
     return ids
@@ -326,6 +313,7 @@ SUFFIX_KEYS = {"flash": "budget", "epal": "epsilon", "random": "n"}
 @click.option("--out", type=click.Path(file_okay=False), required=True)
 def experiment(kind, n_options, methods, objectives, emit_timing, out, **options):
     """Repeat every method over seeded splits and rank the results."""
+    _refuse_foreign_files(out, "experiment")
     method_specs = []
     for token in [t.strip() for t in methods.split(",") if t.strip()]:
         kind_name, _, arg = token.partition(":")

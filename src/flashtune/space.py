@@ -242,12 +242,15 @@ class Dataset:
         is `configs` itself, not a copy.  With `indices` the ids are their
         distinct values in ascending order and `X` copies those rows.  An id
         whose value is not an integer (`2.0` is one, `2.7` is not) or that
-        lies outside `[0, n_rows)` is refused.
+        lies outside `[0, n_rows)` is refused, as is an array that is not 1-D.
         """
         if indices is None:
             return Pool(np.arange(self.n_rows), self.configs)
         # read as floats, so that 2.7 is refused rather than truncated to 2
-        given = np.fromiter(indices, dtype=float)
+        given = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices),
+                           dtype=float)
+        if given.ndim != 1:
+            raise ValueError("row ids must be one-dimensional")
         fractional = given != np.floor(given)
         if fractional.any():
             raise ValueError(f"row id {float(given[np.argmax(fractional)])!r} is not an integer")
@@ -392,6 +395,59 @@ def _has_line_over(body: str, limit: int) -> bool:
     return max(map(len, body.split("\n"))) > limit
 
 
+def _read_csv(path: str | Path, names: Sequence[str]) -> tuple[
+        np.ndarray, Sequence[int], tuple[int, RowError] | None]:
+    """The columns `names` of a CSV table (found by header name; others are
+    ignored), each row's file row (1-based, header excluded, blank lines
+    counted and skipped), and the first cell that does not parse, or None:
+    its index in `names` and its `RowError`, index 0 for a row not readable
+    as CSV (e.g. a cell beyond the `csv` field size limit).  Reading stops
+    there, and the last row is that cell's row: the cells before it as
+    read, NaN from it on."""
+    # utf-8-sig drops the byte-order mark spreadsheet tools may write
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            header = [h.strip() for h in next(csv.reader(fh))]
+        except StopIteration:
+            raise SchemaError(f"{path} is empty") from None
+        except csv.Error as exc:
+            raise SchemaError(f"{path} header is not readable CSV: {exc}") from None
+        body = fh.read()
+    for name in names:
+        if name not in header:
+            raise SchemaError(f"{path} is missing column {name!r}")
+    cols = [header.index(name) for name in names]
+
+    T = _parse_clean(body, cols)
+    if T is not None:
+        return T, range(1, T.shape[0] + 1), None
+    table: list[list[float]] = []
+    rows: list[int] = []
+    bad: tuple[int, RowError] | None = None
+    rowno = 0
+    try:
+        for rowno, record in enumerate(csv.reader(io.StringIO(body, newline="")), start=1):
+            if not record or all(not c.strip() for c in record):
+                continue
+            cells: list[float] = []
+            for name, c in zip(names, cols):
+                try:
+                    cells.append(float(record[c]))
+                except (ValueError, IndexError):
+                    bad = len(cells), RowError(
+                        rowno, f"non-numeric or missing value in column {name!r}")
+                    break
+            rows.append(rowno)
+            table.append(cells + [math.nan] * (len(names) - len(cells)))
+            if bad is not None:
+                break
+    except csv.Error as exc:
+        rows.append(rowno + 1)
+        table.append([math.nan] * len(names))
+        bad = 0, RowError(rowno + 1, f"not readable as CSV: {exc}")
+    return np.array(table, dtype=float).reshape(len(table), len(names)), rows, bad
+
+
 def load_dataset(manifest_path: str | Path, data_path: str | Path) -> Dataset:
     """Load and validate a dataset from a manifest file and a CSV table.
 
@@ -402,59 +458,13 @@ def load_dataset(manifest_path: str | Path, data_path: str | Path) -> Dataset:
     same error on disk as in memory.
     """
     options, objectives = _parse_manifest(Path(manifest_path))
-    wanted = [o.name for o in options] + [o.name for o in objectives]
-
-    # utf-8-sig drops the byte-order mark spreadsheet tools may write
-    with open(data_path, newline="", encoding="utf-8-sig") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise SchemaError("data file is empty") from None
-        except csv.Error as exc:
-            raise SchemaError(f"data file header is not readable CSV: {exc}") from None
-        body = fh.read()
-    header = [h.strip() for h in header]
-    for name in wanted:
-        if name not in header:
-            raise SchemaError(f"data file is missing column {name!r}")
-    cols = [header.index(name) for name in wanted]
-
-    T = _parse_clean(body, cols)
-    failure: RowError | None = None
-    if T is not None:
-        del body  # the table holds every number the text did
-        rows: range | list[int] = range(1, T.shape[0] + 1)
-    else:
-        # in-domain stand-ins for the cells after one that does not parse
-        padding = [float(o.lo) for o in options] + [0.0] * len(objectives)
-        table: list[list[float]] = []
-        rows = []
-        rowno = 0
-        try:
-            for rowno, record in enumerate(csv.reader(io.StringIO(body, newline="")), start=1):
-                if not record or all(not c.strip() for c in record):
-                    continue
-                rows.append(rowno)
-                cells: list[float] = []
-                for name, c in zip(wanted, cols):
-                    try:
-                        cells.append(float(record[c]))
-                    except (ValueError, IndexError):
-                        failure = RowError(
-                            rowno, f"non-numeric or missing value in column {name!r}")
-                        break
-                # the cells before a bad one are domain-checked below
-                table.append(cells + padding[len(cells):])
-                if failure is not None:
-                    break
-        except csv.Error as exc:
-            # e.g. a cell beyond the csv module's field size limit
-            failure = RowError(rowno + 1, f"not readable as CSV: {exc}")
-        T = np.array(table, dtype=float).reshape(len(table), len(wanted))
-
+    T, rows, bad = _read_csv(data_path, [o.name for o in (*options, *objectives)])
     d = len(options)
-    if failure is not None:
-        # a value outside its domain earlier in the file is reported first
+    if bad is not None:
+        column, failure = bad
+        # a value outside its domain earlier in the file is reported first;
+        # the bad cell and the cells after it get in-domain stand-ins
+        T[-1, column:d] = [o.lo for o in options[column:]]
         _check_domain(options, T[:, :d], rows)
         raise failure
     return Dataset(options, objectives, T[:, :d], T[:, d:], row_numbers=rows)

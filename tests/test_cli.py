@@ -165,6 +165,45 @@ def test_eval_rejects_foreign_configuration(tmp_path):
                    "--true-front", data, "--approx-front", bad) == 1
 
 
+def test_eval_reads_a_messy_front_file_as_the_plain_one(tmp_path, capsys):
+    """Quoted cells, CRLF line ends, blank lines, a shuffled header and an
+    extra column: the front file is read by the data file's reader."""
+    manifest, data, out = synth_files(tmp_path, kind="bi-objective-tradeoff", options=4)
+    header, *rows = [line.split(",") for line in data.read_text().splitlines()]
+    plain, messy, approx = tmp_path / "plain.csv", tmp_path / "messy.csv", tmp_path / "approx.csv"
+    plain.write_text("\n".join(",".join(r[:4]) for r in [header, *rows[:10]]) + "\n")
+    approx.write_text("\n".join(",".join(r[:4]) for r in [header, *rows[::3]]) + "\n")
+    lines = ['o02,"note",o00,o03,o01']
+    for k, (a, b, c, d, *_) in enumerate(rows[:10]):
+        lines.append(f'"{c}","row {k}, ""as found""",{a},"{d}",{b}')
+        lines += [""] if k % 3 == 0 else [",,,,"] if k % 3 == 1 else []
+    messy.write_bytes("\r\n".join(lines).encode())
+    capsys.readouterr()
+
+    def printed(true_front):
+        assert run_cli("eval", "--manifest", manifest, "--data", data,
+                       "--true-front", true_front, "--approx-front", approx) == 0
+        return capsys.readouterr().out
+
+    assert printed(messy) == printed(plain)
+    assert "igd=0.0\n" not in printed(plain)
+
+
+def test_eval_reports_the_first_bad_row_of_a_front_file(tmp_path, capsys):
+    """A row is looked up before a cell after it that does not parse is
+    reported, so the first bad row in the file is named."""
+    manifest, data, out = synth_files(tmp_path, kind="bi-objective-tradeoff", options=4)
+    for rows, error in [("0,0,0,0\n9,9,9,9\n0,x,0,0\n", "row 2: configuration not in dataset"),
+                        ("0,0,0,0\n0,x,0,0\n9,9,9,9\n",
+                         "row 2: non-numeric or missing value in column 'o01'"),
+                        ("", "lists no configurations")]:
+        front = tmp_path / "front.csv"
+        front.write_text("o00,o01,o02,o03\n" + rows)
+        assert run_cli("eval", "--manifest", manifest, "--data", data,
+                       "--true-front", data, "--approx-front", front) == 1
+        assert capsys.readouterr().err == f"validation error: {front} {error}\n"
+
+
 def test_eval_accepts_a_front_file_with_a_byte_order_mark(tmp_path, capsys):
     manifest, data, out = synth_files(tmp_path, kind="bi-objective-tradeoff", options=4)
     marked = tmp_path / "marked.csv"

@@ -139,10 +139,15 @@ def test_commands_keep_their_order_of_option_checks(tmp_path, table, capsys):
     assert not (tmp_path / "o").exists()
 
 
+EXPERIMENT = ["experiment", "--methods", "flash", "--repeats", 1]
+
+
 @pytest.mark.parametrize("first, then, name", [
     (["tune-mo"], ["tune"], "front.csv"),
     (["tune", "--dump-tree"], ["tune-mo"], "tree.txt"),
     (["tune", "--dump-tree"], ["baseline", "--method", "flash"], "tree.txt"),
+    (["tune"], EXPERIMENT, "summary.txt"),
+    (EXPERIMENT, ["tune"], "measurement_ratio.csv"),
 ])
 def test_a_run_refuses_an_out_holding_another_commands_file(tmp_path, table, capsys, monkeypatch,
                                                            first, then, name):
@@ -162,3 +167,16 @@ def test_a_run_refuses_an_out_holding_another_commands_file(tmp_path, table, cap
     assert capsys.readouterr().err == (
         f"error: --out {out} holds {name}, which {then[0]} does not write\n")
     assert {p.name: p.read_bytes() for p in out.iterdir()} == kept
+
+
+@pytest.mark.parametrize("command", [["tune", "--dump-tree"], ["tune-mo"],
+                                     ["baseline", "--method", "flash"], EXPERIMENT])
+def test_a_rerun_of_the_same_command_into_its_out_succeeds(tmp_path, table, command):
+    manifest, data = table
+    args = [*command, "--manifest", manifest, "--data", data, "--size", SIZE, "--budget", BUDGET,
+            "--out", tmp_path / "out"]
+    assert run_main(*args) == 0
+    first = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+    assert run_main(*args) == 0
+    assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == first
+    assert set(first) <= cli.OUT_FILES[command[0]]

@@ -1,7 +1,8 @@
 """Output files: every file the package writes is opened by
 `space._open_output`, which replaces a file already at the path instead of
 truncating it (its docstring says why), so a rerun into the same directory
-gives the bytes of a run into an empty one."""
+gives the bytes of a run into an empty one.  The package's reads of CSV
+tables, and its measurements, each have one site too."""
 
 import ast
 import os
@@ -193,17 +194,17 @@ def test_the_package_writes_files_only_through_the_output_helper():
     assert found == [("space.py", "_open_output", "open")]
 
 
-# --- the package's measurements, found by reading its source ------------------
+# --- the package's measurements and CSV reads, found by reading its source -----
 
-def measure_references(source: str) -> list[str]:
+def attribute_references(source: str, attr: str) -> list[str]:
     """Dotted class and function scope of each reference in `source` to an
-    attribute named `measure`: every call of one, and every alias taken."""
+    attribute named `attr`: every call of one, and every alias taken."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = (*scope, node.name)
-        if isinstance(node, ast.Attribute) and node.attr == "measure":
+        if isinstance(node, ast.Attribute) and node.attr == attr:
             found.append(".".join(scope) or "<module>")
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -219,10 +220,23 @@ def measure_references(source: str) -> list[str]:
     ("class A:\n    def measure(self, c):\n        return c\n", []),
 ])
 def test_the_scan_finds_every_measure_reference(source, expected):
-    assert measure_references(source) == expected
+    assert attribute_references(source, "measure") == expected
 
 
 def test_the_package_measures_only_in_the_trace():
     found = sorted(f"{path.stem}.{scope}" for path in SRC.glob("*.py")
-                   for scope in measure_references(path.read_text(encoding="utf-8")))
+                   for scope in attribute_references(path.read_text(encoding="utf-8"), "measure"))
     assert found == ["runs.Trace.take"]
+
+
+def test_the_package_reads_csv_only_in_the_shared_reader():
+    """A data file and a front file are read by one parser, so they follow
+    one set of rules: only `space` imports `csv`, and it calls `csv.reader`
+    only in `_read_csv`."""
+    importers = sorted(path.stem for path in SRC.glob("*.py")
+                       for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                       if isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names)
+                       or isinstance(node, ast.ImportFrom) and node.module == "csv")
+    assert importers == ["space"]
+    source = (SRC / "space.py").read_text(encoding="utf-8")
+    assert attribute_references(source, "reader") == ["_read_csv", "_read_csv"]

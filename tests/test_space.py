@@ -362,6 +362,21 @@ def test_candidates_refuse_ids_that_are_not_integers(bad):
     assert ds.candidates([2.0, np.int64(0), 2]).ids.tolist() == [0, 2]
 
 
+def test_candidates_read_an_array_of_ids_as_the_list_of_them():
+    ds = make_dataset([(i,) for i in range(4)], [1.0, 2.0, 3.0, 4.0])
+    for ids in ([3, 1, 1], [2.0, 0.0], [], [True, False]):
+        pool, expected = ds.candidates(np.array(ids)), ds.candidates(ids)
+        assert pool.ids.tolist() == expected.ids.tolist()
+        assert np.array_equal(pool.X, expected.X)
+    with pytest.raises(ValueError, match=r"^row id 1.5 is not an integer$"):
+        ds.candidates(np.array([0.0, 1.5]))
+    with pytest.raises(ValueError, match=r"^row id 4 outside \[0, 4\)$"):
+        ds.candidates(np.array([4, 0]))
+    for shape in [(2, 2), ()]:
+        with pytest.raises(ValueError, match="^row ids must be one-dimensional$"):
+            ds.candidates(np.zeros(shape, dtype=int))
+
+
 def test_pool_leaves_callers_arrays_writable():
     ids, X = np.array([0, 1]), np.zeros((2, 1))
     Pool(ids, X)
