@@ -278,6 +278,27 @@ MUTANTS = (
         'memo["params"] != params',
         ("tests/test_cart.py",),
     ),
+    Mutant(
+        "a split's side mask sends a row equal to the threshold right",
+        "src/flashtune/cart.py",
+        "side = XT[j] <= thr",
+        "side = XT[j] < thr",
+        ("tests/test_cart.py",),
+    ),
+    Mutant(
+        "_best_split counts one row too many on the right of a cut",
+        "src/flashtune/cart.py",
+        "right_n = counts[n - lo - 1:n - hi - 1:-1]",
+        "right_n = counts[n - lo:n - hi:-1]",
+        ("tests/test_cart.py",),
+    ),
+    Mutant(
+        "a leaf's mean divides by the fit's row count",
+        "src/flashtune/cart.py",
+        "return Leaf(math.ldexp(yn.sum() / n, e), n)",
+        "return Leaf(math.ldexp(yn.sum() / y.size, e), n)",
+        ("tests/test_cart.py",),
+    ),
 )
 
 

@@ -8,11 +8,11 @@ depth limit, no pruning and no smoothing beyond the leaf-size knobs.
 A fit sorts once.  `fit` stably argsorts every option column, giving a
 (d, n) matrix of row indices.  Each node scores all options in one pass over
 that matrix (see `_best_split`), then hands each child the entries of its
-order that fall on its side, selected by the split's boolean mask.  A stable
-filter of a stable sort is the stable sort of the subset, so every node sees
-exactly the order a fresh per-node sort would give, and node rows stay in
-ascending original order: sums, gains, thresholds and leaf means do not
-depend on how the order was obtained.
+order that fall on its side, read from one side mask per split (a boolean
+per row of the fit).  A stable filter of a stable sort is the stable sort
+of the subset, so every node sees exactly the order a fresh per-node sort
+would give, and node rows stay in ascending original order: sums, gains,
+thresholds and leaf means do not depend on how the order was obtained.
 
 A fit works in units of a power of two.  With e the binary exponent of
 max|y| (`frexp`), the tree is grown on y * 2^-e, whose magnitudes lie
@@ -101,34 +101,35 @@ class Split:
 TreeNode = Union[Leaf, Split]
 
 
-def _best_split(
-    XT: np.ndarray, y: np.ndarray, yn: np.ndarray, order: np.ndarray, min_leaf: int
-):
+def _best_split(XT: np.ndarray, y: np.ndarray, yn: np.ndarray, order: np.ndarray,
+                min_leaf: int, offsets: np.ndarray, counts: np.ndarray):
     """Best (option index, threshold) for one node, or None.
 
-    `order[j]` lists the node's rows sorted by option j, `yn` is the node's
-    targets in ascending row order.  Cutting after sorted position k puts the
-    first k + 1 rows left; a cut is legal where the sorted value strictly
-    rises and both sides keep `min_leaf` rows.  One cumsum over all options
-    scores every legal cut, and each option keeps its first maximum, so the
-    lowest threshold wins a tie within an option.  Scanning the options in
-    index order, a later option replaces the running best only when its gain
-    is higher by more than `eps`, so near-ties go to the lowest option index.
-    The threshold is the midpoint of the two sorted values around the cut.
+    `order[j]` lists the node's rows sorted by option j and `yn` holds their
+    targets in row order; option j starts at `offsets[j]` in `XT.ravel()`,
+    and `counts` is the fit's `arange(n + 1)`.  Cutting after sorted position
+    k puts the first k + 1 rows left; a cut is legal where the sorted value
+    strictly rises and both sides keep `min_leaf` rows.  One cumsum over all
+    options scores every legal cut, and each option keeps its first maximum,
+    so the lowest threshold wins a tie within an option.  A later option
+    replaces the running best only when its gain is higher by more than
+    `eps`, so near-ties go to the lowest option index.  The threshold is the
+    midpoint of the two sorted values around the cut, or the lower one where
+    the midpoint is not below the upper one (adjacent doubles, or overflow).
     """
     n = yn.size
     lo, hi = min_leaf - 1, n - min_leaf
-    total_sum = yn.sum()
-    total_sq = (yn * yn).sum()
+    total_sum = float(yn.sum())
+    total_sq = float((yn * yn).sum())
     base_sse = total_sq - total_sum * total_sum / n
     eps = 1e-12 * (abs(base_sse) + 1.0)
 
-    xv = XT[np.arange(order.shape[0])[:, None], order]
+    xv = XT.ravel()[order + offsets]
     yv = y[order]
-    ls = yv.cumsum(axis=1)[:, lo:hi]
-    lq = (yv * yv).cumsum(axis=1)[:, lo:hi]
-    left_n = np.arange(lo + 1, hi + 1)
-    right_n = n - left_n
+    ls = np.add.accumulate(yv, axis=1)[:, lo:hi]  # cumsum without the method's dispatch
+    lq = np.add.accumulate(yv * yv, axis=1)[:, lo:hi]
+    left_n = counts[lo + 1:hi + 1]
+    right_n = counts[n - lo - 1:n - hi - 1:-1]  # n - left_n
     rs = total_sum - ls
     rq = total_sq - lq
     child_sse = (lq - ls * ls / left_n) + (rq - rs * rs / right_n)
@@ -142,34 +143,35 @@ def _best_split(
     if best is None:
         return None
     k = lo + int(gain[best].argmax())
-    return best, float((xv[best, k] + xv[best, k + 1]) / 2.0)
+    below, above = xv[best, k:k + 2].tolist()
+    mid = (below + above) / 2.0
+    return best, mid if mid < above else below
 
 
-def _grow(
-    XT: np.ndarray, y: np.ndarray, e: int, rows: np.ndarray, order: np.ndarray,
-    params: CartParams, at: int, old: TreeNode | None,
-) -> TreeNode:
+def _grow(XT: np.ndarray, y: np.ndarray, e: int, rows: np.ndarray, order: np.ndarray,
+          params: CartParams, at: int, old: TreeNode | None, offsets: np.ndarray,
+          counts: np.ndarray) -> TreeNode:
     """The subtree of `rows`, grown on the scaled targets `y`, with leaf
     means scaled back by 2^e.  `old`, if given, is the subtree the previous
     fit grew for these rows without row `at`, which they hold."""
     yn = y[rows]
     n = yn.size
-    if n < params.min_samples_split or yn.max() == yn.min():
-        return Leaf(math.ldexp(yn.mean(), e), n)
-    found = _best_split(XT, y, yn, order, params.min_samples_leaf)
+    found = None if n < params.min_samples_split or yn.max() == yn.min() else _best_split(
+        XT, y, yn, order, params.min_samples_leaf, offsets, counts)
     if found is None:
-        return Leaf(math.ldexp(yn.mean(), e), n)
+        return Leaf(math.ldexp(yn.sum() / n, e), n)  # bitwise yn.mean()
     j, thr = found
+    side = XT[j] <= thr  # over every row of the fit, read at rows and order
     kept = isinstance(old, Split) and old.option_index == j and old.threshold == thr
-    at_left = kept and XT[j, at] <= thr
-    rows_left = XT[j, rows] <= thr
-    order_left = XT[j, order] <= thr
+    at_left = kept and side[at]
+    rows_left = side[rows]
+    order_left = side[order]
     left = old.left if kept and not at_left else _grow(
         XT, y, e, rows[rows_left], order[order_left].reshape(len(order), -1), params, at,
-        old.left if kept else None)
+        old.left if kept else None, offsets, counts)
     right = old.right if at_left else _grow(
         XT, y, e, rows[~rows_left], order[~order_left].reshape(len(order), -1), params, at,
-        old.right if kept else None)
+        old.right if kept else None, offsets, counts)
     return Split(j, thr, left, right)
 
 
@@ -210,7 +212,9 @@ def fit(xs, ys, params: CartParams = CartParams(), *, memo: dict | None = None) 
     e = math.frexp(np.abs(y).max())[1]
     y = np.ldexp(y, -e)
     bits = np.column_stack([X, y]).view(np.int64)
-    tree = _grow(XT, y, e, np.arange(y.size), order, params, *_last_fit(memo, params, e, bits))
+    counts = np.arange(y.size + 1)  # the cut counts; all but the last are the root's rows
+    tree = _grow(XT, y, e, counts[:-1], order, params, *_last_fit(memo, params, e, bits),
+                 np.arange(0, XT.size, y.size)[:, None], counts)
     if memo is not None:
         memo.update(params=params, e=e, bits=bits, tree=tree)
     return tree

@@ -104,18 +104,13 @@ def _run(
     # the training rows and hence the trees do not depend on measurement order
     taken = np.flatnonzero(trace.measured)
 
-    spent = 0
-    stop = STOP_BUDGET
-    while spent < params.budget:
-        remaining = n - taken.size
-        if params.budget - spent >= remaining:
-            # every remaining candidate gets measured regardless of the
-            # acquisition order, so skip the pointless surrogate refits
-            for pos in trace.pool():
-                trace.take(int(pos))
-            spent += remaining
-            stop = STOP_POOL_EXHAUSTED
-            break
+    if params.budget and params.size + params.budget >= n:
+        # every remaining candidate gets measured regardless of the
+        # acquisition order, so skip the pointless surrogate refits
+        for pos in trace.pool():
+            trace.take(int(pos))
+        return trace.finish(STOP_POOL_EXHAUSTED, initial_sample=params.size)
+    for _ in range(params.budget):
         Xe = trace.X[taken]
         Ye = trace.Y[taken]
         if len(directions) == 1:
@@ -136,10 +131,10 @@ def _run(
                 params.n_projections, directions, int(rng.integers(2 ** 63)),
             )])
         trace.take(pick)
-        taken = np.insert(taken, np.searchsorted(taken, pick), pick)
-        spent += 1
+        at = np.searchsorted(taken, pick)
+        taken = np.concatenate((taken[:at], [pick], taken[at:]))
 
-    return trace.finish(stop, initial_sample=params.size)
+    return trace.finish(STOP_BUDGET, initial_sample=params.size)
 
 
 def flash_single(

@@ -65,7 +65,7 @@ def rank_difference(best: int, dataset: Dataset, objective: int = 0, rows=None) 
     v = dataset.values[:, objective] * direction_signs((direction,))[0]
     pool = v
     if rows is not None:
-        rows = np.asarray(rows)
+        rows = dataset.candidates(rows).ids  # refuses what is not a list of row ids
         if not np.any(rows == best):
             raise ValueError(f"row {best} is not among the given rows")
         pool = v[rows]

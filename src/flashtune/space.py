@@ -241,14 +241,15 @@ class Dataset:
         Without `indices` it is the whole table: the ids are a range and `X`
         is `configs` itself, not a copy.  With `indices` the ids are their
         distinct values in ascending order and `X` copies those rows.  An id
-        whose value is not an integer (`2.0` is one, `2.7` is not) or that
-        lies outside `[0, n_rows)` is refused, as is an array that is not 1-D.
+        whose value is not an integer (`2.0` is one, `2.7` is not) or outside
+        `[0, n_rows)` is refused, as are a boolean mask and an array not 1-D.
         """
         if indices is None:
             return Pool(np.arange(self.n_rows), self.configs)
-        # read as floats, so that 2.7 is refused rather than truncated to 2
-        given = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices),
-                           dtype=float)
+        given = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices))
+        if given.dtype == bool:
+            raise ValueError("row ids must not be a boolean mask; use np.flatnonzero(mask)")
+        given = given.astype(float)  # so that 2.7 is refused rather than truncated to 2
         if given.ndim != 1:
             raise ValueError("row ids must be one-dimensional")
         fractional = given != np.floor(given)

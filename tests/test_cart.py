@@ -28,7 +28,8 @@ def reference_best_split(X: np.ndarray, y: np.ndarray, min_leaf: int, unit: floa
     """Oracle for `fit`: the per-option split search that sorts at every node.
 
     Thresholds are midpoints between consecutive distinct sorted values of
-    each option within this node.  Ties in gain resolve to the lowest option
+    each option within this node, or the lower value where the midpoint is
+    not below the upper one.  Ties in gain resolve to the lowest option
     index, then the lowest threshold.  A gain must beat the floor
     1e-12 * (|base_sse| + unit), where `unit` is 4^e for e the binary
     exponent of the whole fit's max|y|: `fit`'s floor of 1e-12 * (|sse| + 1)
@@ -65,8 +66,9 @@ def reference_best_split(X: np.ndarray, y: np.ndarray, min_leaf: int, unit: floa
         k = int(np.argmax(gain))
         if gain[k] > best_gain + eps or (best is None and gain[k] > eps):
             best_gain = float(gain[k])
-            thr = float((xv[cuts[k]] + xv[cuts[k] + 1]) / 2.0)
-            best = (best_gain, j, thr)
+            below, above = float(xv[cuts[k]]), float(xv[cuts[k] + 1])
+            thr = (below + above) / 2.0
+            best = (best_gain, j, thr if thr < above else below)
     return best
 
 
@@ -334,6 +336,23 @@ def test_split_floor_is_relative_to_the_largest_target():
     for xs, ys, tree in cases:
         assert fit(xs, ys, LOOSE) == tree
         assert reference_fit(xs, ys, LOOSE) == tree
+
+
+def test_a_midpoint_that_rounds_up_gives_the_lower_value():
+    """Between two adjacent doubles the midpoint can round to the upper one,
+    and the sum of two large ones overflows, so a cut there sent every row
+    left and the fit recursed until RecursionError.  The threshold is then
+    the lower value.  The first two pairs round half to even upwards: 1 + 1
+    ulp and 1 + 2 ulp, and the integers 2^53 + 2 and 2^53 + 4, which a
+    table's integer option may hold."""
+    a = np.nextafter(1.0, 2.0)
+    for lower, upper in [(a, np.nextafter(a, 2.0)), (2.0**53 + 2, 2.0**53 + 4),
+                         (1e308, 1.5e308)]:
+        assert not (lower + upper) / 2.0 < upper
+        X = np.array([[lower], [lower], [upper], [upper]])
+        tree = Split(0, lower, Leaf(0.0, 2), Leaf(1.0, 2))
+        assert fit(X, [0, 0, 1, 1]) == reference_fit(X, [0, 0, 1, 1]) == tree
+        assert predict_batch(tree, X).tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 def test_memo_tells_scales_apart():

@@ -141,6 +141,15 @@ def test_rank_difference_unknown_id():
         rank_difference(9, ds)
 
 
+def test_rank_difference_refuses_a_boolean_mask():
+    """A mask is not a list of row ids: an all-True one used to fail as
+    `row 0 is not among the given rows` and pass for row 1."""
+    ds = make_dataset([(i,) for i in range(4)], [1.0, 2.0, 3.0, 4.0])
+    for best in (0, 1):
+        with pytest.raises(ValueError, match="^row ids must not be a boolean mask"):
+            rank_difference(best, ds, 0, rows=np.ones(4, bool))
+
+
 def min_rank(values, i, direction):
     """1-based rank of entry i, ties taking the smallest tied rank: the
     arithmetic the pool rank used before `rank_difference` took `rows`."""

@@ -364,7 +364,7 @@ def test_candidates_refuse_ids_that_are_not_integers(bad):
 
 def test_candidates_read_an_array_of_ids_as_the_list_of_them():
     ds = make_dataset([(i,) for i in range(4)], [1.0, 2.0, 3.0, 4.0])
-    for ids in ([3, 1, 1], [2.0, 0.0], [], [True, False]):
+    for ids in ([3, 1, 1], [2.0, 0.0], []):
         pool, expected = ds.candidates(np.array(ids)), ds.candidates(ids)
         assert pool.ids.tolist() == expected.ids.tolist()
         assert np.array_equal(pool.X, expected.X)
@@ -375,6 +375,15 @@ def test_candidates_read_an_array_of_ids_as_the_list_of_them():
     for shape in [(2, 2), ()]:
         with pytest.raises(ValueError, match="^row ids must be one-dimensional$"):
             ds.candidates(np.zeros(shape, dtype=int))
+
+
+def test_candidates_refuse_a_boolean_mask():
+    """A mask is not a list of ids: [True, False, True] used to read as the
+    ids [0, 1]."""
+    ds = make_dataset([(i,) for i in range(4)], [1.0, 2.0, 3.0, 4.0])
+    for mask in (np.array([True, False, True]), [True, False, True], np.ones(4, bool)):
+        with pytest.raises(ValueError, match="^row ids must not be a boolean mask"):
+            ds.candidates(mask)
 
 
 def test_pool_leaves_callers_arrays_writable():
